@@ -18,7 +18,6 @@ import argparse
 import hashlib
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -27,7 +26,8 @@ from . import denoiser as dn
 from . import text_encoder as te
 from . import toyworld as tw
 from .diffusion import make_schedule
-from .edit_ops import EditRecipe, run_edit, save_edit_report_csv
+from .edit_ops import (EditRecipe, apply_recipe, diff_positions, run_edit,
+                       save_edit_report_csv)
 from .linalg import ConvergenceError
 from .optimizer import (OptConfig, OptimizationError, make_context, optimize,
                         save_trajectory_csv)
@@ -113,12 +113,10 @@ def prepare_out_dir(cfg: dict, command: str) -> str:
     return out
 
 
-def _map_seeds(fn, seeds, jobs: int):
-    """Apply a pure per-seed function; order of results is fixed by seed."""
-    if jobs <= 1:
-        return [fn(s) for s in seeds]
-    with ThreadPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(fn, seeds))
+def _require_positive(cfg: dict, *keys: str) -> None:
+    for key in keys:
+        if cfg[key] < 1:
+            raise ConfigError(f"--{key} must be at least 1, got {cfg[key]}")
 
 
 def _load_bundle(path) -> ModelBundle:
@@ -151,6 +149,7 @@ GEN_DATA_DEFAULTS = {"out": "runs/gen-data", "seed": 0, "n": 32}
 
 def cmd_gen_data(args) -> int:
     cfg = resolve_config(args, GEN_DATA_DEFAULTS)
+    _require_positive(cfg, "n")
     out = prepare_out_dir(cfg, "gen-data")
     world = tw.default_world()
     rng = Rng(cfg["seed"]).split(0)
@@ -173,6 +172,7 @@ TRAIN_DEFAULTS = {"out": "runs/train", "seed": 7, "steps": 25000,
 
 def cmd_train(args) -> int:
     cfg = resolve_config(args, TRAIN_DEFAULTS)
+    _require_positive(cfg, "steps", "batch-size")
     out = prepare_out_dir(cfg, "train")
     world = tw.default_world()
     vocab = te.default_vocabulary()
@@ -202,21 +202,21 @@ SAMPLE_DEFAULTS = {"out": "runs/sample", "ckpt": "runs/train/model.ckpt",
 
 def cmd_sample(args) -> int:
     cfg = resolve_config(args, SAMPLE_DEFAULTS)
+    _require_positive(cfg, "n")
     out = prepare_out_dir(cfg, "sample")
     bundle = _load_bundle(cfg["ckpt"])
     emb = bundle.embed(cfg["prompt"])
-    rows = []
-    for i in range(cfg["n"]):
-        seed = cfg["seed"] + i
-        rng = Rng(seed).split(1)
-        img = bundle.generate(emb, seed_noise(seed), mode=cfg["mode"], rng=rng)
-        k, score = oracle_classify(bundle.world, img)
-        rows.append((seed, k, score, oracle_style(bundle.world, img, k)))
-        save_pgm(os.path.join(out, f"gen_{seed}.pgm"), img)
+    seeds = range(cfg["seed"], cfg["seed"] + cfg["n"])
+    imgs = bundle.generate(emb, np.stack([seed_noise(s) for s in seeds]),
+                           mode=cfg["mode"],
+                           rng=[Rng(s).split(1) for s in seeds])
     with open(os.path.join(out, "metrics.csv"), "w", encoding="utf-8") as f:
         f.write("seed,class,score,style\n")
-        for seed, k, score, style in rows:
+        for seed, img in zip(seeds, imgs):
+            k, score = oracle_classify(bundle.world, img)
+            style = oracle_style(bundle.world, img, k)
             f.write(f"{seed},{k},{score:.17g},{style:.17g}\n")
+            save_pgm(os.path.join(out, f"gen_{seed}.pgm"), img)
     print(f"generated {cfg['n']} images for {cfg['prompt']!r} in {out}")
     return EXIT_OK
 
@@ -226,7 +226,7 @@ EDIT_DEFAULTS = {"out": "runs/edit", "ckpt": "runs/train/model.ckpt",
                  "to": "a photo of vbar bright", "positions": "",
                  "weight": 0.5, "scale-pos": 0, "scale": 1.0,
                  "mask-from": 0, "mask-to": 0, "mask-mode": "exclude",
-                 "seeds": 16, "jobs": 1}
+                 "seeds": 16}
 
 
 def _build_recipe(cfg: dict, bundle: ModelBundle) -> EditRecipe:
@@ -237,7 +237,6 @@ def _build_recipe(cfg: dict, bundle: ModelBundle) -> EditRecipe:
         if cfg["positions"]:
             positions = _parse_positions(cfg["positions"])
         else:
-            from .edit_ops import diff_positions
             positions = tuple(sorted(diff_positions(t_s, t_t)))
         return EditRecipe(kind=kind, positions=positions, weight=cfg["weight"])
     if kind == "scale":
@@ -258,14 +257,12 @@ def _build_recipe(cfg: dict, bundle: ModelBundle) -> EditRecipe:
 
 def cmd_edit(args) -> int:
     cfg = resolve_config(args, EDIT_DEFAULTS)
+    _require_positive(cfg, "seeds")
     out = prepare_out_dir(cfg, "edit")
     bundle = _load_bundle(cfg["ckpt"])
     recipe = _build_recipe(cfg, bundle)
-
-    def one(seed):
-        return run_edit(bundle, cfg["from"], cfg["to"], recipe, seed)
-
-    outcomes = _map_seeds(one, range(cfg["seeds"]), cfg["jobs"])
+    outcomes = run_edit(bundle, cfg["from"], cfg["to"], recipe,
+                        range(cfg["seeds"]))
     rows = [(s, recipe.label(), o) for s, o in enumerate(outcomes)]
     save_edit_report_csv(os.path.join(out, "edits.csv"), rows)
     for s, o in list(enumerate(outcomes))[:4]:
@@ -279,55 +276,52 @@ def cmd_edit(args) -> int:
 
 MASK_SWEEP_DEFAULTS = {"out": "runs/mask-sweep",
                        "ckpt": "runs/train/model.ckpt",
-                       "prompt": "a photo of hbar bright", "seeds": 20,
-                       "jobs": 1}
+                       "prompt": "a photo of hbar bright", "seeds": 20}
 
 
 def cmd_mask_sweep(args) -> int:
     """Three mask families per row: single M_i, prefix M_{1..j}, suffix M_{j..L}."""
     cfg = resolve_config(args, MASK_SWEEP_DEFAULTS)
+    _require_positive(cfg, "seeds")
     out = prepare_out_dir(cfg, "mask-sweep")
     bundle = _load_bundle(cfg["ckpt"])
     emb = bundle.embed(cfg["prompt"])
     length = emb.data.shape[0]
     base_class = bundle.class_of_text(cfg["prompt"])
 
-    families = [("none", None, None)]
-    for i in range(length):
-        families.append((f"single_M{i + 1}", i, i))
-    for j in range(length - 1):
-        families.append((f"prefix_M1-{j + 1}", 0, j))
-    for j in range(1, length):
-        families.append((f"suffix_M{j + 1}-{length}", j, length - 1))
+    def hide(lo, hi):
+        allowed = np.ones(length, dtype=bool)
+        allowed[lo:hi + 1] = False
+        return allowed
 
-    def gen_family(entry):
-        label, lo, hi = entry
-        mask = None
-        if lo is not None:
-            allowed = np.ones(length, dtype=bool)
-            allowed[lo:hi + 1] = False
-            mask = dn.AttnMask(allowed)
-        x_T = np.stack([seed_noise(s) for s in range(cfg["seeds"])])
-        imgs = bundle.generate_batch(emb, x_T, mask=mask)
-        keep = np.mean([oracle_classify(bundle.world, im)[0] == base_class
-                        for im in imgs])
-        # Wilson 95% interval for the keep rate
-        n = cfg["seeds"]
-        z = 1.959963984540054
-        mid = (keep + z * z / (2 * n)) / (1 + z * z / n)
-        hw = (z / (1 + z * z / n)
-              * np.sqrt(keep * (1 - keep) / n + z * z / (4 * n * n)))
-        return label, imgs, float(keep), float(mid - hw), float(mid + hw)
+    families = [("none", np.ones(length, dtype=bool))]
+    families += [(f"single_M{i + 1}", hide(i, i)) for i in range(length)]
+    families += [(f"prefix_M1-{j + 1}", hide(0, j)) for j in range(length - 1)]
+    families += [(f"suffix_M{j + 1}-{length}", hide(j, length - 1))
+                 for j in range(1, length)]
+    labels, allowed = zip(*families)
 
-    results = _map_seeds(gen_family, families, cfg["jobs"])
+    # every family x seed pair is one row of a single chain
+    n = cfg["seeds"]
+    x_T = np.stack([seed_noise(s) for s in range(n)])
+    imgs = bundle.generate(emb, np.tile(x_T, (len(families), 1)),
+                           mask=dn.AttnMask(np.repeat(allowed, n, axis=0)))
+    imgs = imgs.reshape(len(families), n, -1)
+    z = 1.959963984540054
     with open(os.path.join(out, "mask_sweep.csv"), "w", encoding="utf-8") as f:
         f.write("mask,class_keep_rate,ci_lo,ci_hi\n")
-        for label, _, keep, lo_ci, hi_ci in results:
-            f.write(f"{label},{keep:.17g},{lo_ci:.17g},{hi_ci:.17g}\n")
-    for label, imgs, *_ in results:
-        save_pgm(os.path.join(out, f"grid_{label}.pgm"), imgs[0])
-    print(f"swept {len(families) - 1} masks x {cfg['seeds']} seeds; "
-          f"report in {out}")
+        for label, fam_imgs in zip(labels, imgs):
+            keep = np.mean([oracle_classify(bundle.world, im)[0] == base_class
+                            for im in fam_imgs])
+            # Wilson 95% interval for the keep rate
+            mid = (keep + z * z / (2 * n)) / (1 + z * z / n)
+            hw = (z / (1 + z * z / n)
+                  * np.sqrt(keep * (1 - keep) / n + z * z / (4 * n * n)))
+            f.write(f"{label},{float(keep):.17g},{float(mid - hw):.17g},"
+                    f"{float(mid + hw):.17g}\n")
+    for label, fam_imgs in zip(labels, imgs):
+        save_pgm(os.path.join(out, f"grid_{label}.pgm"), fam_imgs[0])
+    print(f"swept {len(families) - 1} masks x {n} seeds; report in {out}")
     return EXIT_OK
 
 
@@ -395,10 +389,9 @@ def cmd_invert(args) -> int:
 
     t_s = bundle.tokens(sample.prompt)
     t_t = bundle.tokens(cfg["to"])
-    from .edit_ops import apply_recipe, diff_positions
     recipe = EditRecipe(kind="swap",
                         positions=tuple(sorted(diff_positions(t_s, t_t))))
-    e_star, mask = apply_recipe(recipe, emb, bundle.embed(cfg["to"]), t_s, t_t)
+    e_star, mask = apply_recipe(recipe, emb, bundle.embed(cfg["to"]))
     edited = bundle.generate(e_star, x_T, mask=mask)
 
     save_pgm(os.path.join(out, "real.pgm"), sample.x0)
@@ -478,14 +471,12 @@ def build_parser() -> _Parser:
         ("mask-from", int, "1-based first masked position"),
         ("mask-to", int, "1-based last masked position"),
         ("mask-mode", str, "exclude or zero"),
-        ("seeds", int, "number of paired seeds"),
-        ("jobs", int, "worker threads (acceptance runs use 1)")])
+        ("seeds", int, "number of paired seeds")])
     add("mask-sweep", cmd_mask_sweep, MASK_SWEEP_DEFAULTS, [
         ("out", str, "output directory"),
         ("ckpt", str, "checkpoint path"),
         ("prompt", str, "conditioning prompt"),
-        ("seeds", int, "seeds per mask"),
-        ("jobs", int, "worker threads (acceptance runs use 1)")])
+        ("seeds", int, "seeds per mask")])
     add("svd-dirs", cmd_svd_dirs, SVD_DIRS_DEFAULTS, [
         ("out", str, "output directory"),
         ("ckpt", str, "checkpoint path"),

@@ -38,14 +38,13 @@ class DenoiserConfig:
 
 @dataclass(frozen=True)
 class AttnMask:
-    allowed: np.ndarray  # bool, length L
+    allowed: np.ndarray  # bool, length L, or (B, L) with one mask per row
 
     def __post_init__(self):
-        object.__setattr__(self, "allowed", np.asarray(self.allowed, dtype=bool))
-
-    @staticmethod
-    def all_true(length: int) -> "AttnMask":
-        return AttnMask(np.ones(length, dtype=bool))
+        allowed = np.asarray(self.allowed, dtype=bool)
+        if not allowed.any(axis=-1).all():
+            raise ValueError("attention mask with no allowed position")
+        object.__setattr__(self, "allowed", allowed)
 
 
 def init_denoiser_params(cfg: DenoiserConfig, rng: Rng) -> dict:
@@ -71,6 +70,54 @@ def time_features(t, n_feat: int) -> np.ndarray:
     return np.concatenate([np.sin(arg), np.cos(arg)], axis=-1)
 
 
+def condition(params, emb) -> dict:
+    """Keys and values of one shared embedding (L, D) or of one per row (B, L, D)."""
+    emb = np.asarray(emb, dtype=np.float64)
+    # keys are computed from unit-normalized rows so attention depends only
+    # on a row's direction; scaling a row then modulates its value
+    # contribution linearly (the fader behaviour) instead of exponentially
+    # re-routing attention toward it
+    emb_norm = np.sqrt(np.einsum("...ld,...ld->...l", emb, emb)) + KEY_NORM_EPS
+    emb_n = emb / emb_norm[..., None]
+    return {"emb": emb, "emb_norm": emb_norm, "emb_n": emb_n,
+            "k": np.einsum("...ld,da->...la", emb_n, params["wk"]),
+            "v": np.einsum("...ld,da->...la", emb, params["wv"])}
+
+
+def attend(params, cfg: DenoiserConfig, x, t_proj, cond: dict,
+           allowed=None, need_tape: bool = False):
+    """The forward pass after condition(); t_proj is time_features(t) @ w_t.
+
+    Shared (L, d_a) keys and values go through BLAS products, per-row
+    (B, L, d_a) ones through einsum. allowed: (B, L), (L,), or None for all.
+    """
+    scale = 1.0 / np.sqrt(cfg.d_a)
+    k, v = cond["k"], cond["v"]
+    # ReLUs and softmax work in place; backward reads the ReLU masks from
+    # their outputs (h > 0 exactly where the pre-activation is > 0)
+    h = x @ params["w_in"] + t_proj
+    np.maximum(h, 0.0, out=h)
+    q = h @ params["wq"]
+    if k.ndim == 2:
+        scores = (q @ k.T) * scale
+    else:
+        scores = np.einsum("ba,bla->bl", q, k) * scale
+    if allowed is not None:
+        scores = np.where(allowed, scores, -1e30)
+    scores -= scores.max(axis=-1, keepdims=True)
+    w = np.exp(scores, out=scores)
+    w /= w.sum(axis=-1, keepdims=True)
+    ctx = w @ v if v.ndim == 2 else np.einsum("bl,bla->ba", w, v)
+    h2 = h + ctx @ params["wo"]
+    m = h2 @ params["w1"]
+    np.maximum(m, 0.0, out=m)
+    eps = m @ params["w2"]
+    if need_tape:
+        tape = dict(cond, x=x, h=h, q=q, w=w, ctx=ctx, h2=h2, m=m)
+        return eps, tape
+    return eps
+
+
 def forward_batch(params, cfg: DenoiserConfig, x, t, emb, allowed,
                   need_tape: bool = False):
     """Batched forward pass.
@@ -78,52 +125,24 @@ def forward_batch(params, cfg: DenoiserConfig, x, t, emb, allowed,
     x: (B, x_dim), t: (B,), emb: (B, L, D), allowed: (B, L) bool.
     """
     x = np.asarray(x, dtype=np.float64)
-    emb = np.asarray(emb, dtype=np.float64)
     allowed = np.asarray(allowed, dtype=bool)
     if not allowed.any(axis=1).all():
         raise ValueError("attention mask with no allowed position")
     tf = time_features(t, cfg.t_feat)
-    scale = 1.0 / np.sqrt(cfg.d_a)
-
-    h_pre = x @ params["w_in"] + tf @ params["w_t"]
-    h = np.maximum(h_pre, 0.0)
-    q = h @ params["wq"]
-    # keys are computed from unit-normalized rows so attention depends only
-    # on a row's direction; scaling a row then modulates its value
-    # contribution linearly (the fader behaviour) instead of exponentially
-    # re-routing attention toward it
-    emb_norm = np.sqrt(np.einsum("bld,bld->bl", emb, emb)) + KEY_NORM_EPS
-    emb_n = emb / emb_norm[..., None]
-    k = np.einsum("bld,da->bla", emb_n, params["wk"])
-    v = np.einsum("bld,da->bla", emb, params["wv"])
-    scores = np.einsum("ba,bla->bl", q, k) * scale
-    scores = np.where(allowed, scores, -1e30)
-    scores -= scores.max(axis=-1, keepdims=True)
-    w = np.exp(scores)
-    w /= w.sum(axis=-1, keepdims=True)
-    ctx = np.einsum("bl,bla->ba", w, v)
-    h2 = h + ctx @ params["wo"]
-    m_pre = h2 @ params["w1"]
-    m = np.maximum(m_pre, 0.0)
-    eps = m @ params["w2"]
+    out = attend(params, cfg, x, tf @ params["w_t"], condition(params, emb),
+                 allowed, need_tape)
     if need_tape:
-        tape = {"x": x, "tf": tf, "emb": emb, "emb_n": emb_n,
-                "emb_norm": emb_norm, "h_pre": h_pre, "h": h,
-                "q": q, "k": k, "v": v, "w": w, "ctx": ctx, "h2": h2,
-                "m_pre": m_pre, "m": m}
-        return eps, tape
-    return eps
+        out[1]["tf"] = tf
+    return out
 
 
 def predict_eps(params, cfg: DenoiserConfig, x_t, t: int,
                 emb, mask: AttnMask | None = None) -> np.ndarray:
-    """Single-sample noise prediction; emb is (L, D) or a TextEmbedding."""
-    data = emb.data if isinstance(emb, te.TextEmbedding) else np.asarray(emb)
-    allowed = (mask.allowed if mask is not None
-               else np.ones(data.shape[0], dtype=bool))
-    out = forward_batch(params, cfg, np.asarray(x_t)[None, :],
-                        np.asarray([t]), data[None, :, :], allowed[None, :])
-    return out[0]
+    """Noise prediction as the sampler makes it; emb is (L, D) or a TextEmbedding."""
+    data = emb.data if isinstance(emb, te.TextEmbedding) else emb
+    return attend(params, cfg, np.asarray(x_t, dtype=np.float64),
+                  time_features(t, cfg.t_feat) @ params["w_t"],
+                  condition(params, data), None if mask is None else mask.allowed)
 
 
 def backward_batch(params, cfg: DenoiserConfig, tape, deps):
@@ -132,7 +151,7 @@ def backward_batch(params, cfg: DenoiserConfig, tape, deps):
     g = {}
     dm = deps @ params["w2"].T
     g["w2"] = tape["m"].T @ deps
-    dm_pre = dm * (tape["m_pre"] > 0.0)
+    dm_pre = dm * (tape["m"] > 0.0)
     g["w1"] = tape["h2"].T @ dm_pre
     dh2 = dm_pre @ params["w1"].T
     dh = dh2.copy()
@@ -155,7 +174,7 @@ def backward_batch(params, cfg: DenoiserConfig, tape, deps):
     dn_proj = np.einsum("bld,bld->bl", dn, emb_n)
     demb = (dn - emb_n * dn_proj[..., None]) / tape["emb_norm"][..., None]
     demb += np.einsum("bla,da->bld", dv, params["wv"])
-    dh_pre = dh * (tape["h_pre"] > 0.0)
+    dh_pre = dh * (tape["h"] > 0.0)
     g["w_in"] = tape["x"].T @ dh_pre
     g["w_t"] = tape["tf"].T @ dh_pre
     return g, demb

@@ -86,26 +86,39 @@ def posterior_params(sched: Schedule, x_t, x0, t: int) -> GaussianParams:
     return GaussianParams(mean=mean, variance=float(sched.posterior_var[t - 1]))
 
 
-def eps_to_x0(sched: Schedule, x_t, eps_hat, t: int) -> np.ndarray:
+def eps_to_x0(sched: Schedule, x_t, eps_hat, t: int,
+              clip_x0: tuple | None = None) -> np.ndarray:
+    """x0 estimate; clip_x0, when given, clamps it to that range."""
     _check_t(sched, t)
     ab = sched.alpha_bar(t)
     if ab <= 0.0:
         raise ZeroDivisionError("alpha_bar_t == 0")
-    return (np.asarray(x_t) - np.sqrt(1.0 - ab) * np.asarray(eps_hat)) / np.sqrt(ab)
+    x0 = (np.asarray(x_t) - np.sqrt(1.0 - ab) * np.asarray(eps_hat)) / np.sqrt(ab)
+    return x0 if clip_x0 is None else np.clip(x0, *clip_x0)
 
 
-def ddpm_reverse_step(sched: Schedule, x_t, eps_hat, t: int, rng: Rng) -> np.ndarray:
-    """Stochastic ancestral step; deterministic (mean) at t=1."""
-    x0_hat = eps_to_x0(sched, x_t, eps_hat, t)
+def ddpm_reverse_step(sched: Schedule, x_t, eps_hat, t: int, rng,
+                      clip_x0: tuple | None = None) -> np.ndarray:
+    """Stochastic ancestral step; deterministic (mean) at t=1.
+
+    rng is one Rng, or a list of one Rng per row of x_t.
+    """
+    x0_hat = eps_to_x0(sched, x_t, eps_hat, t, clip_x0)
     post = posterior_params(sched, x_t, x0_hat, t)
     if t == 1 or post.variance == 0.0:
         return post.mean
-    return post.mean + np.sqrt(post.variance) * rng.normal(post.mean.shape)
+    if isinstance(rng, Rng):
+        noise = rng.normal(post.mean.shape)
+    else:
+        noise = np.stack([r.normal(row.shape)
+                          for r, row in zip(rng, post.mean, strict=True)])
+    return post.mean + np.sqrt(post.variance) * noise
 
 
-def ddim_step(sched: Schedule, x_t, eps_hat, t: int) -> np.ndarray:
-    """Deterministic (eta=0) update x_t -> x_{t-1}."""
-    x0_hat = eps_to_x0(sched, x_t, eps_hat, t)
+def ddim_step(sched: Schedule, x_t, eps_hat, t: int,
+              clip_x0: tuple | None = None) -> np.ndarray:
+    """Deterministic (eta=0) update x_t -> x_{t-1}; clip_x0 as in eps_to_x0."""
+    x0_hat = eps_to_x0(sched, x_t, eps_hat, t, clip_x0)
     ab_prev = sched.alpha_bar(t - 1)
     return np.sqrt(ab_prev) * x0_hat + np.sqrt(1.0 - ab_prev) * np.asarray(eps_hat)
 
@@ -131,15 +144,16 @@ def l1_objective(eps_true, eps_pred) -> float:
 
 
 def sample(sched: Schedule, predict_eps, x_T: np.ndarray,
-           mode: str = "ddim", rng: Rng | None = None,
+           mode: str = "ddim", rng=None,
            clip_x0: tuple | None = None) -> np.ndarray:
-    """Run the full reverse chain from a given x_T.
+    """Run the full reverse chain from x_T, all (B, x_dim) rows at once.
 
     predict_eps(x_t, t) supplies the conditional noise estimate; the
     conditioning embedding and attention mask are closed over by the caller.
-    clip_x0, when given, clamps the intermediate x0 estimate to that range
-    at every step (the usual clip-denoised stabilization; without it an
-    imperfect predictor's errors compound geometrically along the chain).
+    DDPM mode needs rng: one Rng per row, so a row draws what it would draw
+    alone. clip_x0, when given, clamps the intermediate x0 estimate to that
+    range at every step (the usual clip-denoised stabilization; without it
+    an imperfect predictor's errors compound geometrically along the chain).
     """
     if mode not in ("ddim", "ddpm"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -148,18 +162,10 @@ def sample(sched: Schedule, predict_eps, x_T: np.ndarray,
     x = np.asarray(x_T, dtype=np.float64)
     for t in range(sched.T, 0, -1):
         eps_hat = predict_eps(x, t)
-        x0_hat = eps_to_x0(sched, x, eps_hat, t)
-        if clip_x0 is not None:
-            x0_hat = np.clip(x0_hat, clip_x0[0], clip_x0[1])
-        ab_prev = sched.alpha_bar(t - 1)
         if mode == "ddim":
-            x = np.sqrt(ab_prev) * x0_hat + np.sqrt(1.0 - ab_prev) * eps_hat
+            x = ddim_step(sched, x, eps_hat, t, clip_x0)
         else:
-            post = posterior_params(sched, x, x0_hat, t)
-            if t == 1 or post.variance == 0.0:
-                x = post.mean
-            else:
-                x = post.mean + np.sqrt(post.variance) * rng.normal(post.mean.shape)
+            x = ddpm_reverse_step(sched, x, eps_hat, t, rng, clip_x0)
     return x
 
 

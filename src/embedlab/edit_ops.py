@@ -118,8 +118,7 @@ def soft_mix(e_s: TextEmbedding, e_t: TextEmbedding, lam) -> TextEmbedding:
     return TextEmbedding(data=out, semantic_len=e_s.semantic_len)
 
 
-def apply_recipe(recipe: EditRecipe, e_s: TextEmbedding, e_t: TextEmbedding,
-                 t_s: TokenSeq, t_t: TokenSeq):
+def apply_recipe(recipe: EditRecipe, e_s: TextEmbedding, e_t: TextEmbedding):
     """Resolve a recipe to (edited embedding, attention mask or None)."""
     if recipe.kind == "swap":
         return mix_swap(e_s, e_t, recipe.positions), None
@@ -149,30 +148,30 @@ def apply_recipe(recipe: EditRecipe, e_s: TextEmbedding, e_t: TextEmbedding,
 
 
 def run_edit(bundle: ModelBundle, source_text: str, target_text: str,
-             recipe: EditRecipe, seed: int) -> EditOutcome:
-    """Generate the source image and its edit from a shared x_T, then score."""
-    t_s = bundle.tokens(source_text)
-    t_t = bundle.tokens(target_text)
+             recipe: EditRecipe, seeds) -> list:
+    """One EditOutcome per seed: source and edit share x_T, then are scored.
+
+    The source and the edit each run as one chain of equal shape, so an
+    edit that changes nothing reproduces the source bitwise.
+    """
     e_s = bundle.embed(source_text)
-    e_t = bundle.embed(target_text)
-    e_star, mask = apply_recipe(recipe, e_s, e_t, t_s, t_t)
-    x_T = seed_noise(seed)
+    e_star, mask = apply_recipe(recipe, e_s, bundle.embed(target_text))
+    x_T = np.stack([seed_noise(s) for s in seeds])
     i_s = bundle.generate(e_s, x_T)
     i_star = bundle.generate(e_star, x_T, mask=mask)
-    k_s = bundle.class_of_text(source_text)
-    k_t = bundle.class_of_text(target_text)
-    bg = background_mask(bundle.world, k_s, k_t)
-    cls_src, _ = oracle_classify(bundle.world, i_s)
-    cls_star, _ = oracle_classify(bundle.world, i_star)
-    return EditOutcome(
-        i_s=i_s,
-        i_star=i_star,
-        class_src=cls_src,
-        class_star=cls_star,
-        style_src=oracle_style(bundle.world, i_s, k_s),
-        style_star=oracle_style(bundle.world, i_star, cls_star),
-        background_l2=float(np.sqrt(np.sum((i_star - i_s)[bg] ** 2))),
-    )
+    bg = background_mask(bundle.world, bundle.class_of_text(source_text),
+                         bundle.class_of_text(target_text))
+    outcomes = []
+    for img_s, img_star in zip(i_s, i_star):
+        cls_src, _ = oracle_classify(bundle.world, img_s)
+        cls_star, _ = oracle_classify(bundle.world, img_star)
+        outcomes.append(EditOutcome(
+            i_s=img_s, i_star=img_star, class_src=cls_src, class_star=cls_star,
+            style_src=oracle_style(bundle.world, img_s, cls_src),
+            style_star=oracle_style(bundle.world, img_star, cls_star),
+            background_l2=float(np.sqrt(np.sum((img_star - img_s)[bg] ** 2))),
+        ))
+    return outcomes
 
 
 def save_edit_report_csv(path, rows) -> None:

@@ -87,36 +87,45 @@ def make_context(bundle: ModelBundle, source_text: str, target_text: str,
     )
 
 
-def surrogate_loss(lam: np.ndarray, ctx: LambdaContext) -> float:
-    """Directional-cosine semantic term plus weighted background term."""
-    e_star = soft_mix(ctx.e_s, ctx.e_t, lam)
-    i_star = ctx.bundle.generate(e_star, ctx.x_T)
+def surrogate_losses(lams: np.ndarray, ctx: LambdaContext) -> np.ndarray:
+    """Directional-cosine semantic term plus weighted background term.
+
+    One loss per row of lams (N, L), from one chain of N images.
+    """
+    e_star = np.stack([soft_mix(ctx.e_s, ctx.e_t, lam).data for lam in lams])
+    i_star = ctx.bundle.generate(e_star, np.tile(ctx.x_T, (len(lams), 1)))
     d = i_star - ctx.i_s
     target_dir = ctx.b_t - ctx.b_s
-    denom = (np.sqrt(d @ d) * np.sqrt(target_dir @ target_dir)) + EPS_GUARD
-    l_sem = -float(d @ target_dir) / denom
-    l_prec = float(np.sum(d[ctx.bg] ** 2))
+    # row-wise sums, so a row's loss does not depend on the batch size
+    denom = (np.sqrt(np.sum(d * d, axis=1)) * np.sqrt(target_dir @ target_dir)
+             + EPS_GUARD)
+    l_sem = -np.sum(d * target_dir, axis=1) / denom
+    l_prec = np.sum(d[:, ctx.bg] ** 2, axis=1)
     return l_sem + ctx.gamma * l_prec
 
 
-def _theta_loss(theta: np.ndarray, ctx: LambdaContext) -> float:
-    return surrogate_loss(sigmoid(theta), ctx)
+def surrogate_loss(lam: np.ndarray, ctx: LambdaContext) -> float:
+    return float(surrogate_losses(np.asarray(lam)[None], ctx)[0])
+
+
+def _theta_losses(thetas: np.ndarray, ctx: LambdaContext) -> np.ndarray:
+    return surrogate_losses(sigmoid(thetas), ctx)
 
 
 def fd_gradient(theta: np.ndarray, ctx: LambdaContext, h: float,
                 loss_fn=None) -> np.ndarray:
-    """Central finite differences on theta, coordinate order fixed."""
+    """Central finite differences on theta, all 2L perturbations at once.
+
+    loss_fn maps a stack of thetas (N, L) to their N losses; the default
+    generates the 2L perturbed images in one chain.
+    """
     if h <= 0.0:
         raise ValueError("fd step must be positive")
-    f = loss_fn if loss_fn is not None else _theta_loss
-    g = np.zeros_like(theta)
-    for i in range(theta.shape[0]):
-        tp = theta.copy()
-        tm = theta.copy()
-        tp[i] += h
-        tm[i] -= h
-        g[i] = (f(tp, ctx) - f(tm, ctx)) / (2.0 * h)
-    return g
+    f = loss_fn if loss_fn is not None else _theta_losses
+    n = theta.shape[0]
+    steps = h * np.eye(n)
+    losses = f(np.concatenate([theta + steps, theta - steps]), ctx)
+    return (losses[:n] - losses[n:]) / (2.0 * h)
 
 
 def init_theta(length: int, diff: set) -> np.ndarray:
@@ -131,28 +140,24 @@ def optimize(ctx: LambdaContext, cfg: OptConfig):
     """Gradient descent with backtracking halving; loss never increases."""
     length = ctx.e_s.data.shape[0]
     theta = init_theta(length, ctx.diff)
-    loss = _theta_loss(theta, ctx)
+    loss = surrogate_loss(sigmoid(theta), ctx)
     if not np.isfinite(loss):
         raise OptimizationError("non-finite loss at initialization")
     trajectory = [(0, loss, sigmoid(theta).copy())]
     for step in range(1, cfg.steps + 1):
         g = fd_gradient(theta, ctx, cfg.fd_h)
         lr = cfg.lr
-        accepted = False
         for _ in range(cfg.max_halvings + 1):
             cand = theta - lr * g
-            cand_loss = _theta_loss(cand, ctx)
+            cand_loss = surrogate_loss(sigmoid(cand), ctx)
             if not np.isfinite(cand_loss):
                 raise OptimizationError(f"non-finite loss at step {step}")
             if cand_loss <= loss:
                 theta, loss = cand, cand_loss
-                accepted = True
                 break
             lr *= 0.5
         # if no halving helped, keep theta: trajectory stays non-increasing
         trajectory.append((step, loss, sigmoid(theta).copy()))
-        if not accepted:
-            continue
     return LambdaParams(theta=theta), trajectory
 
 

@@ -29,40 +29,37 @@ class ModelBundle:
         return te.tokenize(self.vocab, text, self.enc_cfg.max_len)
 
     def predictor(self, emb, mask: dn.AttnMask | None = None):
+        """Noise predictor for one chain, with the conditioning made once.
+
+        emb: one embedding (TextEmbedding or (L, D)) or one per row (B, L, D).
+        """
+        data = emb.data if isinstance(emb, te.TextEmbedding) else emb
+        cond = dn.condition(self.den_params, data)
+        allowed = None if mask is None else mask.allowed
+        t_proj = (dn.time_features(np.arange(1, self.sched.T + 1),
+                                   self.den_cfg.t_feat) @ self.den_params["w_t"])
+
         def predict(x, t):
-            return dn.predict_eps(self.den_params, self.den_cfg, x, t, emb, mask)
+            return dn.attend(self.den_params, self.den_cfg, x, t_proj[t - 1],
+                             cond, allowed)
         return predict
 
     def generate(self, emb, x_T: np.ndarray,
                  mask: dn.AttnMask | None = None,
-                 mode: str = "ddim", rng: Rng | None = None) -> np.ndarray:
-        """Generate one image; x0 estimates are clamped to the data range."""
+                 mode: str = "ddim", rng=None,
+                 clip_x0: tuple | None = (CLAMP_LO, CLAMP_HI)) -> np.ndarray:
+        """Generate from one noise (x_dim,) or, in one chain, S noises (S, x_dim).
+
+        emb and mask as for predictor(); DDPM takes one Rng per row (one Rng
+        for a single noise). x0 estimates are clamped to clip_x0.
+        """
         return sample(self.sched, self.predictor(emb, mask), x_T,
-                      mode=mode, rng=rng, clip_x0=(CLAMP_LO, CLAMP_HI))
+                      mode=mode, rng=rng, clip_x0=clip_x0)
 
     def generate_batch(self, emb, x_T: np.ndarray,
                        mask: dn.AttnMask | None = None) -> np.ndarray:
-        """Deterministic DDIM generation for many x_T rows at once.
-
-        One conditioning embedding, S starting noises: x_T is (S, x_dim).
-        """
-        data = emb.data if isinstance(emb, te.TextEmbedding) else np.asarray(emb)
-        s = x_T.shape[0]
-        emb_b = np.broadcast_to(data, (s,) + data.shape)
-        allowed = (mask.allowed if mask is not None
-                   else np.ones(data.shape[0], dtype=bool))
-        allowed_b = np.broadcast_to(allowed, (s, data.shape[0]))
-        x = np.asarray(x_T, dtype=np.float64).copy()
-        sched = self.sched
-        for t in range(sched.T, 0, -1):
-            eps_hat = dn.forward_batch(self.den_params, self.den_cfg, x,
-                                       np.full(s, float(t)), emb_b, allowed_b)
-            ab = sched.alpha_bar(t)
-            x0_hat = np.clip((x - np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(ab),
-                             CLAMP_LO, CLAMP_HI)
-            ab_prev = sched.alpha_bar(t - 1)
-            x = np.sqrt(ab_prev) * x0_hat + np.sqrt(1.0 - ab_prev) * eps_hat
-        return x
+        """Deterministic DDIM generation for S starting noises x_T (S, x_dim)."""
+        return self.generate(emb, x_T, mask)
 
     def regenerate(self, emb, x_T: np.ndarray,
                    mask: dn.AttnMask | None = None) -> np.ndarray:
@@ -74,8 +71,7 @@ class ModelBundle:
         noise levels, so clamping would break the bijection and the round
         trip regenerate(invert(x0)) would no longer retrace x0.
         """
-        return sample(self.sched, self.predictor(emb, mask), x_T,
-                      mode="ddim", clip_x0=None)
+        return self.generate(emb, x_T, mask, clip_x0=None)
 
     def invert(self, emb, x0: np.ndarray,
                mask: dn.AttnMask | None = None) -> np.ndarray:

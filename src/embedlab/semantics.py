@@ -41,11 +41,9 @@ def compress(e: TextEmbedding, side: str, k: int) -> np.ndarray:
 
 def semantic_shift(e: TextEmbedding, spec: DirectionSpec) -> TextEmbedding:
     c = compress(e, spec.side, spec.index)
-    if spec.side == "right":
-        out = e.data + spec.strength * c[:, None]
-    else:
-        out = e.data + spec.strength * c[None, :]
-    return TextEmbedding(data=out, semantic_len=e.semantic_len)
+    c = c[:, None] if spec.side == "right" else c[None, :]
+    return TextEmbedding(data=e.data + spec.strength * c,
+                         semantic_len=e.semantic_len)
 
 
 @dataclass(frozen=True)
@@ -68,13 +66,18 @@ def direction_sweep(bundle: ModelBundle, text: str, side: str, k: int,
     d = e.data.shape[1]
     x_T = seed_noise(seed)
     base = bundle.generate(e, x_T)
+    # one factorization per sweep; the shifted images run as one chain
+    c = compress(e, side, k)
+    c = c[:, None] if side == "right" else c[None, :]
+    moved = [s for s in strengths if s != 0.0]
+    images = {0.0: base}
+    if moved:
+        shifted = np.stack([e.data + s / np.sqrt(d) * c for s in moved])
+        images.update(zip(moved, bundle.generate(
+            shifted, np.tile(x_T, (len(moved), 1)))))
     points = []
     for s in strengths:
-        if s == 0.0:
-            img = base
-        else:
-            shifted = semantic_shift(e, DirectionSpec(side, k, s / np.sqrt(d)))
-            img = bundle.generate(shifted, x_T)
+        img = images[s]
         cls, _ = oracle_classify(bundle.world, img)
         points.append(SweepPoint(
             strength=s,

@@ -87,10 +87,6 @@ class EncoderConfig:
     n_blocks: int = 2
     n_heads: int = 2
 
-    @staticmethod
-    def clip_like() -> "EncoderConfig":
-        return EncoderConfig(max_len=77, dim=32, n_blocks=2, n_heads=2)
-
 
 @dataclass(frozen=True)
 class TextEmbedding:

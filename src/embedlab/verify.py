@@ -296,7 +296,7 @@ def check_l1_sum_oracle(rng: Rng) -> CheckResult:
 
 def check_zero_denoiser_trajectory(rng: Rng) -> CheckResult:
     sched = df.make_schedule(20, 1e-3, 0.2)
-    x_T = rng.normal(6)
+    x_T = rng.normal((3, 6))
 
     def predict(x, t):
         return np.zeros_like(x)
@@ -493,11 +493,11 @@ def check_fd_quadratic(rng: Rng) -> CheckResult:
     q = a.T @ a + np.eye(5)
     c = rng.normal(5)
 
-    def quad(theta, ctx):
-        return 0.5 * theta @ q @ theta + c @ theta
+    def quad(thetas, ctx):
+        return np.array([0.5 * t @ q @ t + c @ t for t in thetas])
 
-    def quartic(theta, ctx):
-        return quad(theta, ctx) + 0.1 * float(np.sum(theta**4))
+    def quartic(thetas, ctx):
+        return quad(thetas, ctx) + 0.1 * np.sum(thetas**4, axis=1)
 
     theta = rng.normal(5)
     g = fd_gradient(theta, None, 1e-5, loss_fn=quad)

@@ -330,8 +330,8 @@ def test_criterion_12_cli_determinism(tmp_path, untrained_bundle):
     same_verify = _run_twice(
         lambda o: ["verify", "--out", o], tmp_path, "v")
     same_edit = _run_twice(
-        lambda o: ["edit", "--ckpt", str(ckpt), "--out", o, "--seeds", "4",
-                   "--jobs", "1"], tmp_path, "e")
+        lambda o: ["edit", "--ckpt", str(ckpt), "--out", o, "--seeds", "4"],
+        tmp_path, "e")
     same_opt = _run_twice(
         lambda o: ["opt-lambda", "--ckpt", str(ckpt), "--out", o,
                    "--steps", "3"], tmp_path, "o")

@@ -25,7 +25,7 @@ def _read_all(d):
     return out
 
 
-def test_gen_data_deterministic_and_parsable(tmp_path):
+def test_gen_data_deterministic_and_parsable(tmp_path, capsys):
     d1 = str(tmp_path / "a")
     d2 = str(tmp_path / "b")
     assert cli.main(["gen-data", "--out", d1, "--n", "8"]) == 0
@@ -41,6 +41,7 @@ def test_gen_data_deterministic_and_parsable(tmp_path):
     assert "command=gen-data" in manifest
     assert "config_hash=" in manifest
     assert "n=8" in manifest
+    _rejects_count(["gen-data", "--out", d1, "--n", "0"], "--n", capsys)
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -79,7 +80,13 @@ def test_exit_codes(tmp_path):
                      "--out", str(tmp_path / "v")]) == 2
 
 
-def test_sample_outputs(tmp_path, ckpt):
+def _rejects_count(argv, flag, capsys) -> None:
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_sample_outputs(tmp_path, ckpt, capsys):
     d = str(tmp_path / "s")
     assert cli.main(["sample", "--ckpt", ckpt, "--out", d, "--n", "2",
                      "--prompt", "a photo of vbar dim"]) == 0
@@ -87,6 +94,8 @@ def test_sample_outputs(tmp_path, ckpt):
     rows = open(os.path.join(d, "metrics.csv")).read().splitlines()
     assert rows[0] == "seed,class,score,style"
     assert len(rows) == 3
+    _rejects_count(["sample", "--ckpt", ckpt, "--out", d, "--n", "0"],
+                   "--n", capsys)
 
 
 def test_sample_rejects_unknown_word(tmp_path, ckpt):
@@ -109,7 +118,7 @@ def test_edit_deterministic_outputs(tmp_path, ckpt):
     assert "edits.csv" in f1 and "src_0.pgm" in f1 and "edit_0.pgm" in f1
 
 
-def test_edit_positions_one_based(tmp_path, ckpt):
+def test_edit_positions_one_based(tmp_path, ckpt, capsys):
     assert cli.main(["edit", "--ckpt", ckpt, "--out", str(tmp_path / "e"),
                      "--positions", "0"]) == 2
     assert cli.main(["edit", "--ckpt", ckpt, "--out", str(tmp_path / "e"),
@@ -117,9 +126,11 @@ def test_edit_positions_one_based(tmp_path, ckpt):
     assert cli.main(["edit", "--ckpt", ckpt, "--out", str(tmp_path / "e"),
                      "--recipe", "mask", "--mask-from", "0",
                      "--mask-to", "2"]) == 2
+    _rejects_count(["edit", "--ckpt", ckpt, "--out", str(tmp_path / "e"),
+                    "--seeds", "0"], "--seeds", capsys)
 
 
-def test_mask_sweep_families(tmp_path, ckpt):
+def test_mask_sweep_families(tmp_path, ckpt, capsys):
     d = str(tmp_path / "m")
     assert cli.main(["mask-sweep", "--ckpt", ckpt, "--out", d,
                      "--seeds", "4"]) == 0
@@ -133,6 +144,8 @@ def test_mask_sweep_families(tmp_path, ckpt):
     for r in rows[1:]:
         _, keep, lo, hi = r.split(",")
         assert 0.0 <= float(lo) <= float(keep) <= float(hi) <= 1.0
+    _rejects_count(["mask-sweep", "--ckpt", ckpt, "--out", d, "--seeds", "0"],
+                   "--seeds", capsys)
 
 
 def test_svd_dirs_outputs(tmp_path, ckpt):
@@ -172,13 +185,17 @@ def test_verify_command(tmp_path):
     assert "FAIL" not in report
 
 
-def test_train_command_small(tmp_path):
+def test_train_command_small(tmp_path, capsys):
     d = str(tmp_path / "t")
     assert cli.main(["train", "--out", d, "--steps", "30", "--T", "10",
                      "--batch-size", "8"]) == 0
     assert os.path.exists(os.path.join(d, "model.ckpt"))
     rows = open(os.path.join(d, "loss.csv")).read().splitlines()
     assert rows[0] == "step,loss"
+    _rejects_count(["train", "--out", str(tmp_path / "t0"), "--steps", "0"],
+                   "--steps", capsys)
+    _rejects_count(["train", "--out", str(tmp_path / "t0"),
+                    "--batch-size", "0"], "--batch-size", capsys)
     # the produced checkpoint loads back into a usable bundle
     d2 = str(tmp_path / "s")
     assert cli.main(["sample", "--ckpt", os.path.join(d, "model.ckpt"),

@@ -82,21 +82,21 @@ def test_apply_recipe_mask_modes(pair):
     e_s, e_t = pair
     out, mask = eo.apply_recipe(
         eo.EditRecipe(kind="mask", mask_range=(2, 4), mask_mode="exclude"),
-        e_s, e_t, None, None)
+        e_s, e_t)
     assert out is e_s
     assert np.array_equal(mask.allowed,
                           [True, True, False, False, False, True, True, True])
     out, mask = eo.apply_recipe(
         eo.EditRecipe(kind="mask", mask_range=(2, 4), mask_mode="zero"),
-        e_s, e_t, None, None)
+        e_s, e_t)
     assert mask is None
     assert np.all(out.data[2:5] == 0.0)
     assert np.array_equal(out.data[:2], e_s.data[:2])
     with pytest.raises(ValueError):
         eo.apply_recipe(eo.EditRecipe(kind="mask", mask_range=(4, 2)),
-                        e_s, e_t, None, None)
+                        e_s, e_t)
     with pytest.raises(ValueError):
-        eo.apply_recipe(eo.EditRecipe(kind="nope"), e_s, e_t, None, None)
+        eo.apply_recipe(eo.EditRecipe(kind="nope"), e_s, e_t)
 
 
 def test_recipe_labels():
@@ -109,18 +109,22 @@ def test_recipe_labels():
 
 def test_run_edit_shared_seed_pairing(untrained_bundle):
     """Identity recipe with a shared x_T reproduces the source bitwise."""
-    outcome = eo.run_edit(untrained_bundle, "a photo of hbar bright",
-                          "a photo of vbar bright",
-                          eo.EditRecipe(kind="swap", positions=()), seed=3)
-    assert np.array_equal(outcome.i_s, outcome.i_star)
-    assert outcome.background_l2 == 0.0
-    assert outcome.class_src == outcome.class_star
+    outcomes = eo.run_edit(untrained_bundle, "a photo of hbar bright",
+                           "a photo of vbar bright",
+                           eo.EditRecipe(kind="swap", positions=()),
+                           seeds=[3, 0, 5])
+    assert len(outcomes) == 3
+    for outcome in outcomes:
+        assert np.array_equal(outcome.i_s, outcome.i_star)
+        assert outcome.background_l2 == 0.0
+        assert outcome.class_src == outcome.class_star
+        assert outcome.style_src == outcome.style_star
 
 
 def test_edit_report_csv_roundtrip(tmp_path, untrained_bundle):
-    o = eo.run_edit(untrained_bundle, "a photo of hbar bright",
-                    "a photo of vbar bright",
-                    eo.EditRecipe(kind="swap", positions=(4,)), seed=0)
+    [o] = eo.run_edit(untrained_bundle, "a photo of hbar bright",
+                      "a photo of vbar bright",
+                      eo.EditRecipe(kind="swap", positions=(4,)), seeds=[0])
     path = tmp_path / "edits.csv"
     eo.save_edit_report_csv(path, [(0, "swap[4]", o)])
     lines = path.read_text().splitlines()

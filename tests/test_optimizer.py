@@ -19,8 +19,8 @@ def test_fd_gradient_quadratic_exact():
     q = a.T @ a + np.eye(5)
     c = rng.normal(5)
 
-    def quad(theta, ctx):
-        return 0.5 * theta @ q @ theta + c @ theta
+    def quad(thetas, ctx):
+        return np.array([0.5 * t @ q @ t + c @ t for t in thetas])
 
     theta = rng.normal(5)
     g = op.fd_gradient(theta, None, 1e-5, loss_fn=quad)
@@ -32,8 +32,8 @@ def test_fd_gradient_richardson_ratio():
     rng = Rng(71)
     theta = rng.normal(5)
 
-    def quartic(t, ctx):
-        return float(np.sum(t**4))
+    def quartic(thetas, ctx):
+        return np.sum(thetas**4, axis=1)
 
     exact = 4.0 * theta**3
     e1 = np.linalg.norm(op.fd_gradient(theta, None, 1e-2, loss_fn=quartic) - exact)
@@ -54,13 +54,19 @@ def test_opt_config_validation():
 
 
 class _LinearBundle:
-    """Stand-in bundle: the 'image' is a fixed linear map of the embedding."""
+    """Stand-in bundle: the 'image' is a fixed linear map of the embedding.
+
+    Like ModelBundle.generate, it takes one embedding or a stack of them;
+    each image of a stack is the one its embedding gives alone.
+    """
 
     def __init__(self, rng, l=6, d=4, out=16):
         self.m = rng.normal((l * d, out))
 
     def generate(self, e, x_T, mask=None):
-        return e.data.ravel() @ self.m
+        if isinstance(e, te.TextEmbedding):
+            return e.data.ravel() @ self.m
+        return np.stack([row.ravel() @ self.m for row in e])
 
 
 def _make_ctx(gamma=0.1):
@@ -109,6 +115,17 @@ def test_surrogate_loss_recomputation_oracle():
     l_sem = -float(d @ tdir) / (np.linalg.norm(d) * np.linalg.norm(tdir) + 1e-8)
     ref = l_sem + 0.7 * float(np.sum(d[ctx.bg] ** 2))
     assert abs(loss - ref) < 1e-12
+    # the batched gradient equals per-coordinate central differences
+    theta = Rng(74).normal(6)
+    h = 1e-3
+    per_coord = np.zeros(6)
+    for i in range(6):
+        tp, tm = theta.copy(), theta.copy()
+        tp[i] += h
+        tm[i] -= h
+        per_coord[i] = (op.surrogate_loss(op.sigmoid(tp), ctx)
+                        - op.surrogate_loss(op.sigmoid(tm), ctx)) / (2.0 * h)
+    assert np.max(np.abs(op.fd_gradient(theta, ctx, h) - per_coord)) < 1e-12
 
 
 def test_trajectory_csv_roundtrip(tmp_path):

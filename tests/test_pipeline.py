@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from embedlab import denoiser as dn
 from embedlab.pipeline import seed_noise
+from embedlab.rng import Rng
 from embedlab.toyworld import CLAMP_HI, CLAMP_LO
 
 
@@ -20,13 +22,39 @@ def test_generate_deterministic(untrained_bundle):
 
 
 def test_generate_batch_matches_single_closely(untrained_bundle):
-    """Batched and single-sample DDIM agree to BLAS reassociation level."""
-    emb = untrained_bundle.embed("a photo of hbar bright")
-    x_T = np.stack([seed_noise(s) for s in range(3)])
-    batch = untrained_bundle.generate_batch(emb, x_T)
-    for i in range(3):
-        single = untrained_bundle.generate(emb, x_T[i])
-        assert np.max(np.abs(batch[i] - single)) < 1e-9
+    """Each row of a batched chain matches its own batch-1 run.
+
+    Covers clipped DDIM, unclipped regeneration, DDPM with one rng per
+    seed, per-row masks and per-row embeddings; rows agree to BLAS
+    reassociation level.
+    """
+    b = untrained_bundle
+    emb = b.embed("a photo of hbar bright")
+    other = b.embed("a photo of cross dim")
+    seeds = range(3)
+    x_T = np.stack([seed_noise(s) for s in seeds])
+    allowed = np.ones((3, 16), dtype=bool)
+    allowed[1, 4:9] = False
+    allowed[2, :6] = False
+    stack = np.stack([emb.data, other.data, emb.data])
+    cases = [
+        (b.generate_batch(emb, x_T),
+         lambda i: b.generate(emb, x_T[i])),
+        (b.regenerate(emb, x_T),
+         lambda i: b.regenerate(emb, x_T[i])),
+        (b.generate(emb, x_T, mode="ddpm",
+                    rng=[Rng(s).split(1) for s in seeds]),
+         lambda i: b.generate(emb, x_T[i], mode="ddpm",
+                              rng=Rng(seeds[i]).split(1))),
+        (b.generate(emb, x_T, mask=dn.AttnMask(allowed)),
+         lambda i: b.generate(emb, x_T[i], mask=dn.AttnMask(allowed[i]))),
+        (b.generate(stack, x_T),
+         lambda i: b.generate(stack[i], x_T[i])),
+    ]
+    for batch, single in cases:
+        assert batch.shape == x_T.shape
+        for i in range(3):
+            assert np.max(np.abs(batch[i] - single(i))) < 1e-9
 
 
 def test_embed_and_tokens_consistent(untrained_bundle):
