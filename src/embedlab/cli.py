@@ -18,6 +18,7 @@ import argparse
 import hashlib
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -181,8 +182,17 @@ def cmd_train(args) -> int:
     sched = make_schedule(cfg["T"], cfg["beta-start"], cfg["beta-end"])
     tcfg = dn.TrainConfig(steps=cfg["steps"], batch_size=cfg["batch-size"],
                           lr=cfg["lr"], seed=cfg["seed"])
+    last_step, last_time = 0, time.perf_counter()
+
+    def progress(step, loss, lr):
+        nonlocal last_step, last_time
+        now = time.perf_counter()
+        rate = (step - last_step) / max(now - last_time, 1e-9)
+        last_step, last_time = step, now
+        print(f"step {step}/{tcfg.steps} loss {loss:.4f} lr {lr:.3g} "
+              f"steps/s {rate:.1f}", flush=True)
     enc_params, den_params, log = dn.train(world, vocab, sched, enc_cfg,
-                                           den_cfg, tcfg)
+                                           den_cfg, tcfg, on_log=progress)
     tensors = dn.checkpoint_tensors(enc_params, den_params, enc_cfg, den_cfg,
                                     (cfg["T"], cfg["beta-start"], cfg["beta-end"]))
     ckpt = os.path.join(out, "model.ckpt")

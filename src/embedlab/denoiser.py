@@ -8,6 +8,7 @@ both the denoiser and the text encoder, and are validated against central
 finite differences in the test suite before any training result is trusted.
 """
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -21,6 +22,10 @@ from .toyworld import IMAGE_DIM, CLAMP_HI, CLAMP_LO, WorldSpec
 
 class TrainingError(RuntimeError):
     """Loss became non-finite during training."""
+
+
+class CheckpointError(ValueError):
+    """A checkpoint file is malformed or holds non-finite weights."""
 
 
 KEY_NORM_EPS = 1e-12
@@ -71,7 +76,12 @@ def time_features(t, n_feat: int) -> np.ndarray:
 
 
 def condition(params, emb) -> dict:
-    """Keys and values of one shared embedding (L, D) or of one per row (B, L, D)."""
+    """Conditioning of one shared embedding (L, D) or of one per row (B, L, D).
+
+    A shared embedding's keys and values are made here, once per chain.
+    Per-row embeddings get none: attend() contracts each row's embedding
+    with its query first, which never forms (B, L, d_a) keys or values.
+    """
     emb = np.asarray(emb, dtype=np.float64)
     # keys are computed from unit-normalized rows so attention depends only
     # on a row's direction; scaling a row then modulates its value
@@ -79,41 +89,50 @@ def condition(params, emb) -> dict:
     # re-routing attention toward it
     emb_norm = np.sqrt(np.einsum("...ld,...ld->...l", emb, emb)) + KEY_NORM_EPS
     emb_n = emb / emb_norm[..., None]
-    return {"emb": emb, "emb_norm": emb_norm, "emb_n": emb_n,
-            "k": np.einsum("...ld,da->...la", emb_n, params["wk"]),
-            "v": np.einsum("...ld,da->...la", emb, params["wv"])}
+    cond = {"emb": emb, "emb_norm": emb_norm, "emb_n": emb_n}
+    if emb.ndim == 2:
+        cond.update(k=emb_n @ params["wk"], v=emb @ params["wv"])
+    return cond
 
 
 def attend(params, cfg: DenoiserConfig, x, t_proj, cond: dict,
            allowed=None, need_tape: bool = False):
     """The forward pass after condition(); t_proj is time_features(t) @ w_t.
 
-    Shared (L, d_a) keys and values go through BLAS products, per-row
-    (B, L, d_a) ones through einsum. allowed: (B, L), (L,), or None for all.
+    allowed: (B, L), (L,), or None for all. With per-row embeddings the
+    scores are q . (n @ wk) = (q @ wk.T) . n and the context is
+    (w @ e) @ wv, so each row costs (L, D) products, not (L, d_a) ones.
     """
     scale = 1.0 / np.sqrt(cfg.d_a)
-    k, v = cond["k"], cond["v"]
+    shared = "k" in cond
     # ReLUs and softmax work in place; backward reads the ReLU masks from
     # their outputs (h > 0 exactly where the pre-activation is > 0)
     h = x @ params["w_in"] + t_proj
     np.maximum(h, 0.0, out=h)
     q = h @ params["wq"]
-    if k.ndim == 2:
-        scores = (q @ k.T) * scale
+    if shared:
+        scores = (q @ cond["k"].T) * scale
     else:
-        scores = np.einsum("ba,bla->bl", q, k) * scale
+        qk = q @ params["wk"].T
+        scores = (cond["emb_n"] @ qk[:, :, None])[:, :, 0] * scale
     if allowed is not None:
         scores = np.where(allowed, scores, -1e30)
     scores -= scores.max(axis=-1, keepdims=True)
     w = np.exp(scores, out=scores)
     w /= w.sum(axis=-1, keepdims=True)
-    ctx = w @ v if v.ndim == 2 else np.einsum("bl,bla->ba", w, v)
+    if shared:
+        ctx = w @ cond["v"]
+    else:
+        w_emb = (w[:, None, :] @ cond["emb"])[:, 0]
+        ctx = w_emb @ params["wv"]
     h2 = h + ctx @ params["wo"]
     m = h2 @ params["w1"]
     np.maximum(m, 0.0, out=m)
     eps = m @ params["w2"]
     if need_tape:
         tape = dict(cond, x=x, h=h, q=q, w=w, ctx=ctx, h2=h2, m=m)
+        if not shared:
+            tape.update(qk=qk, w_emb=w_emb)
         return eps, tape
     return eps
 
@@ -145,38 +164,44 @@ def predict_eps(params, cfg: DenoiserConfig, x_t, t: int,
                   condition(params, data), None if mask is None else mask.allowed)
 
 
-def backward_batch(params, cfg: DenoiserConfig, tape, deps):
-    """Gradients w.r.t. denoiser params and the conditioning embeddings."""
+def backward_batch(params, cfg: DenoiserConfig, tape, deps,
+                   grads: dict | None = None):
+    """Gradients w.r.t. denoiser params and the per-row embeddings (B, L, D).
+
+    grads: arrays shaped like params to overwrite (e.g. views of one flat
+    buffer); new arrays when None.
+    """
     scale = 1.0 / np.sqrt(cfg.d_a)
-    g = {}
+    g = {k: np.empty_like(v) for k, v in params.items()} if grads is None else grads
     dm = deps @ params["w2"].T
-    g["w2"] = tape["m"].T @ deps
-    dm_pre = dm * (tape["m"] > 0.0)
-    g["w1"] = tape["h2"].T @ dm_pre
-    dh2 = dm_pre @ params["w1"].T
-    dh = dh2.copy()
+    np.matmul(tape["m"].T, deps, out=g["w2"])
+    dm *= tape["m"] > 0.0
+    np.matmul(tape["h2"].T, dm, out=g["w1"])
+    dh2 = dm @ params["w1"].T
     dctx = dh2 @ params["wo"].T
-    g["wo"] = tape["ctx"].T @ dh2
-    w = tape["w"]
-    dw = np.einsum("ba,bla->bl", dctx, tape["v"])
-    dv = w[:, :, None] * dctx[:, None, :]
-    dscores = (dw - (dw * w).sum(axis=-1, keepdims=True)) * w
-    dq = np.einsum("bl,bla->ba", dscores, tape["k"]) * scale
-    dk = dscores[:, :, None] * tape["q"][:, None, :] * scale
-    g["wq"] = tape["h"].T @ dq
-    dh += dq @ params["wq"].T
-    g["wk"] = tape["emb_n"].reshape(-1, cfg.emb_dim).T @ dk.reshape(-1, cfg.d_a)
-    g["wv"] = tape["emb"].reshape(-1, cfg.emb_dim).T @ dv.reshape(-1, cfg.d_a)
+    np.matmul(tape["ctx"].T, dh2, out=g["wo"])
+    w, qk, emb_n = tape["w"], tape["qk"], tape["emb_n"]
+    # the key and value gradients of row b are rank 1, dk[b] = ds[b] x q[b]
+    # and dv[b] = w[b] x dctx[b]: contract them over l first
+    dctx_emb = dctx @ params["wv"].T
+    np.matmul(tape["w_emb"].T, dctx, out=g["wv"])
+    dw = (tape["emb"] @ dctx_emb[:, :, None])[:, :, 0]
+    ds = (dw - (dw * w).sum(axis=-1, keepdims=True)) * w * scale
+    ds_n = (ds[:, None, :] @ emb_n)[:, 0]
+    np.matmul(ds_n.T, tape["q"], out=g["wk"])
+    dq = ds_n @ params["wk"]
+    np.matmul(tape["h"].T, dq, out=g["wq"])
+    dh = dh2 + dq @ params["wq"].T
     # key path goes through the row normalization n = e / ||e||:
-    # de = (dn - n (n . dn)) / ||e||
-    dn = np.einsum("bla,da->bld", dk, params["wk"])
-    emb_n = tape["emb_n"]
-    dn_proj = np.einsum("bld,bld->bl", dn, emb_n)
-    demb = (dn - emb_n * dn_proj[..., None]) / tape["emb_norm"][..., None]
-    demb += np.einsum("bla,da->bld", dv, params["wv"])
-    dh_pre = dh * (tape["h"] > 0.0)
-    g["w_in"] = tape["x"].T @ dh_pre
-    g["w_t"] = tape["tf"].T @ dh_pre
+    # de = (dn - n (n . dn)) / ||e||, where dn[b, l] = ds[b, l] qk[b]
+    dn_proj = ds * (emb_n @ qk[:, :, None])[:, :, 0]
+    demb = ds[:, :, None] * qk[:, None, :]
+    demb -= emb_n * dn_proj[..., None]
+    demb /= tape["emb_norm"][..., None]
+    demb += w[:, :, None] * dctx_emb[:, None, :]
+    dh *= tape["h"] > 0.0
+    np.matmul(tape["x"].T, dh, out=g["w_in"])
+    np.matmul(tape["tf"].T, dh, out=g["w_t"])
     return g, demb
 
 
@@ -215,10 +240,12 @@ def _gather_conditioning(emb_all: np.ndarray, batch: Batch):
 
 
 def loss_and_grads(enc_params, den_params, enc_cfg: te.EncoderConfig,
-                   cfg: DenoiserConfig, batch: Batch):
+                   cfg: DenoiserConfig, batch: Batch,
+                   enc_grads: dict | None = None, den_grads: dict | None = None):
     """Joint L1 loss and exact gradients for encoder + denoiser parameters.
 
-    Subgradient convention: d|u|/du = sign(u), zero at u = 0.
+    Subgradient convention: d|u|/du = sign(u), zero at u = 0. enc_grads and
+    den_grads, if given, receive the gradients (see encode_backward).
     """
     emb_all, enc_tape = te.encode_batch(
         enc_params, enc_cfg, batch.token_matrix,
@@ -229,12 +256,14 @@ def loss_and_grads(enc_params, den_params, enc_cfg: te.EncoderConfig,
     diff = eps_pred - batch.eps_true
     loss = float(np.mean(np.abs(diff)))
     deps = np.sign(diff) / diff.size
-    den_grads, demb = backward_batch(den_params, cfg, tape, deps)
+    den_grads, demb = backward_batch(den_params, cfg, tape, deps, den_grads)
     if batch.row_scale is not None:
-        demb = demb * batch.row_scale[..., None]
-    demb_all = np.zeros_like(emb_all)
-    np.add.at(demb_all, (row_src, cols), demb)
-    enc_grads = te.encode_backward(enc_params, enc_cfg, enc_tape, demb_all)
+        demb *= batch.row_scale[..., None]
+    p, l, d = emb_all.shape
+    demb_all = te.scatter_add_rows((row_src * l + cols).ravel(),
+                                   demb.reshape(-1, d), p * l)
+    enc_grads = te.encode_backward(enc_params, enc_cfg, enc_tape,
+                                   demb_all.reshape(p, l, d), enc_grads)
     return loss, enc_grads, den_grads
 
 
@@ -290,11 +319,67 @@ def training_prompts(world: WorldSpec, vocab: te.Vocabulary, max_len: int):
     return prompts, np.asarray(token_rows, dtype=np.int64)
 
 
+def class_word_position(world: WorldSpec, vocab: te.Vocabulary,
+                        token_matrix: np.ndarray) -> int:
+    """Token column of the class word, shared by every training prompt."""
+    class_ids = [vocab.word_id(name) for name, _ in world.classes]
+    per_prompt = np.repeat(class_ids, len(world.style_words))
+    cols = np.flatnonzero((token_matrix == per_prompt[:, None]).all(axis=0))
+    if cols.size != 1:
+        raise ValueError("training prompts do not share one class-word column")
+    return int(cols[0])
+
+
+def nearest_style(style_values: np.ndarray, style: np.ndarray) -> np.ndarray:
+    """Index of the style word value nearest each style; ties go to the lower."""
+    return np.argmin(np.abs(style_values[None, :] - style[:, None]), axis=1)
+
+
+def flat_views(flat: np.ndarray, layout: list) -> list:
+    """Views of consecutive slices of flat, shaped like each dict in layout."""
+    out, start = [], 0
+    for tensors in layout:
+        views = {}
+        for name, arr in tensors.items():
+            views[name] = flat[start:start + arr.size].reshape(arr.shape)
+            start += arr.size
+        out.append(views)
+    return out
+
+
+def adam_update(p, g, m, v, step: int, lr, b1: float, b2: float,
+                eps: float, scratch) -> None:
+    """One Adam step on flat vectors in place; g is used as scratch too.
+
+    Bitwise the textbook update p -= lr * mhat / (sqrt(vhat) + eps).
+    """
+    np.multiply(g, 1.0 - b1, out=scratch)
+    m *= b1
+    m += scratch
+    np.multiply(g, 1.0 - b2, out=scratch)
+    scratch *= g
+    v *= b2
+    v += scratch
+    np.divide(v, 1.0 - b2**step, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += eps
+    np.divide(m, 1.0 - b1**step, out=g)
+    g *= lr
+    g /= scratch
+    p -= g
+
+
 def train(world: WorldSpec, vocab: te.Vocabulary, sched: Schedule,
           enc_cfg: te.EncoderConfig, cfg: DenoiserConfig,
           train_cfg: TrainConfig,
-          enc_params: dict | None = None, den_params: dict | None = None):
-    """Joint Adam training of encoder and denoiser on the L1 objective."""
+          enc_params: dict | None = None, den_params: dict | None = None,
+          on_log=None):
+    """Joint Adam training of encoder and denoiser on the L1 objective.
+
+    Trains copies of the given (or fresh) parameters, held as views of one
+    flat vector, and returns them with the log of (step, loss) pairs.
+    on_log(step, loss, lr), if given, is called at every logged step.
+    """
     rng = Rng(train_cfg.seed)
     init_rng = rng.split(0)
     data_rng = rng.split(1)
@@ -302,16 +387,27 @@ def train(world: WorldSpec, vocab: te.Vocabulary, sched: Schedule,
         enc_params = te.init_encoder_params(enc_cfg, vocab.size, init_rng)
     if den_params is None:
         den_params = init_denoiser_params(cfg, init_rng)
-    prompts, token_matrix = training_prompts(world, vocab, enc_cfg.max_len)
+    _, token_matrix = training_prompts(world, vocab, enc_cfg.max_len)
     n_styles = len(world.style_words)
-
+    style_values = np.array([value for _, value in world.style_words])
     patterns = np.stack([p.ravel() for _, p in world.classes])
-    style_names = [s for s, _ in world.style_words]
 
-    params = {("enc", k): v for k, v in enc_params.items()}
-    params.update({("den", k): v for k, v in den_params.items()})
-    m = {k: np.zeros_like(v) for k, v in params.items()}
-    v2 = {k: np.zeros_like(v) for k, v in params.items()}
+    flat = np.concatenate([a.ravel() for t in (enc_params, den_params)
+                           for a in t.values()])
+    enc_params, den_params = flat_views(flat, [enc_params, den_params])
+    grad = np.empty_like(flat)
+    enc_g, den_g = flat_views(grad, [enc_params, den_params])
+    m = np.zeros_like(flat)
+    v2 = np.zeros_like(flat)
+    scratch = np.empty_like(flat)
+
+    sem_len = int(np.max(np.sum(token_matrix != te.PAD, axis=1)))
+    class_pos = class_word_position(world, vocab, token_matrix)
+    cols = np.arange(enc_cfg.max_len)
+    # words-only: hide the EOS summary row and the PAD tail;
+    # pad-masked: hide only the PAD tail
+    words_only_keys = cols < sem_len - 1
+    pad_masked_keys = cols < sem_len
 
     bsz = train_cfg.batch_size
     log = []
@@ -325,10 +421,7 @@ def train(world: WorldSpec, vocab: te.Vocabulary, sched: Schedule,
             x0 = x0 + world.noise_sigma * data_rng.normal(x0.shape)
         x0 = np.clip(x0, CLAMP_LO, CLAMP_HI)
         # prompt index: class block + nearest style word
-        nearest = np.array([
-            min(range(n_styles),
-                key=lambda j: abs(world.style_words[j][1] - s))
-            for s in style])
+        nearest = nearest_style(style_values, style)
         prompt_ids = cls * n_styles + nearest
         t = data_rng.randint(sched.T, bsz) + 1
         eps = data_rng.normal(x0.shape)
@@ -336,18 +429,13 @@ def train(world: WorldSpec, vocab: te.Vocabulary, sched: Schedule,
         x_t = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
         allowed = np.ones((bsz, enc_cfg.max_len), dtype=bool)
         u = data_rng.uniform(bsz)
-        sem_len = int(np.max(np.sum(token_matrix != te.PAD, axis=1)))
-        cols = np.arange(enc_cfg.max_len)
         words_sel = u < train_cfg.p_words_only
         pad_sel = ((u >= train_cfg.p_words_only)
                    & (u < train_cfg.p_words_only + train_cfg.p_pad_masked))
-        # words-only: hide the EOS summary row and the PAD tail
-        allowed[words_sel] = cols[None, :] < sem_len - 1
-        # pad-masked: hide only the PAD tail
-        allowed[pad_sel] = cols[None, :] < sem_len
+        allowed[words_sel] = words_only_keys
+        allowed[pad_sel] = pad_masked_keys
         # compositional augmentation: condition on a donor prompt of a random
         # class with the true prompt's class-word row swapped in
-        class_pos = sem_len - 3
         row_src = np.broadcast_to(prompt_ids[:, None],
                                   (bsz, enc_cfg.max_len)).copy()
         swap_sel = data_rng.uniform(bsz) < train_cfg.p_swap_aug
@@ -358,28 +446,22 @@ def train(world: WorldSpec, vocab: te.Vocabulary, sched: Schedule,
         batch = Batch(x_t=x_t, t=t.astype(np.float64), eps_true=eps,
                       prompt_ids=prompt_ids, token_matrix=token_matrix,
                       allowed=allowed, row_src=row_src)
-        loss, enc_g, den_g = loss_and_grads(enc_params, den_params,
-                                            enc_cfg, cfg, batch)
+        loss, _, _ = loss_and_grads(enc_params, den_params, enc_cfg, cfg,
+                                    batch, enc_g, den_g)
         if not np.isfinite(loss):
             raise TrainingError(f"non-finite loss at step {step}")
-        grads = {("enc", k): v for k, v in enc_g.items()}
-        grads.update({("den", k): v for k, v in den_g.items()})
-        b1, b2 = train_cfg.beta1, train_cfg.beta2
         if train_cfg.lr_final is None:
             lr = train_cfg.lr
         else:
             frac = (step - 1) / max(train_cfg.steps - 1, 1)
             lr = (train_cfg.lr_final + 0.5 * (train_cfg.lr - train_cfg.lr_final)
                   * (1.0 + np.cos(np.pi * frac)))
-        for key in params:
-            gk = grads[key]
-            m[key] = b1 * m[key] + (1.0 - b1) * gk
-            v2[key] = b2 * v2[key] + (1.0 - b2) * gk * gk
-            mhat = m[key] / (1.0 - b1**step)
-            vhat = v2[key] / (1.0 - b2**step)
-            params[key] -= lr * mhat / (np.sqrt(vhat) + train_cfg.adam_eps)
+        adam_update(flat, grad, m, v2, step, lr, train_cfg.beta1,
+                    train_cfg.beta2, train_cfg.adam_eps, scratch)
         if step % train_cfg.log_every == 0 or step == train_cfg.steps:
             log.append((step, loss))
+            if on_log is not None:
+                on_log(step, loss, lr)
     return enc_params, den_params, log
 
 
@@ -404,19 +486,32 @@ def save_checkpoint(path, tensors: dict) -> None:
 
 def load_checkpoint(path) -> dict:
     with open(path, "rb") as f:
-        if f.read(4) != b"EMB1":
-            raise ValueError("bad checkpoint magic")
-        (count,) = struct.unpack("<I", f.read(4))
-        out = {}
-        for _ in range(count):
-            (nlen,) = struct.unpack("<I", f.read(4))
-            name = f.read(nlen).decode("utf-8")
-            (ndim,) = struct.unpack("<I", f.read(4))
-            dims = struct.unpack(f"<{ndim}I", f.read(4 * ndim))
-            n = int(np.prod(dims)) if ndim else 1
-            data = np.frombuffer(f.read(8 * n), dtype="<f8").reshape(dims)
-            out[name] = data.astype(np.float64)
-        return out
+        buf = f.read()
+    pos = 0
+
+    def take(n: int, what: str) -> bytes:
+        nonlocal pos
+        if n > len(buf) - pos:
+            raise CheckpointError(f"checkpoint truncated: {what} needs {n} "
+                                  f"bytes at offset {pos}, {len(buf) - pos} left")
+        pos += n
+        return buf[pos - n:pos]
+
+    def u32(what: str) -> int:
+        return struct.unpack("<I", take(4, what))[0]
+
+    if take(4, "magic") != b"EMB1":
+        raise CheckpointError("bad checkpoint magic")
+    out = {}
+    for _ in range(u32("tensor count")):
+        name = take(u32("name length"), "name").decode("utf-8")
+        ndim = u32(f"rank of {name!r}")
+        dims = struct.unpack(f"<{ndim}I", take(4 * ndim, f"shape of {name!r}"))
+        data = take(8 * math.prod(dims), f"data of {name!r}")
+        out[name] = np.frombuffer(data, dtype="<f8").reshape(dims).astype(np.float64)
+    if pos != len(buf):
+        raise CheckpointError(f"{len(buf) - pos} trailing bytes after the last tensor")
+    return out
 
 
 def checkpoint_tensors(enc_params: dict, den_params: dict,
@@ -435,6 +530,9 @@ def checkpoint_tensors(enc_params: dict, den_params: dict,
 
 
 def split_checkpoint(tensors: dict):
+    for name, arr in tensors.items():
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"tensor {name!r} has non-finite values")
     enc_params = {k[4:]: v.copy() for k, v in tensors.items()
                   if k.startswith("enc.")}
     den_params = {k[4:]: v.copy() for k, v in tensors.items()

@@ -160,12 +160,12 @@ def block_forward(params, cfg: EncoderConfig, i: int, x: np.ndarray,
     qh = q.reshape(bsz, l, h, dh).transpose(0, 2, 1, 3)
     kh = k.reshape(bsz, l, h, dh).transpose(0, 2, 1, 3)
     vh = v.reshape(bsz, l, h, dh).transpose(0, 2, 1, 3)
-    scores = np.einsum("bhid,bhjd->bhij", qh, kh) * scale
+    scores = (qh @ kh.swapaxes(-1, -2)) * scale
     scores = np.where(allowed[:, None, :, :], scores, -1e30)
     scores -= scores.max(axis=-1, keepdims=True)
     w = np.exp(scores)
     w /= w.sum(axis=-1, keepdims=True)
-    ctx = np.einsum("bhij,bhjd->bhid", w, vh)
+    ctx = w @ vh
     merged = ctx.transpose(0, 2, 1, 3).reshape(bsz, l, cfg.dim)
     attn_out = merged @ params[f"b{i}.wo"]
     x1 = x + attn_out
@@ -203,58 +203,73 @@ def encode_batch(params, cfg: EncoderConfig, ids: np.ndarray,
     return out
 
 
-def encode_backward(params, cfg: EncoderConfig, tape, dout) -> dict:
-    """Gradients of all encoder parameters given d(loss)/d(output)."""
+def scatter_add_rows(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """(n, D) sums of the rows of (N, D) `rows` grouped by `index` (N,).
+
+    The sums run in row order from zero, as np.add.at adds, so the result
+    is bitwise that of np.add.at.
+    """
+    d = rows.shape[-1]
+    slots = (index[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(slots, weights=rows.ravel(),
+                       minlength=n * d).reshape(n, d)
+
+
+def encode_backward(params, cfg: EncoderConfig, tape, dout,
+                    grads: dict | None = None) -> dict:
+    """Gradients of all encoder parameters given d(loss)/d(output).
+
+    grads: arrays shaped like params to overwrite (e.g. views of one flat
+    buffer); new arrays when None.
+    """
     h = cfg.n_heads
     dh = cfg.dim // h
+    d = cfg.dim
     scale = 1.0 / np.sqrt(dh)
-    grads = {k: np.zeros_like(v) for k, v in params.items()}
+    if grads is None:
+        grads = {k: np.empty_like(v) for k, v in params.items()}
 
-    dx, dg, db = _layer_norm_backward(dout, tape["ln_f"])
-    grads["ln_f_g"] += dg
-    grads["ln_f_b"] += db
+    dx, grads["ln_f_g"][...], grads["ln_f_b"][...] = _layer_norm_backward(
+        dout, tape["ln_f"])
 
     for i in reversed(range(cfg.n_blocks)):
         t = tape["blocks"][i]
         bsz, l, _ = dx.shape
         # feed-forward
         dact = dx @ params[f"b{i}.w2"].T
-        grads[f"b{i}.w2"] += t["act"].reshape(-1, 4 * cfg.dim).T @ dx.reshape(-1, cfg.dim)
+        np.matmul(t["act"].reshape(-1, 4 * d).T, dx.reshape(-1, d),
+                  out=grads[f"b{i}.w2"])
         dpre = dact * (t["pre"] > 0.0)
-        grads[f"b{i}.w1"] += t["xn2"].reshape(-1, cfg.dim).T @ dpre.reshape(-1, 4 * cfg.dim)
+        np.matmul(t["xn2"].reshape(-1, d).T, dpre.reshape(-1, 4 * d),
+                  out=grads[f"b{i}.w1"])
         dxn2 = dpre @ params[f"b{i}.w1"].T
-        dx1, dg, db = _layer_norm_backward(dxn2, t["ln2"])
-        grads[f"b{i}.ln2_g"] += dg
-        grads[f"b{i}.ln2_b"] += db
+        dx1, grads[f"b{i}.ln2_g"][...], grads[f"b{i}.ln2_b"][...] = (
+            _layer_norm_backward(dxn2, t["ln2"]))
         dx1 += dx  # residual
         # attention
-        dattn_out = dx1
-        grads[f"b{i}.wo"] += t["merged"].reshape(-1, cfg.dim).T @ dattn_out.reshape(-1, cfg.dim)
-        dmerged = dattn_out @ params[f"b{i}.wo"].T
+        np.matmul(t["merged"].reshape(-1, d).T, dx1.reshape(-1, d),
+                  out=grads[f"b{i}.wo"])
+        dmerged = dx1 @ params[f"b{i}.wo"].T
         dctx = dmerged.reshape(bsz, l, h, dh).transpose(0, 2, 1, 3)
-        dw = np.einsum("bhid,bhjd->bhij", dctx, t["vh"])
-        dvh = np.einsum("bhij,bhid->bhjd", t["w"], dctx)
         w = t["w"]
+        dw = dctx @ t["vh"].swapaxes(-1, -2)
+        dvh = w.swapaxes(-1, -2) @ dctx
         dscores = (dw - (dw * w).sum(axis=-1, keepdims=True)) * w
-        dqh = np.einsum("bhij,bhjd->bhid", dscores, t["kh"]) * scale
-        dkh = np.einsum("bhij,bhid->bhjd", dscores, t["qh"]) * scale
-        dq = dqh.transpose(0, 2, 1, 3).reshape(bsz, l, cfg.dim)
-        dk = dkh.transpose(0, 2, 1, 3).reshape(bsz, l, cfg.dim)
-        dv = dvh.transpose(0, 2, 1, 3).reshape(bsz, l, cfg.dim)
-        xn_flat = t["xn"].reshape(-1, cfg.dim)
-        grads[f"b{i}.wq"] += xn_flat.T @ dq.reshape(-1, cfg.dim)
-        grads[f"b{i}.wk"] += xn_flat.T @ dk.reshape(-1, cfg.dim)
-        grads[f"b{i}.wv"] += xn_flat.T @ dv.reshape(-1, cfg.dim)
-        dxn = (dq @ params[f"b{i}.wq"].T + dk @ params[f"b{i}.wk"].T
-               + dv @ params[f"b{i}.wv"].T)
-        dx0, dg, db = _layer_norm_backward(dxn, t["ln1"])
-        grads[f"b{i}.ln1_g"] += dg
-        grads[f"b{i}.ln1_b"] += db
+        dqh = (dscores @ t["kh"]) * scale
+        dkh = (dscores.swapaxes(-1, -2) @ t["qh"]) * scale
+        xn_flat = t["xn"].reshape(-1, d)
+        dxn = 0.0
+        for name, dpart in (("wq", dqh), ("wk", dkh), ("wv", dvh)):
+            dpart = dpart.transpose(0, 2, 1, 3).reshape(bsz * l, d)
+            np.matmul(xn_flat.T, dpart, out=grads[f"b{i}.{name}"])
+            dxn = dxn + dpart @ params[f"b{i}.{name}"].T
+        dx0, grads[f"b{i}.ln1_g"][...], grads[f"b{i}.ln1_b"][...] = (
+            _layer_norm_backward(dxn.reshape(bsz, l, d), t["ln1"]))
         dx = dx0 + dx1  # residual
 
-    ids = tape["ids"]
-    np.add.at(grads["tok_emb"], ids.ravel(), dx.reshape(-1, cfg.dim))
-    grads["pos_emb"] += dx.sum(axis=0)
+    grads["tok_emb"][...] = scatter_add_rows(
+        tape["ids"].ravel(), dx.reshape(-1, d), params["tok_emb"].shape[0])
+    dx.sum(axis=0, out=grads["pos_emb"])
     return grads
 
 

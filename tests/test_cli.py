@@ -1,10 +1,16 @@
 import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import embedlab
 from embedlab import cli
 from embedlab import denoiser as dn
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(embedlab.__file__)))
 
 
 @pytest.fixture()
@@ -96,6 +102,35 @@ def test_sample_outputs(tmp_path, ckpt, capsys):
     assert len(rows) == 3
     _rejects_count(["sample", "--ckpt", ckpt, "--out", d, "--n", "0"],
                    "--n", capsys)
+
+
+def test_sample_rejects_truncated_checkpoint(tmp_path):
+    bad = tmp_path / "short.ckpt"
+    bad.write_bytes(b"EMB1\x01\x00")
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep
+               + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "embedlab.cli", "sample", "--ckpt", str(bad),
+         "--out", str(tmp_path / "s")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "truncated" in proc.stderr
+
+
+def test_sample_rejects_non_finite_weights(tmp_path, untrained_bundle, capsys):
+    b = untrained_bundle
+    tensors = dn.checkpoint_tensors(b.enc_params, b.den_params, b.enc_cfg,
+                                    b.den_cfg, (100, 1e-3, 0.2))
+    tensors["den.w2"] = tensors["den.w2"].copy()
+    tensors["den.w2"][3, 5] = np.nan
+    path = tmp_path / "nan.ckpt"
+    dn.save_checkpoint(path, tensors)
+    capsys.readouterr()
+    assert cli.main(["sample", "--ckpt", str(path),
+                     "--out", str(tmp_path / "s")]) == 2
+    assert "den.w2" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "s" / "metrics.csv")
 
 
 def test_sample_rejects_unknown_word(tmp_path, ckpt):
@@ -192,6 +227,10 @@ def test_train_command_small(tmp_path, capsys):
     assert os.path.exists(os.path.join(d, "model.ckpt"))
     rows = open(os.path.join(d, "loss.csv")).read().splitlines()
     assert rows[0] == "step,loss"
+    # one progress line per logged step: here only the last one
+    out = capsys.readouterr().out
+    assert re.search(r"^step 30/30 loss \d+\.\d{4} lr \S+ steps/s \d+\.\d$",
+                     out, re.M), out
     _rejects_count(["train", "--out", str(tmp_path / "t0"), "--steps", "0"],
                    "--steps", capsys)
     _rejects_count(["train", "--out", str(tmp_path / "t0"),

@@ -1,8 +1,12 @@
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import embedlab
 from embedlab import denoiser as dn
 from embedlab import text_encoder as te
 from embedlab import toyworld as tw
@@ -214,6 +218,77 @@ def test_checkpoint_bad_magic(tmp_path):
         dn.load_checkpoint(path)
 
 
+def test_checkpoint_truncated_at_every_offset(tmp_path):
+    rng = Rng(37)
+    path = tmp_path / "small.ckpt"
+    dn.save_checkpoint(path, {"den.a": rng.normal((2, 3)),
+                              "meta.b": np.array(4.0),
+                              "enc.c": rng.normal((5,))})
+    full = path.read_bytes()
+    assert set(dn.load_checkpoint(path)) == {"den.a", "meta.b", "enc.c"}
+    cut = tmp_path / "cut.ckpt"
+    for n in range(len(full)):
+        cut.write_bytes(full[:n])
+        with pytest.raises(dn.CheckpointError):
+            dn.load_checkpoint(cut)
+    cut.write_bytes(full + b"\x00")
+    with pytest.raises(dn.CheckpointError, match="trailing"):
+        dn.load_checkpoint(cut)
+
+
+def test_flat_adam_matches_textbook_update_bitwise():
+    rng = Rng(39)
+    shapes = {"a": (7, 5), "b": (3,), "c": (4, 2, 6)}
+    params = {k: rng.normal(s) for k, s in shapes.items()}
+    ref = {k: v.copy() for k, v in params.items()}
+    m_ref = {k: np.zeros_like(v) for k, v in ref.items()}
+    v_ref = {k: np.zeros_like(v) for k, v in ref.items()}
+    flat = np.concatenate([v.ravel() for v in params.values()])
+    (views,) = dn.flat_views(flat, [params])
+    grad = np.empty_like(flat)
+    (gviews,) = dn.flat_views(grad, [params])
+    m, v2, scratch = (np.zeros_like(flat) for _ in range(3))
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    for step in range(1, 6):
+        lr = 1e-3 * (1.0 + np.cos(step))
+        for k in shapes:
+            gk = rng.normal(shapes[k]) * 10.0 ** (step - 3)
+            gviews[k][...] = gk
+            # the per-tensor textbook update
+            m_ref[k] = b1 * m_ref[k] + (1.0 - b1) * gk
+            v_ref[k] = b2 * v_ref[k] + (1.0 - b2) * gk * gk
+            mhat = m_ref[k] / (1.0 - b1**step)
+            vhat = v_ref[k] / (1.0 - b2**step)
+            ref[k] -= lr * mhat / (np.sqrt(vhat) + eps)
+        dn.adam_update(flat, grad, m, v2, step, lr, b1, b2, eps, scratch)
+        for k in shapes:
+            assert np.array_equal(views[k], ref[k]), (step, k)
+
+
+def test_nearest_style_matches_min_rule_with_ties():
+    values = np.array([0.25, 0.75, 0.75, 1.0])
+    style = np.concatenate([Rng(40).uniform(200) * 1.5 - 0.25,
+                            [0.5, 0.75, 0.875, 0.25, 2.0, -1.0]])
+
+    def rule(s):
+        return min(range(len(values)), key=lambda j: abs(values[j] - s))
+    expected = [rule(s) for s in style]
+    assert expected[-6:-2] == [0, 1, 1, 0]   # the exact ties pick the lower
+    assert dn.nearest_style(values, style).tolist() == expected
+
+
+def test_class_word_position_from_tokens():
+    world = tw.default_world()
+    vocab = te.default_vocabulary()
+    _, tok = dn.training_prompts(world, vocab, te.EncoderConfig().max_len)
+    sem_len = int(np.max(np.sum(tok != te.PAD, axis=1)))
+    assert dn.class_word_position(world, vocab, tok) == sem_len - 3
+    shifted = tok.copy()
+    shifted[0] = np.roll(shifted[0], 1)   # one prompt's class word moves
+    with pytest.raises(ValueError):
+        dn.class_word_position(world, vocab, shifted)
+
+
 def test_training_smoke_reduces_loss():
     world = tw.default_world()
     vocab = te.default_vocabulary()
@@ -252,3 +327,17 @@ def test_training_is_deterministic(tmp_path):
         dn.save_checkpoint(p, tensors)
         paths.append(p)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+    # the CLI's full-size training writes the same bytes with one and with
+    # two BLAS threads
+    src = os.path.dirname(os.path.dirname(os.path.abspath(embedlab.__file__)))
+    digests = set()
+    for threads in ("1", "2"):
+        out = tmp_path / f"cli{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        env.pop("EMBEDLAB_OUT", None)
+        subprocess.run([sys.executable, "-m", "embedlab.cli", "train",
+                        "--steps", "30", "--seed", "5", "--out", str(out)],
+                       check=True, capture_output=True, env=env, timeout=300)
+        digests.add((out / "model.ckpt").read_bytes())
+    assert len(digests) == 1
