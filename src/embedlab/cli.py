@@ -126,8 +126,13 @@ def _load_bundle(path) -> ModelBundle:
         enc_params, den_params, enc_cfg, den_cfg, meta = dn.split_checkpoint(tensors)
     except (OSError, ValueError, KeyError) as e:
         raise ConfigError(f"cannot load checkpoint {path!r}: {e}") from e
+    vocab = te.default_vocabulary()
+    if enc_params["tok_emb"].shape[0] != vocab.size:
+        raise ConfigError(f"checkpoint {path!r} embeds "
+                          f"{enc_params['tok_emb'].shape[0]} tokens, the "
+                          f"vocabulary has {vocab.size}")
     sched = make_schedule(int(meta[0]), meta[1], meta[2])
-    return ModelBundle(world=tw.default_world(), vocab=te.default_vocabulary(),
+    return ModelBundle(world=tw.default_world(), vocab=vocab,
                        enc_cfg=enc_cfg, den_cfg=den_cfg, sched=sched,
                        enc_params=enc_params, den_params=den_params)
 

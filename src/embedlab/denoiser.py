@@ -52,18 +52,23 @@ class AttnMask:
         object.__setattr__(self, "allowed", allowed)
 
 
-def init_denoiser_params(cfg: DenoiserConfig, rng: Rng) -> dict:
-    s = 0.02
+def denoiser_param_shapes(cfg: DenoiserConfig) -> dict:
+    """Shape of every denoiser tensor, in parameter order."""
     return {
-        "w_in": s * rng.normal((cfg.x_dim, cfg.d_h)),
-        "w_t": s * rng.normal((cfg.t_feat, cfg.d_h)),
-        "wq": s * rng.normal((cfg.d_h, cfg.d_a)),
-        "wk": s * rng.normal((cfg.emb_dim, cfg.d_a)),
-        "wv": s * rng.normal((cfg.emb_dim, cfg.d_a)),
-        "wo": s * rng.normal((cfg.d_a, cfg.d_h)),
-        "w1": s * rng.normal((cfg.d_h, cfg.d_h)),
-        "w2": s * rng.normal((cfg.d_h, cfg.x_dim)),
+        "w_in": (cfg.x_dim, cfg.d_h),
+        "w_t": (cfg.t_feat, cfg.d_h),
+        "wq": (cfg.d_h, cfg.d_a),
+        "wk": (cfg.emb_dim, cfg.d_a),
+        "wv": (cfg.emb_dim, cfg.d_a),
+        "wo": (cfg.d_a, cfg.d_h),
+        "w1": (cfg.d_h, cfg.d_h),
+        "w2": (cfg.d_h, cfg.x_dim),
     }
+
+
+def init_denoiser_params(cfg: DenoiserConfig, rng: Rng) -> dict:
+    return {name: 0.02 * rng.normal(shape)
+            for name, shape in denoiser_param_shapes(cfg).items()}
 
 
 def time_features(t, n_feat: int) -> np.ndarray:
@@ -75,12 +80,15 @@ def time_features(t, n_feat: int) -> np.ndarray:
     return np.concatenate([np.sin(arg), np.cos(arg)], axis=-1)
 
 
-def condition(params, emb) -> dict:
+def condition(params, cfg: DenoiserConfig, emb) -> dict:
     """Conditioning of one shared embedding (L, D) or of one per row (B, L, D).
 
-    A shared embedding's keys and values are made here, once per chain.
-    Per-row embeddings get none: attend() contracts each row's embedding
-    with its query first, which never forms (B, L, d_a) keys or values.
+    A shared embedding is folded with the query and output projections
+    here, once per chain: qk = wq @ (n @ wk).T / sqrt(d_a) is (d_h, L) and
+    vo = (e @ wv) @ wo is (L, d_h), so attend() scores h @ qk and adds
+    w @ vo without forming a query or a context. Per-row embeddings get
+    none: attend() contracts each row's embedding with its query first,
+    which never forms (B, L, d_a) keys or values.
     """
     emb = np.asarray(emb, dtype=np.float64)
     # keys are computed from unit-normalized rows so attention depends only
@@ -89,51 +97,55 @@ def condition(params, emb) -> dict:
     # re-routing attention toward it
     emb_norm = np.sqrt(np.einsum("...ld,...ld->...l", emb, emb)) + KEY_NORM_EPS
     emb_n = emb / emb_norm[..., None]
-    cond = {"emb": emb, "emb_norm": emb_norm, "emb_n": emb_n}
     if emb.ndim == 2:
-        cond.update(k=emb_n @ params["wk"], v=emb @ params["wv"])
-    return cond
+        qk = params["wq"] @ (emb_n @ params["wk"]).T
+        qk *= 1.0 / np.sqrt(cfg.d_a)
+        return {"qk": qk, "vo": (emb @ params["wv"]) @ params["wo"]}
+    return {"emb": emb, "emb_norm": emb_norm, "emb_n": emb_n}
 
 
 def attend(params, cfg: DenoiserConfig, x, t_proj, cond: dict,
            allowed=None, need_tape: bool = False):
     """The forward pass after condition(); t_proj is time_features(t) @ w_t.
 
-    allowed: (B, L), (L,), or None for all. With per-row embeddings the
-    scores are q . (n @ wk) = (q @ wk.T) . n and the context is
-    (w @ e) @ wv, so each row costs (L, D) products, not (L, d_a) ones.
+    allowed: (B, L), (L,), or None for all. A shared embedding's step is
+    scores = h @ qk and h2 = h + w @ vo. With per-row embeddings the scores
+    are q . (n @ wk) = (q @ wk.T) . n and the context is (w @ e) @ wv, so
+    each row costs (L, D) products, not (L, d_a) ones; only this branch,
+    the one training runs, can return a tape.
     """
-    scale = 1.0 / np.sqrt(cfg.d_a)
-    shared = "k" in cond
+    shared = "qk" in cond
+    if need_tape and shared:
+        raise ValueError("a tape needs per-row embeddings (B, L, D)")
     # ReLUs and softmax work in place; backward reads the ReLU masks from
     # their outputs (h > 0 exactly where the pre-activation is > 0)
     h = x @ params["w_in"] + t_proj
     np.maximum(h, 0.0, out=h)
-    q = h @ params["wq"]
     if shared:
-        scores = (q @ cond["k"].T) * scale
+        scores = h @ cond["qk"]
     else:
+        q = h @ params["wq"]
         qk = q @ params["wk"].T
-        scores = (cond["emb_n"] @ qk[:, :, None])[:, :, 0] * scale
+        scores = (cond["emb_n"] @ qk[:, :, None])[:, :, 0]
+        scores *= 1.0 / np.sqrt(cfg.d_a)
     if allowed is not None:
         scores = np.where(allowed, scores, -1e30)
     scores -= scores.max(axis=-1, keepdims=True)
     w = np.exp(scores, out=scores)
     w /= w.sum(axis=-1, keepdims=True)
     if shared:
-        ctx = w @ cond["v"]
+        h2 = w @ cond["vo"]
+        h2 += h
     else:
         w_emb = (w[:, None, :] @ cond["emb"])[:, 0]
         ctx = w_emb @ params["wv"]
-    h2 = h + ctx @ params["wo"]
+        h2 = h + ctx @ params["wo"]
     m = h2 @ params["w1"]
     np.maximum(m, 0.0, out=m)
     eps = m @ params["w2"]
     if need_tape:
-        tape = dict(cond, x=x, h=h, q=q, w=w, ctx=ctx, h2=h2, m=m)
-        if not shared:
-            tape.update(qk=qk, w_emb=w_emb)
-        return eps, tape
+        return eps, dict(cond, x=x, h=h, q=q, qk=qk, w=w, w_emb=w_emb,
+                         ctx=ctx, h2=h2, m=m)
     return eps
 
 
@@ -148,8 +160,8 @@ def forward_batch(params, cfg: DenoiserConfig, x, t, emb, allowed,
     if not allowed.any(axis=1).all():
         raise ValueError("attention mask with no allowed position")
     tf = time_features(t, cfg.t_feat)
-    out = attend(params, cfg, x, tf @ params["w_t"], condition(params, emb),
-                 allowed, need_tape)
+    out = attend(params, cfg, x, tf @ params["w_t"],
+                 condition(params, cfg, emb), allowed, need_tape)
     if need_tape:
         out[1]["tf"] = tf
     return out
@@ -161,7 +173,8 @@ def predict_eps(params, cfg: DenoiserConfig, x_t, t: int,
     data = emb.data if isinstance(emb, te.TextEmbedding) else emb
     return attend(params, cfg, np.asarray(x_t, dtype=np.float64),
                   time_features(t, cfg.t_feat) @ params["w_t"],
-                  condition(params, data), None if mask is None else mask.allowed)
+                  condition(params, cfg, data),
+                  None if mask is None else mask.allowed)
 
 
 def backward_batch(params, cfg: DenoiserConfig, tape, deps,
@@ -529,19 +542,65 @@ def checkpoint_tensors(enc_params: dict, den_params: dict,
     return tensors
 
 
+def _positive_ints(tensors: dict, name: str, n: int) -> list:
+    arr = tensors[name]
+    if arr.shape != (n,) or not (arr >= 1).all() or (arr != np.round(arr)).any():
+        raise CheckpointError(f"tensor {name!r} must hold {n} positive integers")
+    return [int(v) for v in arr]
+
+
 def split_checkpoint(tensors: dict):
+    """Parameters, configs and schedule of a checkpoint's tensors.
+
+    Every tensor is checked against the configs in meta.*: a missing,
+    extra or misshapen tensor raises CheckpointError naming it, as does a
+    non-finite one or an encoder head count that does not divide its width.
+    """
     for name, arr in tensors.items():
         if not np.isfinite(arr).all():
             raise CheckpointError(f"tensor {name!r} has non-finite values")
+    for name in ("meta.enc_cfg", "meta.den_cfg", "meta.schedule", "enc.tok_emb"):
+        if name not in tensors:
+            raise CheckpointError(f"tensor {name!r} is missing")
+    e = _positive_ints(tensors, "meta.enc_cfg", 4)
+    d = _positive_ints(tensors, "meta.den_cfg", 6)
+    enc_cfg = te.EncoderConfig(max_len=e[0], dim=e[1], n_blocks=e[2], n_heads=e[3])
+    cfg = DenoiserConfig(x_dim=d[0], d_h=d[1], d_a=d[2], t_feat=d[3],
+                         emb_dim=d[4], max_len=d[5])
+    if enc_cfg.dim % enc_cfg.n_heads:
+        raise CheckpointError(f"encoder head count {enc_cfg.n_heads} does not "
+                              f"divide its dimension {enc_cfg.dim}")
+    if (cfg.emb_dim, cfg.max_len) != (enc_cfg.dim, enc_cfg.max_len):
+        raise CheckpointError(
+            f"denoiser conditioning (emb_dim {cfg.emb_dim}, max_len "
+            f"{cfg.max_len}) does not match the encoder (dim {enc_cfg.dim}, "
+            f"max_len {enc_cfg.max_len})")
+    # 10 tensors per encoder block, 4 more in the encoder, 8 in the
+    # denoiser and 3 meta: a count check first keeps a tampered n_blocks
+    # from building a huge shape table
+    n_expected = 10 * enc_cfg.n_blocks + 15
+    if len(tensors) != n_expected:
+        raise CheckpointError(f"checkpoint has {len(tensors)} tensors, the "
+                              f"configs in meta.* give {n_expected}")
+    tok = tensors["enc.tok_emb"]
+    vocab_size = tok.shape[0] if tok.ndim == 2 else -1
+    expected = {"meta.enc_cfg": (4,), "meta.den_cfg": (6,), "meta.schedule": (3,)}
+    expected.update({f"enc.{k}": s for k, s
+                     in te.encoder_param_shapes(enc_cfg, vocab_size).items()})
+    expected.update({f"den.{k}": s for k, s
+                     in denoiser_param_shapes(cfg).items()})
+    for name in sorted(expected.keys() | tensors.keys()):
+        if name not in tensors:
+            raise CheckpointError(f"tensor {name!r} is missing")
+        if name not in expected:
+            raise CheckpointError(f"unexpected tensor {name!r}")
+        if tensors[name].shape != expected[name]:
+            raise CheckpointError(f"tensor {name!r} has shape "
+                                  f"{tensors[name].shape}, the configs in "
+                                  f"meta.* give {expected[name]}")
     enc_params = {k[4:]: v.copy() for k, v in tensors.items()
                   if k.startswith("enc.")}
     den_params = {k[4:]: v.copy() for k, v in tensors.items()
                   if k.startswith("den.")}
-    e = tensors["meta.enc_cfg"].astype(int)
-    d = tensors["meta.den_cfg"].astype(int)
-    enc_cfg = te.EncoderConfig(max_len=int(e[0]), dim=int(e[1]),
-                               n_blocks=int(e[2]), n_heads=int(e[3]))
-    cfg = DenoiserConfig(x_dim=int(d[0]), d_h=int(d[1]), d_a=int(d[2]),
-                         t_feat=int(d[3]), emb_dim=int(d[4]), max_len=int(d[5]))
     sched_meta = tuple(tensors["meta.schedule"])
     return enc_params, den_params, enc_cfg, cfg, sched_meta

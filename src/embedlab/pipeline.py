@@ -34,7 +34,7 @@ class ModelBundle:
         emb: one embedding (TextEmbedding or (L, D)) or one per row (B, L, D).
         """
         data = emb.data if isinstance(emb, te.TextEmbedding) else emb
-        cond = dn.condition(self.den_params, data)
+        cond = dn.condition(self.den_params, self.den_cfg, data)
         allowed = None if mask is None else mask.allowed
         t_proj = (dn.time_features(np.arange(1, self.sched.T + 1),
                                    self.den_cfg.t_feat) @ self.den_params["w_t"])
@@ -53,8 +53,9 @@ class ModelBundle:
         emb and mask as for predictor(); DDPM takes one Rng per row (one Rng
         for a single noise). x0 estimates are clamped to clip_x0.
         """
-        return sample(self.sched, self.predictor(emb, mask), x_T,
-                      mode=mode, rng=rng, clip_x0=clip_x0)
+        x0 = sample(self.sched, self.predictor(emb, mask), x_T,
+                    mode=mode, rng=rng, clip_x0=clip_x0)
+        return _finite("generate", x0)
 
     def generate_batch(self, emb, x_T: np.ndarray,
                        mask: dn.AttnMask | None = None) -> np.ndarray:
@@ -75,7 +76,8 @@ class ModelBundle:
 
     def invert(self, emb, x0: np.ndarray,
                mask: dn.AttnMask | None = None) -> np.ndarray:
-        return ddim_invert(self.sched, self.predictor(emb, mask), x0)
+        x_T = ddim_invert(self.sched, self.predictor(emb, mask), x0)
+        return _finite("invert", x_T)
 
     def class_of_text(self, text: str) -> int:
         words = set(text.split())
@@ -83,6 +85,15 @@ class ModelBundle:
             if name in words:
                 return i
         raise ValueError(f"no class word in {text!r}")
+
+
+def _finite(stage: str, x: np.ndarray) -> np.ndarray:
+    """x, after checking that every row of a chain's output is finite."""
+    ok = np.isfinite(x).all(axis=-1)
+    if not ok.all():
+        raise FloatingPointError(f"{stage}: non-finite output in row "
+                                 f"{int(np.argmin(ok))} of {ok.size}")
+    return x
 
 
 def seed_noise(seed: int, n: int = IMAGE_DIM) -> np.ndarray:

@@ -94,24 +94,31 @@ class TextEmbedding:
     semantic_len: int
 
 
+def encoder_param_shapes(cfg: EncoderConfig, vocab_size: int) -> dict:
+    """Shape of every encoder tensor, in parameter order."""
+    d = cfg.dim
+    shapes = {"tok_emb": (vocab_size, d), "pos_emb": (cfg.max_len, d),
+              "ln_f_g": (d,), "ln_f_b": (d,)}
+    for i in range(cfg.n_blocks):
+        for ln in ("ln1_g", "ln1_b", "ln2_g", "ln2_b"):
+            shapes[f"b{i}.{ln}"] = (d,)
+        for w in ("wq", "wk", "wv", "wo"):
+            shapes[f"b{i}.{w}"] = (d, d)
+        shapes[f"b{i}.w1"] = (d, 4 * d)
+        shapes[f"b{i}.w2"] = (4 * d, d)
+    return shapes
+
+
 def init_encoder_params(cfg: EncoderConfig, vocab_size: int, rng: Rng) -> dict:
     """Gaussian(0, 0.02^2) weights; layer-norm gains 1, biases 0."""
-    d = cfg.dim
-    p = {
-        "tok_emb": 0.02 * rng.normal((vocab_size, d)),
-        "pos_emb": 0.02 * rng.normal((cfg.max_len, d)),
-        "ln_f_g": np.ones(d),
-        "ln_f_b": np.zeros(d),
-    }
-    for i in range(cfg.n_blocks):
-        p[f"b{i}.ln1_g"] = np.ones(d)
-        p[f"b{i}.ln1_b"] = np.zeros(d)
-        p[f"b{i}.ln2_g"] = np.ones(d)
-        p[f"b{i}.ln2_b"] = np.zeros(d)
-        for w in ("wq", "wk", "wv", "wo"):
-            p[f"b{i}.{w}"] = 0.02 * rng.normal((d, d))
-        p[f"b{i}.w1"] = 0.02 * rng.normal((d, 4 * d))
-        p[f"b{i}.w2"] = 0.02 * rng.normal((4 * d, d))
+    p = {}
+    for name, shape in encoder_param_shapes(cfg, vocab_size).items():
+        if name.endswith("_g"):
+            p[name] = np.ones(shape)
+        elif name.endswith("_b"):
+            p[name] = np.zeros(shape)
+        else:
+            p[name] = 0.02 * rng.normal(shape)
     return p
 
 

@@ -198,23 +198,16 @@ def test_criterion_7_swap_preserves_background(trained_bundle):
     e_swap = mix_swap(e_s, e_t, diff_positions(t_s, t_t))
     k_t = b.class_of_text(tgt)
     bg = tw.background_mask(b.world, b.class_of_text(src), k_t)
-    conv = 0
-    wins = 0
-    ties = 0
     n = 100
-    for s in range(n):
-        x_t = seed_noise(s)
-        i_s = b.generate(e_s, x_t)
-        i_sw = b.generate(e_swap, x_t)
-        i_tr = b.generate(e_t, x_t)
-        if tw.oracle_classify(b.world, i_sw)[0] == k_t:
-            conv += 1
-        l_sw = float(np.sum((i_sw - i_s)[bg] ** 2))
-        l_tr = float(np.sum((i_tr - i_s)[bg] ** 2))
-        if l_sw < l_tr:
-            wins += 1
-        elif l_sw == l_tr:
-            ties += 1
+    x_ts = np.stack([seed_noise(s) for s in range(n)])
+    i_s = b.generate_batch(e_s, x_ts)
+    i_sw = b.generate_batch(e_swap, x_ts)
+    i_tr = b.generate_batch(e_t, x_ts)
+    conv = sum(tw.oracle_classify(b.world, im)[0] == k_t for im in i_sw)
+    l_sw = np.sum((i_sw - i_s)[:, bg] ** 2, axis=1)
+    l_tr = np.sum((i_tr - i_s)[:, bg] ** 2, axis=1)
+    wins = int(np.sum(l_sw < l_tr))
+    ties = int(np.sum(l_sw == l_tr))
     p = _sign_test_p(wins, n - ties)
     ok = conv >= 80 and p < 0.05
     _report(7, ok, f"swap conversion {conv}/100 >= 80, background sign test "

@@ -133,6 +133,59 @@ def test_sample_rejects_non_finite_weights(tmp_path, untrained_bundle, capsys):
     assert not os.path.exists(tmp_path / "s" / "metrics.csv")
 
 
+def _tampered_ckpt(tmp_path, bundle, name, edit):
+    tensors = dn.checkpoint_tensors(bundle.enc_params, bundle.den_params,
+                                    bundle.enc_cfg, bundle.den_cfg,
+                                    (100, 1e-3, 0.2))
+    tensors[name] = edit(tensors[name].copy())
+    path = tmp_path / "tampered.ckpt"
+    dn.save_checkpoint(path, tensors)
+    return str(path)
+
+
+def _set(i, value):
+    def edit(arr):
+        arr[i] = value
+        return arr
+    return edit
+
+
+def test_sample_rejects_attention_width_mismatch(tmp_path, untrained_bundle,
+                                                 capsys):
+    # d_a is the attention scale's width; the weights were made with 64
+    path = _tampered_ckpt(tmp_path, untrained_bundle, "meta.den_cfg",
+                          _set(2, 32))
+    capsys.readouterr()
+    assert cli.main(["sample", "--ckpt", path,
+                     "--out", str(tmp_path / "s")]) == 2
+    assert "'den.wk' has shape (32, 64)" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "s" / "metrics.csv")
+
+
+def test_sample_rejects_zero_head_count(tmp_path, untrained_bundle, capsys):
+    path = _tampered_ckpt(tmp_path, untrained_bundle, "meta.enc_cfg",
+                          _set(3, 0))
+    capsys.readouterr()
+    assert cli.main(["sample", "--ckpt", path,
+                     "--out", str(tmp_path / "s")]) == 2
+    assert "meta.enc_cfg" in capsys.readouterr().err
+
+
+def test_non_finite_chain_output_exits_3(tmp_path, untrained_bundle, capsys):
+    # finite weights that overflow while sampling: the load check passes
+    path = _tampered_ckpt(tmp_path, untrained_bundle, "den.w2",
+                          lambda w: w * 1e306)
+    capsys.readouterr()
+    assert cli.main(["sample", "--ckpt", path,
+                     "--out", str(tmp_path / "s")]) == 3
+    err = capsys.readouterr().err
+    assert "generate: non-finite output in row 0" in err
+    assert not os.path.exists(tmp_path / "s" / "metrics.csv")
+    assert cli.main(["invert", "--ckpt", path,
+                     "--out", str(tmp_path / "i")]) == 3
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_sample_rejects_unknown_word(tmp_path, ckpt):
     assert cli.main(["sample", "--ckpt", ckpt, "--out", str(tmp_path / "s"),
                      "--prompt", "a photo of cat"]) == 2

@@ -172,6 +172,65 @@ def test_row_scale_scales_value_contribution_linearly():
     assert np.max(np.abs(out - base)) > 0.0
 
 
+@pytest.mark.parametrize("batch", [1, 5])
+def test_shared_conditioning_matches_per_row(batch):
+    """The folded shared-embedding branch of attend() agrees with the per-row
+    branch that training runs, on the same embedding broadcast per row."""
+    cfg = dn.DenoiserConfig(x_dim=6, d_h=16, d_a=8, t_feat=4,
+                            emb_dim=5, max_len=7)
+    rng = Rng(47 + batch)
+    params = {k: 0.5 * rng.normal(shape)
+              for k, shape in dn.denoiser_param_shapes(cfg).items()}
+    x = rng.normal((batch, 6))
+    t_proj = dn.time_features(rng.randint(100, batch) + 1, 4) @ params["w_t"]
+    emb = rng.normal((7, 5)) * (1.0 + rng.uniform(7))[:, None]
+    one = rng.uniform(7) < 0.5
+    one[3] = True
+    per_row = rng.uniform((batch, 7)) < 0.5
+    per_row[np.arange(batch), rng.randint(7, batch)] = True
+    shared = dn.condition(params, cfg, emb)
+    rows = dn.condition(params, cfg, np.broadcast_to(emb, (batch, 7, 5)))
+    for allowed in (None, one, per_row):
+        got = dn.attend(params, cfg, x, t_proj, shared, allowed)
+        ref = dn.attend(params, cfg, x, t_proj, rows, allowed)
+        assert np.max(np.abs(got - ref)) < 1e-12
+    with pytest.raises(ValueError):
+        dn.attend(params, cfg, x, t_proj, shared, need_tape=True)
+
+
+def test_split_checkpoint_checks_shapes_against_meta():
+    rng = Rng(38)
+    enc_cfg = te.EncoderConfig(max_len=8, dim=8, n_blocks=1, n_heads=2)
+    cfg = dn.DenoiserConfig(d_h=8, d_a=4, t_feat=4, emb_dim=8, max_len=8)
+    good = dn.checkpoint_tensors(te.init_encoder_params(enc_cfg, 12, rng),
+                                 dn.init_denoiser_params(cfg, rng),
+                                 enc_cfg, cfg, (10, 1e-3, 0.2))
+    assert dn.split_checkpoint(good)[2:4] == (enc_cfg, cfg)
+
+    def tampered(name, value):
+        t = dict(good)
+        if value is None:
+            del t[name]
+        else:
+            t[name] = np.asarray(value, dtype=np.float64)
+        return t
+    cases = {
+        "meta.den_cfg": tampered("meta.den_cfg", [64, 8, 2, 4, 8, 8]),
+        "head count 0": tampered("meta.enc_cfg", [8, 8, 1, 0]),
+        "head count 3": tampered("meta.enc_cfg", [8, 8, 1, 3]),
+        "n_blocks 10**9": tampered("meta.enc_cfg", [8, 8, 1e9, 2]),
+        "non-integer": tampered("meta.den_cfg", [64, 8, 4.5, 4, 8, 8]),
+        "emb_dim": tampered("meta.den_cfg", [64, 8, 4, 4, 6, 8]),
+        "missing": tampered("den.wo", None),
+        "extra": tampered("den.extra", np.zeros(2)),
+        "shape": tampered("enc.pos_emb", np.zeros((9, 8))),
+    }
+    for case, tensors in cases.items():
+        with pytest.raises(dn.CheckpointError):
+            dn.split_checkpoint(tensors)
+            pytest.fail(case)
+
+
 def test_all_masked_rejected():
     rng = Rng(32)
     params = dn.init_denoiser_params(SMALL_CFG, rng)
