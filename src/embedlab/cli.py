@@ -15,6 +15,7 @@ the embedding); internally positions are 0-based.
 """
 
 import argparse
+import functools
 import hashlib
 import os
 import sys
@@ -437,7 +438,10 @@ def cmd_verify(args) -> int:
 
 # --------------------------------------------------------------- parser
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> _Parser:
+    """The CLI parser, built once per process: every parse starts from a
+    fresh namespace, so one parser serves every call of main()."""
     parser = _Parser(prog="embedlab",
                      description="Toy diffusion text-embedding editing lab")
     parser.add_argument("--version", action="version",

@@ -80,49 +80,65 @@ def time_features(t, n_feat: int) -> np.ndarray:
     return np.concatenate([np.sin(arg), np.cos(arg)], axis=-1)
 
 
-def condition(params, cfg: DenoiserConfig, emb) -> dict:
-    """Conditioning of one shared embedding (L, D) or of one per row (B, L, D).
-
-    A shared embedding is folded with the query and output projections
-    here, once per chain: qk = wq @ (n @ wk).T / sqrt(d_a) is (d_h, L) and
-    vo = (e @ wv) @ wo is (L, d_h), so attend() scores h @ qk and adds
-    w @ vo without forming a query or a context. Per-row embeddings get
-    none: attend() contracts each row's embedding with its query first,
-    which never forms (B, L, d_a) keys or values.
-    """
-    emb = np.asarray(emb, dtype=np.float64)
+def _unit_rows(emb: np.ndarray):
+    """Row norms (+ KEY_NORM_EPS) and unit rows of embeddings (..., L, D)."""
     # keys are computed from unit-normalized rows so attention depends only
     # on a row's direction; scaling a row then modulates its value
     # contribution linearly (the fader behaviour) instead of exponentially
     # re-routing attention toward it
     emb_norm = np.sqrt(np.einsum("...ld,...ld->...l", emb, emb)) + KEY_NORM_EPS
-    emb_n = emb / emb_norm[..., None]
+    return emb_norm, emb / emb_norm[..., None]
+
+
+def condition(params, cfg: DenoiserConfig, emb) -> dict:
+    """Sampling conditioning of one embedding (L, D) or a stack of G (G, L, D).
+
+    Each embedding is folded with the query and output projections here,
+    once per chain: qk = wq @ (n @ wk).T / sqrt(d_a) is (G, d_h, L) and
+    vo = (e @ wv) @ wo is (G, L, d_h), with G = 1 for one embedding. The
+    rows of a chain belong to the G embeddings in G equal contiguous
+    blocks, so one shared embedding is G = 1 and one per row is G = B.
+    """
+    emb = np.asarray(emb, dtype=np.float64)
+    _, emb_n = _unit_rows(emb)
+    qk = params["wq"] @ np.swapaxes(emb_n @ params["wk"], -1, -2)
+    qk *= 1.0 / np.sqrt(cfg.d_a)
+    vo = (emb @ params["wv"]) @ params["wo"]
     if emb.ndim == 2:
-        qk = params["wq"] @ (emb_n @ params["wk"]).T
-        qk *= 1.0 / np.sqrt(cfg.d_a)
-        return {"qk": qk, "vo": (emb @ params["wv"]) @ params["wo"]}
-    return {"emb": emb, "emb_norm": emb_norm, "emb_n": emb_n}
+        qk, vo = qk[None], vo[None]
+    return {"qk": qk, "vo": vo}
 
 
 def attend(params, cfg: DenoiserConfig, x, t_proj, cond: dict,
            allowed=None, need_tape: bool = False):
-    """The forward pass after condition(); t_proj is time_features(t) @ w_t.
+    """The forward pass after the conditioning; t_proj is time_features(t) @ w_t.
 
-    allowed: (B, L), (L,), or None for all. A shared embedding's step is
-    scores = h @ qk and h2 = h + w @ vo. With per-row embeddings the scores
-    are q . (n @ wk) = (q @ wk.T) . n and the context is (w @ e) @ wv, so
-    each row costs (L, D) products, not (L, d_a) ones; only this branch,
-    the one training runs, can return a tape.
+    x: (B, x_dim) or (x_dim,); allowed: (B, L), (L,), or None for all.
+    cond is condition()'s folded form, or the per-row form forward_batch()
+    builds for training. Folded, the B rows split into G blocks, one per
+    embedding (a ValueError when G does not divide B), and each block's
+    step is scores = h @ qk and h2 = h + w @ vo. Per row, the scores are
+    q . (n @ wk) = (q @ wk.T) . n and the context is (w @ e) @ wv, so each
+    row costs (L, D) products, not (L, d_a) ones; only this branch, the
+    one training runs, can return a tape.
     """
-    shared = "qk" in cond
-    if need_tape and shared:
-        raise ValueError("a tape needs per-row embeddings (B, L, D)")
+    folded = "qk" in cond
+    if need_tape and folded:
+        raise ValueError("a tape needs per-row conditioning (forward_batch)")
     # ReLUs and softmax work in place; backward reads the ReLU masks from
     # their outputs (h > 0 exactly where the pre-activation is > 0)
     h = x @ params["w_in"] + t_proj
     np.maximum(h, 0.0, out=h)
-    if shared:
-        scores = h @ cond["qk"]
+    if folded:
+        try:
+            hg = h.reshape(cond["qk"].shape[0], -1, h.shape[-1])
+        except ValueError:
+            raise ValueError(f"{cond['qk'].shape[0]} embeddings do not split "
+                             f"{h.size // h.shape[-1]} rows into equal "
+                             f"blocks") from None
+        scores = hg @ cond["qk"]
+        if allowed is not None and allowed.ndim == 2:
+            allowed = allowed.reshape(scores.shape)
     else:
         q = h @ params["wq"]
         qk = q @ params["wk"].T
@@ -133,9 +149,10 @@ def attend(params, cfg: DenoiserConfig, x, t_proj, cond: dict,
     scores -= scores.max(axis=-1, keepdims=True)
     w = np.exp(scores, out=scores)
     w /= w.sum(axis=-1, keepdims=True)
-    if shared:
+    if folded:
         h2 = w @ cond["vo"]
-        h2 += h
+        h2 += hg
+        h2 = h2.reshape(h.shape)
     else:
         w_emb = (w[:, None, :] @ cond["emb"])[:, 0]
         ctx = w_emb @ params["wv"]
@@ -151,7 +168,7 @@ def attend(params, cfg: DenoiserConfig, x, t_proj, cond: dict,
 
 def forward_batch(params, cfg: DenoiserConfig, x, t, emb, allowed,
                   need_tape: bool = False):
-    """Batched forward pass.
+    """Batched forward pass with per-row conditioning, as training runs it.
 
     x: (B, x_dim), t: (B,), emb: (B, L, D), allowed: (B, L) bool.
     """
@@ -159,9 +176,12 @@ def forward_batch(params, cfg: DenoiserConfig, x, t, emb, allowed,
     allowed = np.asarray(allowed, dtype=bool)
     if not allowed.any(axis=1).all():
         raise ValueError("attention mask with no allowed position")
+    emb = np.asarray(emb, dtype=np.float64)
+    emb_norm, emb_n = _unit_rows(emb)
     tf = time_features(t, cfg.t_feat)
     out = attend(params, cfg, x, tf @ params["w_t"],
-                 condition(params, cfg, emb), allowed, need_tape)
+                 {"emb": emb, "emb_norm": emb_norm, "emb_n": emb_n},
+                 allowed, need_tape)
     if need_tape:
         out[1]["tf"] = tf
     return out
@@ -169,7 +189,8 @@ def forward_batch(params, cfg: DenoiserConfig, x, t, emb, allowed,
 
 def predict_eps(params, cfg: DenoiserConfig, x_t, t: int,
                 emb, mask: AttnMask | None = None) -> np.ndarray:
-    """Noise prediction as the sampler makes it; emb is (L, D) or a TextEmbedding."""
+    """Noise prediction as the sampler makes it; emb as for condition(),
+    or a TextEmbedding."""
     data = emb.data if isinstance(emb, te.TextEmbedding) else emb
     return attend(params, cfg, np.asarray(x_t, dtype=np.float64),
                   time_features(t, cfg.t_feat) @ params["w_t"],

@@ -5,7 +5,7 @@ the boundary value alpha_bar_0 := 1, which makes the step-1 posterior
 variance exactly zero. The last reverse step returns the posterior mean.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,6 +17,14 @@ class Schedule:
     alphas: np.ndarray         # alpha_t, index t-1
     alpha_bars: np.ndarray     # running products
     posterior_var: np.ndarray  # beta-tilde_t
+    # sqrt(alpha_bar_t) and sqrt(1 - alpha_bar_t), index t = 0..T
+    sqrt_ab: np.ndarray = field(init=False, repr=False)
+    sqrt_1mab: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        ab = np.concatenate([[1.0], self.alpha_bars])
+        object.__setattr__(self, "sqrt_ab", np.sqrt(ab))
+        object.__setattr__(self, "sqrt_1mab", np.sqrt(1.0 - ab))
 
     @property
     def T(self) -> int:
@@ -90,11 +98,15 @@ def eps_to_x0(sched: Schedule, x_t, eps_hat, t: int,
               clip_x0: tuple | None = None) -> np.ndarray:
     """x0 estimate; clip_x0, when given, clamps it to that range."""
     _check_t(sched, t)
-    ab = sched.alpha_bar(t)
-    if ab <= 0.0:
+    if sched.sqrt_ab[t] <= 0.0:
         raise ZeroDivisionError("alpha_bar_t == 0")
-    x0 = (np.asarray(x_t) - np.sqrt(1.0 - ab) * np.asarray(eps_hat)) / np.sqrt(ab)
-    return x0 if clip_x0 is None else np.clip(x0, *clip_x0)
+    x0 = np.asarray(x_t) - sched.sqrt_1mab[t] * np.asarray(eps_hat)
+    x0 /= sched.sqrt_ab[t]
+    if clip_x0 is not None:
+        # np.clip's values, without its wrapper's cost on a small batch
+        np.maximum(x0, clip_x0[0], out=x0)
+        np.minimum(x0, clip_x0[1], out=x0)
+    return x0
 
 
 def ddpm_reverse_step(sched: Schedule, x_t, eps_hat, t: int, rng,
@@ -118,20 +130,21 @@ def ddpm_reverse_step(sched: Schedule, x_t, eps_hat, t: int, rng,
 def ddim_step(sched: Schedule, x_t, eps_hat, t: int,
               clip_x0: tuple | None = None) -> np.ndarray:
     """Deterministic (eta=0) update x_t -> x_{t-1}; clip_x0 as in eps_to_x0."""
-    x0_hat = eps_to_x0(sched, x_t, eps_hat, t, clip_x0)
-    ab_prev = sched.alpha_bar(t - 1)
-    return np.sqrt(ab_prev) * x0_hat + np.sqrt(1.0 - ab_prev) * np.asarray(eps_hat)
+    x = eps_to_x0(sched, x_t, eps_hat, t, clip_x0)
+    x *= sched.sqrt_ab[t - 1]
+    x += sched.sqrt_1mab[t - 1] * np.asarray(eps_hat)
+    return x
 
 
 def ddim_invert_step(sched: Schedule, x_prev, eps_hat, t: int) -> np.ndarray:
     """Algebraic inverse of ddim_step for the same eps_hat."""
     _check_t(sched, t)
-    ab_prev = sched.alpha_bar(t - 1)
-    ab_t = sched.alpha_bar(t)
-    x_prev = np.asarray(x_prev)
     eps_hat = np.asarray(eps_hat)
-    x0_hat = (x_prev - np.sqrt(1.0 - ab_prev) * eps_hat) / np.sqrt(ab_prev)
-    return np.sqrt(ab_t) * x0_hat + np.sqrt(1.0 - ab_t) * eps_hat
+    x = np.asarray(x_prev) - sched.sqrt_1mab[t - 1] * eps_hat
+    x /= sched.sqrt_ab[t - 1]
+    x *= sched.sqrt_ab[t]
+    x += sched.sqrt_1mab[t] * eps_hat
+    return x
 
 
 def l1_objective(eps_true, eps_pred) -> float:

@@ -151,14 +151,21 @@ def run_edit(bundle: ModelBundle, source_text: str, target_text: str,
              recipe: EditRecipe, seeds) -> list:
     """One EditOutcome per seed: source and edit share x_T, then are scored.
 
-    The source and the edit each run as one chain of equal shape, so an
-    edit that changes nothing reproduces the source bitwise.
+    The source and the edit run as the two blocks of one chain, so an edit
+    that changes nothing reproduces the source bitwise.
     """
     e_s = bundle.embed(source_text)
     e_star, mask = apply_recipe(recipe, e_s, bundle.embed(target_text))
     x_T = np.stack([seed_noise(s) for s in seeds])
-    i_s = bundle.generate(e_s, x_T)
-    i_star = bundle.generate(e_star, x_T, mask=mask)
+    n = len(x_T)
+    if mask is not None:
+        # the source block attends to every row
+        allowed = np.ones((2 * n, mask.allowed.shape[-1]), dtype=bool)
+        allowed[n:] = mask.allowed
+        mask = AttnMask(allowed)
+    images = bundle.generate(np.stack([e_s.data, e_star.data]),
+                             np.concatenate([x_T, x_T]), mask=mask)
+    i_s, i_star = images[:n], images[n:]
     bg = background_mask(bundle.world, bundle.class_of_text(source_text),
                          bundle.class_of_text(target_text))
     outcomes = []

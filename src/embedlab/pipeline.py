@@ -31,7 +31,10 @@ class ModelBundle:
     def predictor(self, emb, mask: dn.AttnMask | None = None):
         """Noise predictor for one chain, with the conditioning made once.
 
-        emb: one embedding (TextEmbedding or (L, D)) or one per row (B, L, D).
+        emb: one embedding (TextEmbedding or (L, D)) or a stack of G (G, L, D).
+        The chain's B rows belong to the G embeddings in G equal contiguous
+        blocks: one shared embedding is G = 1, one per row is G = B.
+        mask: (L,) for every row or (B, L) with one row each.
         """
         data = emb.data if isinstance(emb, te.TextEmbedding) else emb
         cond = dn.condition(self.den_params, self.den_cfg, data)
@@ -48,19 +51,15 @@ class ModelBundle:
                  mask: dn.AttnMask | None = None,
                  mode: str = "ddim", rng=None,
                  clip_x0: tuple | None = (CLAMP_LO, CLAMP_HI)) -> np.ndarray:
-        """Generate from one noise (x_dim,) or, in one chain, S noises (S, x_dim).
+        """Generate from one noise (x_dim,) or, in one chain, B noises (B, x_dim).
 
-        emb and mask as for predictor(); DDPM takes one Rng per row (one Rng
-        for a single noise). x0 estimates are clamped to clip_x0.
+        emb and mask as for predictor(): a stack of G embeddings conditions
+        G equal blocks of rows. DDPM takes one Rng per row (one Rng for a
+        single noise). x0 estimates are clamped to clip_x0.
         """
         x0 = sample(self.sched, self.predictor(emb, mask), x_T,
                     mode=mode, rng=rng, clip_x0=clip_x0)
         return _finite("generate", x0)
-
-    def generate_batch(self, emb, x_T: np.ndarray,
-                       mask: dn.AttnMask | None = None) -> np.ndarray:
-        """Deterministic DDIM generation for S starting noises x_T (S, x_dim)."""
-        return self.generate(emb, x_T, mask)
 
     def regenerate(self, emb, x_T: np.ndarray,
                    mask: dn.AttnMask | None = None) -> np.ndarray:

@@ -377,33 +377,45 @@ def check_encoder_bos_constancy(rng: Rng) -> CheckResult:
 # ------------------------------------------------------------- denoiser
 
 def check_denoiser_forward_oracle(rng: Rng) -> CheckResult:
+    """One row against a straight-line scalar re-implementation, then a
+    grouped chain step: two embeddings conditioning two rows each."""
     cfg = dn.DenoiserConfig(x_dim=6, d_h=5, d_a=4, t_feat=4, emb_dim=3, max_len=4)
     params = dn.init_denoiser_params(cfg, rng)
-    x = rng.normal(6)
-    emb = rng.normal((4, 3))
-    allowed = np.array([True, True, False, True])
     t = 7
-    got = dn.predict_eps(params, cfg, x, t, emb, dn.AttnMask(allowed))
-    # straight-line scalar re-implementation
     tf = np.zeros(4)
     for i in range(2):
         f = 10000.0 ** (-i / 2)
         tf[i] = np.sin(t * f)
         tf[i + 2] = np.cos(t * f)
-    h = np.maximum(x @ params["w_in"] + tf @ params["w_t"], 0.0)
-    q = h @ params["wq"]
-    scores = []
-    for j in range(4):
-        kj = (emb[j] / (np.sqrt(emb[j] @ emb[j]) + 1e-12)) @ params["wk"]
-        scores.append((q @ kj) / np.sqrt(cfg.d_a) if allowed[j] else -np.inf)
-    scores = np.asarray(scores)
-    w = np.exp(scores - scores[np.isfinite(scores)].max())
-    w[~allowed] = 0.0
-    w /= w.sum()
-    ctx = sum(w[j] * (emb[j] @ params["wv"]) for j in range(4))
-    h2 = h + ctx @ params["wo"]
-    ref = np.maximum(h2 @ params["w1"], 0.0) @ params["w2"]
-    err = float(np.max(np.abs(got - ref)))
+
+    def ref(x, emb, allowed):
+        h = np.maximum(x @ params["w_in"] + tf @ params["w_t"], 0.0)
+        q = h @ params["wq"]
+        scores = []
+        for j in range(4):
+            kj = (emb[j] / (np.sqrt(emb[j] @ emb[j]) + 1e-12)) @ params["wk"]
+            scores.append((q @ kj) / np.sqrt(cfg.d_a) if allowed[j] else -np.inf)
+        scores = np.asarray(scores)
+        w = np.exp(scores - scores[np.isfinite(scores)].max())
+        w[~allowed] = 0.0
+        w /= w.sum()
+        ctx = sum(w[j] * (emb[j] @ params["wv"]) for j in range(4))
+        h2 = h + ctx @ params["wo"]
+        return np.maximum(h2 @ params["w1"], 0.0) @ params["w2"]
+
+    x = rng.normal(6)
+    emb = rng.normal((4, 3))
+    allowed = np.array([True, True, False, True])
+    got = dn.predict_eps(params, cfg, x, t, emb, dn.AttnMask(allowed))
+    err = float(np.max(np.abs(got - ref(x, emb, allowed))))
+    xs = rng.normal((4, 6))
+    embs = rng.normal((2, 4, 3))
+    rows = np.array([[True, True, False, True], [True, True, True, True],
+                     [False, True, True, False], [True, False, True, True]])
+    got = dn.predict_eps(params, cfg, xs, t, embs, dn.AttnMask(rows))
+    for i in range(4):
+        err = max(err, float(np.max(np.abs(got[i] - ref(xs[i], embs[i // 2],
+                                                          rows[i])))))
     return _result("denoiser.forward_oracle", err < 1e-12, f"max_err={err:.3e}")
 
 

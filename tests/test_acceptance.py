@@ -136,7 +136,7 @@ def test_criterion_5_training(trained_bundle):
     accs = {}
     for p in prompts:
         emb = b.embed(p)
-        imgs = b.generate_batch(emb, x_ts)
+        imgs = b.generate(emb, x_ts)
         k = b.class_of_text(p)
         accs[p] = float(np.mean(
             [tw.oracle_classify(b.world, im)[0] == k for im in imgs]))
@@ -200,9 +200,9 @@ def test_criterion_7_swap_preserves_background(trained_bundle):
     bg = tw.background_mask(b.world, b.class_of_text(src), k_t)
     n = 100
     x_ts = np.stack([seed_noise(s) for s in range(n)])
-    i_s = b.generate_batch(e_s, x_ts)
-    i_sw = b.generate_batch(e_swap, x_ts)
-    i_tr = b.generate_batch(e_t, x_ts)
+    i_s = b.generate(e_s, x_ts)
+    i_sw = b.generate(e_swap, x_ts)
+    i_tr = b.generate(e_t, x_ts)
     conv = sum(tw.oracle_classify(b.world, im)[0] == k_t for im in i_sw)
     l_sw = np.sum((i_sw - i_s)[:, bg] ** 2, axis=1)
     l_tr = np.sum((i_tr - i_s)[:, bg] ** 2, axis=1)
@@ -221,7 +221,7 @@ def test_criterion_8_fader_monotone(trained_bundle):
     x_ts = np.stack([seed_noise(s) for s in range(100)])
     means = []
     for c in (0.5, 1.0, 1.5, 2.0):
-        imgs = b.generate_batch(mix_scale(e, style_pos, c), x_ts)
+        imgs = b.generate(mix_scale(e, style_pos, c), x_ts)
         means.append(float(np.mean(
             [tw.oracle_style(b.world, im, 0) for im in imgs])))
     ok = all(means[i] <= means[i + 1] for i in range(len(means) - 1))
@@ -236,19 +236,19 @@ def test_criterion_9_mask_then_generate(trained_bundle):
     e = b.embed(prompt)
     sem = b.tokens(prompt).semantic_len
     x_ts = np.stack([seed_noise(s) for s in range(100)])
-    base = b.generate_batch(e, x_ts)
+    base = b.generate(e, x_ts)
     base_cls = [tw.oracle_classify(b.world, im)[0] for im in base]
     k = b.class_of_text(prompt)
 
     pad_allowed = np.ones(b.enc_cfg.max_len, dtype=bool)
     pad_allowed[sem:] = False
-    pad_imgs = b.generate_batch(e, x_ts, mask=dn.AttnMask(pad_allowed))
+    pad_imgs = b.generate(e, x_ts, mask=dn.AttnMask(pad_allowed))
     keep = float(np.mean([tw.oracle_classify(b.world, im)[0] == c
                           for im, c in zip(pad_imgs, base_cls)]))
 
     sem_allowed = np.ones(b.enc_cfg.max_len, dtype=bool)
     sem_allowed[:sem] = False  # prefix mask over the full semantic span
-    sem_imgs = b.generate_batch(e, x_ts, mask=dn.AttnMask(sem_allowed))
+    sem_imgs = b.generate(e, x_ts, mask=dn.AttnMask(sem_allowed))
     base_match = float(np.mean([c == k for c in base_cls]))
     sem_match = float(np.mean([tw.oracle_classify(b.world, im)[0] == k
                                for im in sem_imgs]))

@@ -172,30 +172,40 @@ def test_row_scale_scales_value_contribution_linearly():
     assert np.max(np.abs(out - base)) > 0.0
 
 
-@pytest.mark.parametrize("batch", [1, 5])
+@pytest.mark.parametrize("batch", [1, 4, 5])
 def test_shared_conditioning_matches_per_row(batch):
-    """The folded shared-embedding branch of attend() agrees with the per-row
-    branch that training runs, on the same embedding broadcast per row."""
+    """The folded branch of attend() agrees with the per-row branch that
+    training runs, for one shared embedding (G = 1), a stack of G = 2 and
+    one embedding per row (G = B), each row given its block's embedding."""
     cfg = dn.DenoiserConfig(x_dim=6, d_h=16, d_a=8, t_feat=4,
                             emb_dim=5, max_len=7)
     rng = Rng(47 + batch)
     params = {k: 0.5 * rng.normal(shape)
               for k, shape in dn.denoiser_param_shapes(cfg).items()}
     x = rng.normal((batch, 6))
-    t_proj = dn.time_features(rng.randint(100, batch) + 1, 4) @ params["w_t"]
-    emb = rng.normal((7, 5)) * (1.0 + rng.uniform(7))[:, None]
+    t = rng.randint(100, batch) + 1
+    t_proj = dn.time_features(t, 4) @ params["w_t"]
     one = rng.uniform(7) < 0.5
     one[3] = True
     per_row = rng.uniform((batch, 7)) < 0.5
     per_row[np.arange(batch), rng.randint(7, batch)] = True
-    shared = dn.condition(params, cfg, emb)
-    rows = dn.condition(params, cfg, np.broadcast_to(emb, (batch, 7, 5)))
-    for allowed in (None, one, per_row):
-        got = dn.attend(params, cfg, x, t_proj, shared, allowed)
-        ref = dn.attend(params, cfg, x, t_proj, rows, allowed)
-        assert np.max(np.abs(got - ref)) < 1e-12
+    for groups in sorted({1, 2, batch}):
+        scale = 1.0 + rng.uniform((groups, 7))
+        embs = rng.normal((groups, 7, 5)) * scale[..., None]
+        if batch % groups:
+            with pytest.raises(ValueError):
+                dn.attend(params, cfg, x, t_proj, dn.condition(params, cfg, embs))
+            continue
+        cond = dn.condition(params, cfg, embs[0] if groups == 1 else embs)
+        rows = np.repeat(embs, batch // groups, axis=0)
+        for allowed in (None, one, per_row):
+            got = dn.attend(params, cfg, x, t_proj, cond, allowed)
+            ref = dn.forward_batch(
+                params, cfg, x, t, rows,
+                np.broadcast_to(True if allowed is None else allowed, (batch, 7)))
+            assert np.max(np.abs(got - ref)) < 1e-12
     with pytest.raises(ValueError):
-        dn.attend(params, cfg, x, t_proj, shared, need_tape=True)
+        dn.attend(params, cfg, x, t_proj, cond, need_tape=True)
 
 
 def test_split_checkpoint_checks_shapes_against_meta():

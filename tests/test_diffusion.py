@@ -114,6 +114,26 @@ def test_ddim_step_invert_roundtrip(sched):
         assert np.max(np.abs(back - x_t)) < 1e-10
 
 
+def test_table_steps_equal_closed_forms(sched):
+    """The step functions read sqrt(alpha_bar) from tables and work in
+    place; they stay bitwise equal to the closed forms at every t."""
+    rng = Rng(29)
+    x_t = rng.normal((3, 4))
+    eps = rng.normal((3, 4))
+    clip = (-0.5, 0.5)
+    for t in range(1, sched.T + 1):
+        ab, ab_prev = sched.alpha_bar(t), sched.alpha_bar(t - 1)
+        x0 = (x_t - np.sqrt(1.0 - ab) * eps) / np.sqrt(ab)
+        assert np.array_equal(df.eps_to_x0(sched, x_t, eps, t), x0)
+        for c in (None, clip):
+            x0_c = x0 if c is None else np.clip(x0, *c)
+            want = np.sqrt(ab_prev) * x0_c + np.sqrt(1.0 - ab_prev) * eps
+            assert np.array_equal(df.ddim_step(sched, x_t, eps, t, c), want)
+        back = (x_t - np.sqrt(1.0 - ab_prev) * eps) / np.sqrt(ab_prev)
+        want = np.sqrt(ab) * back + np.sqrt(1.0 - ab) * eps
+        assert np.array_equal(df.ddim_invert_step(sched, x_t, eps, t), want)
+
+
 def test_ddpm_reverse_step_stats(sched):
     rng = Rng(25)
     t = 60

@@ -108,17 +108,28 @@ def test_recipe_labels():
 
 
 def test_run_edit_shared_seed_pairing(untrained_bundle):
-    """Identity recipe with a shared x_T reproduces the source bitwise."""
-    outcomes = eo.run_edit(untrained_bundle, "a photo of hbar bright",
-                           "a photo of vbar bright",
-                           eo.EditRecipe(kind="swap", positions=()),
-                           seeds=[3, 0, 5])
-    assert len(outcomes) == 3
-    for outcome in outcomes:
-        assert np.array_equal(outcome.i_s, outcome.i_star)
-        assert outcome.background_l2 == 0.0
-        assert outcome.class_src == outcome.class_star
-        assert outcome.style_src == outcome.style_star
+    """Identity recipes with a shared x_T reproduce the source bitwise, and
+    a masked edit leaves its source block unmasked."""
+    src, dst = "a photo of hbar bright", "a photo of vbar bright"
+    for seeds in ([7], [3, 0, 5]):
+        sources = []
+        for recipe in (eo.EditRecipe(kind="swap", positions=()),
+                       eo.EditRecipe(kind="scale", scale_pos=5, scale=1.0)):
+            outcomes = eo.run_edit(untrained_bundle, src, dst, recipe,
+                                   seeds=seeds)
+            assert len(outcomes) == len(seeds)
+            for outcome in outcomes:
+                assert np.array_equal(outcome.i_s, outcome.i_star)
+                assert outcome.background_l2 == 0.0
+                assert outcome.class_src == outcome.class_star
+                assert outcome.style_src == outcome.style_star
+            sources.append([o.i_s for o in outcomes])
+        masked = eo.run_edit(untrained_bundle, src, dst,
+                             eo.EditRecipe(kind="mask", mask_range=(2, 5)),
+                             seeds=seeds)
+        sources.append([o.i_s for o in masked])
+        assert all(np.array_equal(a, b) for s in sources[1:]
+                   for a, b in zip(sources[0], s))
 
 
 def test_edit_report_csv_roundtrip(tmp_path, untrained_bundle):

@@ -38,7 +38,7 @@ def test_generate_batch_matches_single_closely(untrained_bundle):
     allowed[2, :6] = False
     stack = np.stack([emb.data, other.data, emb.data])
     cases = [
-        (b.generate_batch(emb, x_T),
+        (b.generate(emb, x_T),
          lambda i: b.generate(emb, x_T[i])),
         (b.regenerate(emb, x_T),
          lambda i: b.regenerate(emb, x_T[i])),
