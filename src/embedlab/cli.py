@@ -108,6 +108,8 @@ def prepare_out_dir(cfg: dict, command: str) -> str:
     out = os.environ.get("EMBEDLAB_OUT") or cfg["out"]
     os.makedirs(out, exist_ok=True)
     lines = [f"command={command}", f"version=v{__version__}",
+             "python={}.{}.{}".format(*sys.version_info[:3]),
+             f"numpy={np.__version__}",
              f"config_hash={config_hash(cfg)}"]
     lines += [f"{k}={cfg[k]}" for k in sorted(cfg) if k != "out"]
     with open(os.path.join(out, "manifest.txt"), "w", encoding="utf-8") as f:
@@ -138,14 +140,18 @@ def _load_bundle(path) -> ModelBundle:
                        enc_params=enc_params, den_params=den_params)
 
 
-def _parse_positions(text: str):
-    """1-based comma-separated CLI positions to 0-based tuples."""
+def _parse_positions(text: str, length: int):
+    """1-based comma-separated CLI positions, each at most length, to 0-based
+    tuples."""
     try:
         pos = tuple(int(p) for p in text.split(",") if p)
     except ValueError as e:
-        raise ConfigError(f"bad position list {text!r}") from e
+        raise ConfigError(f"bad --positions list {text!r}") from e
     if any(p < 1 for p in pos):
-        raise ConfigError("positions are 1-based; the smallest is 1")
+        raise ConfigError("--positions are 1-based; the smallest is 1")
+    if any(p > length for p in pos):
+        raise ConfigError(f"--positions {text!r} past the embedding's "
+                          f"{length} rows")
     return tuple(p - 1 for p in pos)
 
 
@@ -190,13 +196,13 @@ def cmd_train(args) -> int:
                           lr=cfg["lr"], seed=cfg["seed"])
     last_step, last_time = 0, time.perf_counter()
 
-    def progress(step, loss, lr):
+    def progress(step, loss, lr, grad_norm):
         nonlocal last_step, last_time
         now = time.perf_counter()
         rate = (step - last_step) / max(now - last_time, 1e-9)
         last_step, last_time = step, now
         print(f"step {step}/{tcfg.steps} loss {loss:.4f} lr {lr:.3g} "
-              f"steps/s {rate:.1f}", flush=True)
+              f"grad_norm {grad_norm:.3e} steps/s {rate:.1f}", flush=True)
     enc_params, den_params, log = dn.train(world, vocab, sched, enc_cfg,
                                            den_cfg, tcfg, on_log=progress)
     tensors = dn.checkpoint_tensors(enc_params, den_params, enc_cfg, den_cfg,
@@ -251,7 +257,8 @@ def _build_recipe(cfg: dict, bundle: ModelBundle) -> EditRecipe:
     t_t = bundle.tokens(cfg["to"])
     if kind in ("swap", "soft_swap"):
         if cfg["positions"]:
-            positions = _parse_positions(cfg["positions"])
+            positions = _parse_positions(cfg["positions"],
+                                         bundle.enc_cfg.max_len)
         else:
             positions = tuple(sorted(diff_positions(t_s, t_t)))
         return EditRecipe(kind=kind, positions=positions, weight=cfg["weight"])
@@ -371,6 +378,7 @@ OPT_LAMBDA_DEFAULTS = {"out": "runs/opt-lambda",
 
 def cmd_opt_lambda(args) -> int:
     cfg = resolve_config(args, OPT_LAMBDA_DEFAULTS)
+    _require_positive(cfg, "steps")
     out = prepare_out_dir(cfg, "opt-lambda")
     bundle = _load_bundle(cfg["ckpt"])
     ocfg = OptConfig(steps=cfg["steps"], seed=cfg["seed"], gamma=cfg["gamma"])

@@ -80,14 +80,17 @@ def time_features(t, n_feat: int) -> np.ndarray:
     return np.concatenate([np.sin(arg), np.cos(arg)], axis=-1)
 
 
-def _unit_rows(emb: np.ndarray):
-    """Row norms (+ KEY_NORM_EPS) and unit rows of embeddings (..., L, D)."""
+def _unit_rows(emb: np.ndarray, out=None):
+    """Row norms (+ KEY_NORM_EPS) and unit rows of embeddings (..., L, D).
+
+    out, if given, receives the unit rows.
+    """
     # keys are computed from unit-normalized rows so attention depends only
     # on a row's direction; scaling a row then modulates its value
     # contribution linearly (the fader behaviour) instead of exponentially
     # re-routing attention toward it
     emb_norm = np.sqrt(np.einsum("...ld,...ld->...l", emb, emb)) + KEY_NORM_EPS
-    return emb_norm, emb / emb_norm[..., None]
+    return emb_norm, np.divide(emb, emb_norm[..., None], out=out)
 
 
 def condition(params, cfg: DenoiserConfig, emb) -> dict:
@@ -109,11 +112,34 @@ def condition(params, cfg: DenoiserConfig, emb) -> dict:
     return {"qk": qk, "vo": vo}
 
 
+def _attend_arrays(shape: tuple, cfg: DenoiserConfig, cond: dict) -> tuple:
+    """attend()'s arrays for rows x of this shape: (shape, h, hg, scores,
+    h2, h2g, m, eps), where hg and h2g are the folded branch's block views
+    of h and h2."""
+    h = np.empty(shape[:-1] + (cfg.d_h,))
+    h2 = np.empty_like(h)
+    rows = h.size // cfg.d_h
+    if "qk" in cond:
+        groups, _, length = cond["qk"].shape
+        if rows % groups:
+            raise ValueError(f"{groups} embeddings do not split {rows} rows "
+                             f"into equal blocks")
+        hg = h.reshape(groups, rows // groups, cfg.d_h)
+        h2g = h2.reshape(hg.shape)
+        scores = np.empty((groups, rows // groups, length))
+    else:
+        hg = h2g = None
+        scores = np.empty((rows, cond["emb"].shape[1]))
+    return (shape, h, hg, scores, h2, h2g, np.empty_like(h),
+            np.empty(shape[:-1] + (cfg.x_dim,)))
+
+
 def attend(params, cfg: DenoiserConfig, x, t_proj, cond: dict,
-           allowed=None, need_tape: bool = False):
+           blocked=None, need_tape: bool = False, work: dict | None = None):
     """The forward pass after the conditioning; t_proj is time_features(t) @ w_t.
 
-    x: (B, x_dim) or (x_dim,); allowed: (B, L), (L,), or None for all.
+    x: (B, x_dim) or (x_dim,). blocked: the key positions a row may not
+    attend to, (L,) for every row, (B, L) one row each, or None for none.
     cond is condition()'s folded form, or the per-row form forward_batch()
     builds for training. Folded, the B rows split into G blocks, one per
     embedding (a ValueError when G does not divide B), and each block's
@@ -121,45 +147,52 @@ def attend(params, cfg: DenoiserConfig, x, t_proj, cond: dict,
     q . (n @ wk) = (q @ wk.T) . n and the context is (w @ e) @ wv, so each
     row costs (L, D) products, not (L, d_a) ones; only this branch, the
     one training runs, can return a tape.
+
+    work owns the arrays of one chain (or one training run): a dict, filled
+    on the first call and written into by every later call on rows shaped
+    alike with the same conditioning form. The eps it returns, and the
+    tape, then hold only until the next call with that dict. work None
+    makes new arrays.
     """
     folded = "qk" in cond
     if need_tape and folded:
         raise ValueError("a tape needs per-row conditioning (forward_batch)")
+    arrays = None if work is None else work.get("attend")
+    if arrays is None or arrays[0] != x.shape:
+        arrays = _attend_arrays(x.shape, cfg, cond)
+        if work is not None:
+            work["attend"] = arrays
+    _, h, hg, scores, h2, h2g, m, eps = arrays
     # ReLUs and softmax work in place; backward reads the ReLU masks from
     # their outputs (h > 0 exactly where the pre-activation is > 0)
-    h = x @ params["w_in"] + t_proj
+    np.matmul(x, params["w_in"], out=h)
+    h += t_proj
     np.maximum(h, 0.0, out=h)
     if folded:
-        try:
-            hg = h.reshape(cond["qk"].shape[0], -1, h.shape[-1])
-        except ValueError:
-            raise ValueError(f"{cond['qk'].shape[0]} embeddings do not split "
-                             f"{h.size // h.shape[-1]} rows into equal "
-                             f"blocks") from None
-        scores = hg @ cond["qk"]
-        if allowed is not None and allowed.ndim == 2:
-            allowed = allowed.reshape(scores.shape)
+        np.matmul(hg, cond["qk"], out=scores)
     else:
         q = h @ params["wq"]
         qk = q @ params["wk"].T
-        scores = (cond["emb_n"] @ qk[:, :, None])[:, :, 0]
+        np.matmul(cond["emb_n"], qk[:, :, None], out=scores[:, :, None])
         scores *= 1.0 / np.sqrt(cfg.d_a)
-    if allowed is not None:
-        scores = np.where(allowed, scores, -1e30)
+    if blocked is not None:
+        if folded and blocked.ndim == 2:
+            blocked = blocked.reshape(scores.shape)
+        np.copyto(scores, -1e30, where=blocked)
     scores -= scores.max(axis=-1, keepdims=True)
     w = np.exp(scores, out=scores)
     w /= w.sum(axis=-1, keepdims=True)
     if folded:
-        h2 = w @ cond["vo"]
-        h2 += hg
-        h2 = h2.reshape(h.shape)
+        np.matmul(w, cond["vo"], out=h2g)
+        h2g += hg
     else:
         w_emb = (w[:, None, :] @ cond["emb"])[:, 0]
         ctx = w_emb @ params["wv"]
-        h2 = h + ctx @ params["wo"]
-    m = h2 @ params["w1"]
+        np.matmul(ctx, params["wo"], out=h2)
+        h2 += h
+    np.matmul(h2, params["w1"], out=m)
     np.maximum(m, 0.0, out=m)
-    eps = m @ params["w2"]
+    np.matmul(m, params["w2"], out=eps)
     if need_tape:
         return eps, dict(cond, x=x, h=h, q=q, qk=qk, w=w, w_emb=w_emb,
                          ctx=ctx, h2=h2, m=m)
@@ -167,21 +200,22 @@ def attend(params, cfg: DenoiserConfig, x, t_proj, cond: dict,
 
 
 def forward_batch(params, cfg: DenoiserConfig, x, t, emb, allowed,
-                  need_tape: bool = False):
+                  need_tape: bool = False, work: dict | None = None):
     """Batched forward pass with per-row conditioning, as training runs it.
 
-    x: (B, x_dim), t: (B,), emb: (B, L, D), allowed: (B, L) bool.
+    x: (B, x_dim), t: (B,), emb: (B, L, D), allowed: (B, L) bool. work as
+    for attend(); it holds the unit rows of emb too.
     """
     x = np.asarray(x, dtype=np.float64)
     allowed = np.asarray(allowed, dtype=bool)
     if not allowed.any(axis=1).all():
         raise ValueError("attention mask with no allowed position")
     emb = np.asarray(emb, dtype=np.float64)
-    emb_norm, emb_n = _unit_rows(emb)
+    emb_norm, emb_n = _unit_rows(emb, te.work_array(work, "emb_n", emb.shape))
     tf = time_features(t, cfg.t_feat)
     out = attend(params, cfg, x, tf @ params["w_t"],
                  {"emb": emb, "emb_norm": emb_norm, "emb_n": emb_n},
-                 allowed, need_tape)
+                 ~allowed, need_tape, work)
     if need_tape:
         out[1]["tf"] = tf
     return out
@@ -195,23 +229,25 @@ def predict_eps(params, cfg: DenoiserConfig, x_t, t: int,
     return attend(params, cfg, np.asarray(x_t, dtype=np.float64),
                   time_features(t, cfg.t_feat) @ params["w_t"],
                   condition(params, cfg, data),
-                  None if mask is None else mask.allowed)
+                  None if mask is None else ~mask.allowed)
 
 
 def backward_batch(params, cfg: DenoiserConfig, tape, deps,
-                   grads: dict | None = None):
+                   grads: dict | None = None, work: dict | None = None):
     """Gradients w.r.t. denoiser params and the per-row embeddings (B, L, D).
 
     grads: arrays shaped like params to overwrite (e.g. views of one flat
-    buffer); new arrays when None.
+    buffer); new arrays when None. work, as for attend(), receives the
+    embedding gradient and the (B, d_h) and (B, L, D) temporaries.
     """
     scale = 1.0 / np.sqrt(cfg.d_a)
     g = {k: np.empty_like(v) for k, v in params.items()} if grads is None else grads
-    dm = deps @ params["w2"].T
+    hidden = tape["h"].shape
+    dm = np.matmul(deps, params["w2"].T, out=te.work_array(work, "dm", hidden))
     np.matmul(tape["m"].T, deps, out=g["w2"])
     dm *= tape["m"] > 0.0
     np.matmul(tape["h2"].T, dm, out=g["w1"])
-    dh2 = dm @ params["w1"].T
+    dh2 = np.matmul(dm, params["w1"].T, out=te.work_array(work, "dh2", hidden))
     dctx = dh2 @ params["wo"].T
     np.matmul(tape["ctx"].T, dh2, out=g["wo"])
     w, qk, emb_n = tape["w"], tape["qk"], tape["emb_n"]
@@ -225,14 +261,19 @@ def backward_batch(params, cfg: DenoiserConfig, tape, deps,
     np.matmul(ds_n.T, tape["q"], out=g["wk"])
     dq = ds_n @ params["wk"]
     np.matmul(tape["h"].T, dq, out=g["wq"])
-    dh = dh2 + dq @ params["wq"].T
+    dh = np.matmul(dq, params["wq"].T, out=te.work_array(work, "dh", hidden))
+    dh += dh2
     # key path goes through the row normalization n = e / ||e||:
     # de = (dn - n (n . dn)) / ||e||, where dn[b, l] = ds[b, l] qk[b]
     dn_proj = ds * (emb_n @ qk[:, :, None])[:, :, 0]
-    demb = ds[:, :, None] * qk[:, None, :]
-    demb -= emb_n * dn_proj[..., None]
+    demb = te.work_array(work, "demb", emb_n.shape)
+    term = te.work_array(work, "demb_term", emb_n.shape)
+    np.multiply(ds[:, :, None], qk[:, None, :], out=demb)
+    np.multiply(emb_n, dn_proj[..., None], out=term)
+    demb -= term
     demb /= tape["emb_norm"][..., None]
-    demb += w[:, :, None] * dctx_emb[:, None, :]
+    np.multiply(w[:, :, None], dctx_emb[:, None, :], out=term)
+    demb += term
     dh *= tape["h"] > 0.0
     np.matmul(tape["x"].T, dh, out=g["w_in"])
     np.matmul(tape["tf"].T, dh, out=g["w_t"])
@@ -254,50 +295,63 @@ class Batch:
     row_scale: np.ndarray | None = None  # (B, L) float
 
 
-def _gather_conditioning(emb_all: np.ndarray, batch: Batch):
-    """Assemble per-sample conditioning from the encoded prompt bank."""
+def _gather_conditioning(emb_all: np.ndarray, batch: Batch,
+                         work: dict | None = None):
+    """Assemble per-sample conditioning from the encoded prompt bank.
+
+    Returns the (B, L, D) conditioning, written into work when given (see
+    attend()), the (B, L) key mask, and the (B, L) source of each
+    conditioning row as an index into emb_all flattened to (P * L, D).
+    """
     b = batch.x_t.shape[0]
-    l = emb_all.shape[1]
+    p, l, d = emb_all.shape
     if batch.row_src is None:
         row_src = np.broadcast_to(batch.prompt_ids[:, None], (b, l))
     else:
         row_src = batch.row_src
-    cols = np.broadcast_to(np.arange(l)[None, :], (b, l))
-    emb = emb_all[row_src, cols]
+    index = row_src * l + np.arange(l)
+    if index.min() < 0 or index.max() >= p * l:
+        raise IndexError(f"conditioning rows outside the {p} encoded prompts")
+    # mode "clip" (the indices are checked above): "raise" would copy out
+    emb = np.take(emb_all.reshape(p * l, d), index, axis=0, mode="clip",
+                  out=te.work_array(work, "emb", (b, l, d)))
     if batch.row_scale is not None:
-        emb = emb * batch.row_scale[..., None]
+        emb *= batch.row_scale[..., None]
     if batch.allowed is None:
         allowed = np.ones((b, l), dtype=bool)
     else:
         allowed = batch.allowed
-    return emb, allowed, row_src, cols
+    return emb, allowed, index
 
 
 def loss_and_grads(enc_params, den_params, enc_cfg: te.EncoderConfig,
                    cfg: DenoiserConfig, batch: Batch,
-                   enc_grads: dict | None = None, den_grads: dict | None = None):
+                   enc_grads: dict | None = None, den_grads: dict | None = None,
+                   work: dict | None = None):
     """Joint L1 loss and exact gradients for encoder + denoiser parameters.
 
     Subgradient convention: d|u|/du = sign(u), zero at u = 0. enc_grads and
-    den_grads, if given, receive the gradients (see encode_backward).
+    den_grads, if given, receive the gradients (see encode_backward). work,
+    if given, holds the large per-batch arrays from one call to the next
+    (see attend()); the results never alias it.
     """
     emb_all, enc_tape = te.encode_batch(
         enc_params, enc_cfg, batch.token_matrix,
-        causal=True, pad_mask=False, need_tape=True)
-    emb, allowed, row_src, cols = _gather_conditioning(emb_all, batch)
+        causal=True, pad_mask=False, need_tape=True, work=work)
+    emb, allowed, index = _gather_conditioning(emb_all, batch, work)
     eps_pred, tape = forward_batch(den_params, cfg, batch.x_t, batch.t,
-                                   emb, allowed, need_tape=True)
+                                   emb, allowed, need_tape=True, work=work)
     diff = eps_pred - batch.eps_true
     loss = float(np.mean(np.abs(diff)))
     deps = np.sign(diff) / diff.size
-    den_grads, demb = backward_batch(den_params, cfg, tape, deps, den_grads)
+    den_grads, demb = backward_batch(den_params, cfg, tape, deps, den_grads,
+                                     work)
     if batch.row_scale is not None:
         demb *= batch.row_scale[..., None]
     p, l, d = emb_all.shape
-    demb_all = te.scatter_add_rows((row_src * l + cols).ravel(),
-                                   demb.reshape(-1, d), p * l)
+    demb_all = te.scatter_add_rows(index.ravel(), demb.reshape(-1, d), p * l)
     enc_grads = te.encode_backward(enc_params, enc_cfg, enc_tape,
-                                   demb_all.reshape(p, l, d), enc_grads)
+                                   demb_all.reshape(p, l, d), enc_grads, work)
     return loss, enc_grads, den_grads
 
 
@@ -306,7 +360,7 @@ def loss_only(enc_params, den_params, enc_cfg: te.EncoderConfig,
     """Forward-only L1 loss; used by finite-difference checks."""
     emb_all = te.encode_batch(enc_params, enc_cfg, batch.token_matrix,
                               causal=True, pad_mask=False)
-    emb, allowed, _, _ = _gather_conditioning(emb_all, batch)
+    emb, allowed, _ = _gather_conditioning(emb_all, batch)
     eps_pred = forward_batch(den_params, cfg, batch.x_t, batch.t, emb, allowed)
     return float(np.mean(np.abs(eps_pred - batch.eps_true)))
 
@@ -412,7 +466,12 @@ def train(world: WorldSpec, vocab: te.Vocabulary, sched: Schedule,
 
     Trains copies of the given (or fresh) parameters, held as views of one
     flat vector, and returns them with the log of (step, loss) pairs.
-    on_log(step, loss, lr), if given, is called at every logged step.
+    on_log(step, loss, lr, grad_norm), if given, is called at every logged
+    step; grad_norm is the L2 norm of that step's flat gradient.
+
+    The run owns one workspace (see attend()) that every step's large
+    arrays are written into, so a step allocates no large array; the
+    returned parameters are the run's own flat vector and never alias it.
     """
     rng = Rng(train_cfg.seed)
     init_rng = rng.split(0)
@@ -434,6 +493,7 @@ def train(world: WorldSpec, vocab: te.Vocabulary, sched: Schedule,
     m = np.zeros_like(flat)
     v2 = np.zeros_like(flat)
     scratch = np.empty_like(flat)
+    work = {}
 
     sem_len = int(np.max(np.sum(token_matrix != te.PAD, axis=1)))
     class_pos = class_word_position(world, vocab, token_matrix)
@@ -481,7 +541,7 @@ def train(world: WorldSpec, vocab: te.Vocabulary, sched: Schedule,
                       prompt_ids=prompt_ids, token_matrix=token_matrix,
                       allowed=allowed, row_src=row_src)
         loss, _, _ = loss_and_grads(enc_params, den_params, enc_cfg, cfg,
-                                    batch, enc_g, den_g)
+                                    batch, enc_g, den_g, work)
         if not np.isfinite(loss):
             raise TrainingError(f"non-finite loss at step {step}")
         if train_cfg.lr_final is None:
@@ -490,12 +550,16 @@ def train(world: WorldSpec, vocab: te.Vocabulary, sched: Schedule,
             frac = (step - 1) / max(train_cfg.steps - 1, 1)
             lr = (train_cfg.lr_final + 0.5 * (train_cfg.lr - train_cfg.lr_final)
                   * (1.0 + np.cos(np.pi * frac)))
+        logged = step % train_cfg.log_every == 0 or step == train_cfg.steps
+        if logged:
+            # before adam_update overwrites grad
+            grad_norm = float(np.linalg.norm(grad))
         adam_update(flat, grad, m, v2, step, lr, train_cfg.beta1,
                     train_cfg.beta2, train_cfg.adam_eps, scratch)
-        if step % train_cfg.log_every == 0 or step == train_cfg.steps:
+        if logged:
             log.append((step, loss))
             if on_log is not None:
-                on_log(step, loss, lr)
+                on_log(step, loss, lr, grad_norm)
     return enc_params, den_params, log
 
 

@@ -95,12 +95,19 @@ def posterior_params(sched: Schedule, x_t, x0, t: int) -> GaussianParams:
 
 
 def eps_to_x0(sched: Schedule, x_t, eps_hat, t: int,
-              clip_x0: tuple | None = None) -> np.ndarray:
-    """x0 estimate; clip_x0, when given, clamps it to that range."""
+              clip_x0: tuple | None = None, out=None,
+              scratch=None) -> np.ndarray:
+    """x0 estimate; clip_x0, when given, clamps it to that range.
+
+    out, if given, receives the estimate and may be x_t itself; scratch,
+    if given, is an array shaped like x_t to hold the scaled noise. Both
+    are new arrays when None.
+    """
     _check_t(sched, t)
     if sched.sqrt_ab[t] <= 0.0:
         raise ZeroDivisionError("alpha_bar_t == 0")
-    x0 = np.asarray(x_t) - sched.sqrt_1mab[t] * np.asarray(eps_hat)
+    x0 = np.subtract(x_t, np.multiply(sched.sqrt_1mab[t], eps_hat, out=scratch),
+                     out=out)
     x0 /= sched.sqrt_ab[t]
     if clip_x0 is not None:
         # np.clip's values, without its wrapper's cost on a small batch
@@ -128,11 +135,13 @@ def ddpm_reverse_step(sched: Schedule, x_t, eps_hat, t: int, rng,
 
 
 def ddim_step(sched: Schedule, x_t, eps_hat, t: int,
-              clip_x0: tuple | None = None) -> np.ndarray:
-    """Deterministic (eta=0) update x_t -> x_{t-1}; clip_x0 as in eps_to_x0."""
-    x = eps_to_x0(sched, x_t, eps_hat, t, clip_x0)
+              clip_x0: tuple | None = None, out=None,
+              scratch=None) -> np.ndarray:
+    """Deterministic (eta=0) update x_t -> x_{t-1}; clip_x0, out and
+    scratch as in eps_to_x0 (so out=x_t advances x_t in place)."""
+    x = eps_to_x0(sched, x_t, eps_hat, t, clip_x0, out, scratch)
     x *= sched.sqrt_ab[t - 1]
-    x += sched.sqrt_1mab[t - 1] * np.asarray(eps_hat)
+    x += np.multiply(sched.sqrt_1mab[t - 1], eps_hat, out=scratch)
     return x
 
 
@@ -163,6 +172,8 @@ def sample(sched: Schedule, predict_eps, x_T: np.ndarray,
 
     predict_eps(x_t, t) supplies the conditional noise estimate; the
     conditioning embedding and attention mask are closed over by the caller.
+    Its result is used before the next call, so it may reuse one array,
+    and x_t is the chain's own array: predict_eps must not keep it.
     DDPM mode needs rng: one Rng per row, so a row draws what it would draw
     alone. clip_x0, when given, clamps the intermediate x0 estimate to that
     range at every step (the usual clip-denoised stabilization; without it
@@ -172,11 +183,13 @@ def sample(sched: Schedule, predict_eps, x_T: np.ndarray,
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "ddpm" and rng is None:
         raise ValueError("ddpm mode needs an rng")
-    x = np.asarray(x_T, dtype=np.float64)
+    # a copy of x_T that DDIM advances in place; the caller owns the result
+    x = np.array(x_T, dtype=np.float64)
+    scratch = np.empty_like(x)
     for t in range(sched.T, 0, -1):
         eps_hat = predict_eps(x, t)
         if mode == "ddim":
-            x = ddim_step(sched, x, eps_hat, t, clip_x0)
+            ddim_step(sched, x, eps_hat, t, clip_x0, x, scratch)
         else:
             x = ddpm_reverse_step(sched, x, eps_hat, t, rng, clip_x0)
     return x

@@ -62,8 +62,16 @@ def _check_shapes(e_s: TextEmbedding, e_t: TextEmbedding) -> None:
         raise ValueError("embedding shapes differ")
 
 
+def _check_positions(e: TextEmbedding, positions) -> None:
+    length = e.data.shape[0]
+    bad = [i for i in positions if not 0 <= i < length]
+    if bad:
+        raise ValueError(f"positions {bad} out of range 0..{length - 1}")
+
+
 def mix_swap(e_s: TextEmbedding, e_t: TextEmbedding, positions) -> TextEmbedding:
     _check_shapes(e_s, e_t)
+    _check_positions(e_s, positions)
     out = e_s.data.copy()
     for i in positions:
         out[i] = e_t.data[i]
@@ -75,6 +83,7 @@ def soft_swap(e_s: TextEmbedding, e_t: TextEmbedding, positions,
     _check_shapes(e_s, e_t)
     if not 0.0 <= w <= 1.0:
         raise ValueError(f"weight {w} outside [0, 1]")
+    _check_positions(e_s, positions)
     out = e_s.data.copy()
     for i in positions:
         out[i] = w * e_s.data[i] + (1.0 - w) * e_t.data[i]

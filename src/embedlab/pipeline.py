@@ -35,16 +35,21 @@ class ModelBundle:
         The chain's B rows belong to the G embeddings in G equal contiguous
         blocks: one shared embedding is G = 1, one per row is G = B.
         mask: (L,) for every row or (B, L) with one row each.
+
+        The predictor owns the chain's workspace (see denoiser.attend): the
+        eps it returns is overwritten by its next call, so each chain needs
+        its own predictor, and what the chain returns must not be that eps.
         """
         data = emb.data if isinstance(emb, te.TextEmbedding) else emb
         cond = dn.condition(self.den_params, self.den_cfg, data)
-        allowed = None if mask is None else mask.allowed
+        blocked = None if mask is None else ~mask.allowed
         t_proj = (dn.time_features(np.arange(1, self.sched.T + 1),
                                    self.den_cfg.t_feat) @ self.den_params["w_t"])
+        work = {}
 
         def predict(x, t):
             return dn.attend(self.den_params, self.den_cfg, x, t_proj[t - 1],
-                             cond, allowed)
+                             cond, blocked, work=work)
         return predict
 
     def generate(self, emb, x_T: np.ndarray,

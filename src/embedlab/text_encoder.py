@@ -94,6 +94,24 @@ class TextEmbedding:
     semantic_len: int
 
 
+def work_array(work: dict | None, name: str, shape: tuple,
+               dtype=np.float64) -> np.ndarray:
+    """work[name], (re)made when missing or shaped otherwise; a new array
+    when work is None.
+
+    A work dict holds the large arrays of one training run (or one sampling
+    chain) from one call to the next, so a hot loop allocates no large
+    array per iteration; whatever is written into it holds only until the
+    next call that is given the same dict.
+    """
+    if work is None:
+        return np.empty(shape, dtype)
+    arr = work.get(name)
+    if arr is None or arr.shape != shape:
+        arr = work[name] = np.empty(shape, dtype)
+    return arr
+
+
 def encoder_param_shapes(cfg: EncoderConfig, vocab_size: int) -> dict:
     """Shape of every encoder tensor, in parameter order."""
     d = cfg.dim
@@ -154,8 +172,12 @@ def _attention_allowed(ids: np.ndarray, causal: bool, pad_mask: bool) -> np.ndar
 
 
 def block_forward(params, cfg: EncoderConfig, i: int, x: np.ndarray,
-                  allowed: np.ndarray, need_tape: bool = False):
-    """One pre-norm transformer block; x is (B, L, D), allowed is (B, L, L)."""
+                  allowed: np.ndarray, need_tape: bool = False,
+                  work: dict | None = None):
+    """One pre-norm transformer block; x is (B, L, D), allowed is (B, L, L).
+
+    work (see work_array) holds the (B, L, 4D) feed-forward arrays.
+    """
     h = cfg.n_heads
     dh = cfg.dim // h
     scale = 1.0 / np.sqrt(dh)
@@ -177,8 +199,10 @@ def block_forward(params, cfg: EncoderConfig, i: int, x: np.ndarray,
     attn_out = merged @ params[f"b{i}.wo"]
     x1 = x + attn_out
     xn2, ln2 = _layer_norm(x1, params[f"b{i}.ln2_g"], params[f"b{i}.ln2_b"])
-    pre = xn2 @ params[f"b{i}.w1"]
-    act = np.maximum(pre, 0.0)
+    ff = (bsz, l, 4 * cfg.dim)
+    pre = np.matmul(xn2, params[f"b{i}.w1"],
+                    out=work_array(work, f"enc.b{i}.pre", ff))
+    act = np.maximum(pre, 0.0, out=work_array(work, f"enc.b{i}.act", ff))
     out = x1 + act @ params[f"b{i}.w2"]
     if need_tape:
         return out, {"ln1": ln1, "xn": xn, "qh": qh, "kh": kh, "vh": vh,
@@ -189,8 +213,11 @@ def block_forward(params, cfg: EncoderConfig, i: int, x: np.ndarray,
 
 def encode_batch(params, cfg: EncoderConfig, ids: np.ndarray,
                  causal: bool = True, pad_mask: bool = False,
-                 need_tape: bool = False):
-    """Encode a (B, L) id batch to (B, L, D); optionally keep a backprop tape."""
+                 need_tape: bool = False, work: dict | None = None):
+    """Encode a (B, L) id batch to (B, L, D); optionally keep a backprop tape.
+
+    work as for block_forward.
+    """
     ids = np.asarray(ids, dtype=np.int64)
     allowed = _attention_allowed(ids, causal, pad_mask)
 
@@ -199,10 +226,10 @@ def encode_batch(params, cfg: EncoderConfig, ids: np.ndarray,
     for i in range(cfg.n_blocks):
         if need_tape:
             x, block_tape = block_forward(params, cfg, i, x, allowed,
-                                          need_tape=True)
+                                          need_tape=True, work=work)
             tape["blocks"].append(block_tape)
         else:
-            x = block_forward(params, cfg, i, x, allowed)
+            x = block_forward(params, cfg, i, x, allowed, work=work)
     out, ln_f = _layer_norm(x, params["ln_f_g"], params["ln_f_b"])
     if need_tape:
         tape["ln_f"] = ln_f
@@ -223,11 +250,12 @@ def scatter_add_rows(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
 
 
 def encode_backward(params, cfg: EncoderConfig, tape, dout,
-                    grads: dict | None = None) -> dict:
+                    grads: dict | None = None, work: dict | None = None) -> dict:
     """Gradients of all encoder parameters given d(loss)/d(output).
 
     grads: arrays shaped like params to overwrite (e.g. views of one flat
-    buffer); new arrays when None.
+    buffer); new arrays when None. work (see work_array) holds the
+    feed-forward gradients.
     """
     h = cfg.n_heads
     dh = cfg.dim // h
@@ -243,10 +271,13 @@ def encode_backward(params, cfg: EncoderConfig, tape, dout,
         t = tape["blocks"][i]
         bsz, l, _ = dx.shape
         # feed-forward
-        dact = dx @ params[f"b{i}.w2"].T
+        ff = t["pre"].shape
+        dact = np.matmul(dx, params[f"b{i}.w2"].T,
+                         out=work_array(work, "enc.dact", ff))
         np.matmul(t["act"].reshape(-1, 4 * d).T, dx.reshape(-1, d),
                   out=grads[f"b{i}.w2"])
-        dpre = dact * (t["pre"] > 0.0)
+        dpre = np.multiply(dact, t["pre"] > 0.0,
+                           out=work_array(work, "enc.dpre", ff))
         np.matmul(t["xn2"].reshape(-1, d).T, dpre.reshape(-1, 4 * d),
                   out=grads[f"b{i}.w1"])
         dxn2 = dpre @ params[f"b{i}.w1"].T

@@ -48,6 +48,9 @@ def test_gen_data_deterministic_and_parsable(tmp_path, capsys):
     assert "command=gen-data" in manifest
     assert "config_hash=" in manifest
     assert "n=8" in manifest
+    lines = manifest.splitlines()
+    assert f"numpy={np.__version__}" in lines
+    assert "python={}.{}.{}".format(*sys.version_info[:3]) in lines
     _rejects_count(["gen-data", "--out", d1, "--n", "0"], "--n", capsys)
 
 
@@ -230,6 +233,12 @@ def test_edit_positions_one_based(tmp_path, ckpt, capsys):
                      "--mask-to", "2"]) == 2
     _rejects_count(["edit", "--ckpt", ckpt, "--out", str(tmp_path / "e"),
                     "--seeds", "0"], "--seeds", capsys)
+    # past the 16 rows of an embedding
+    _rejects_count(["edit", "--ckpt", ckpt, "--out", str(tmp_path / "e"),
+                    "--positions", "99"], "--positions", capsys)
+    _rejects_count(["edit", "--ckpt", ckpt, "--out", str(tmp_path / "e"),
+                    "--recipe", "soft_swap", "--positions", "17"],
+                   "--positions", capsys)
 
 
 def test_mask_sweep_families(tmp_path, ckpt, capsys):
@@ -259,7 +268,7 @@ def test_svd_dirs_outputs(tmp_path, ckpt):
                      "--side", "diagonal"]) == 2
 
 
-def test_opt_lambda_runs(tmp_path, ckpt):
+def test_opt_lambda_runs(tmp_path, ckpt, capsys):
     d = str(tmp_path / "o")
     assert cli.main(["opt-lambda", "--ckpt", ckpt, "--out", d,
                      "--steps", "2"]) == 0
@@ -267,6 +276,9 @@ def test_opt_lambda_runs(tmp_path, ckpt):
     assert len(rows) == 4
     losses = [float(r.split(",")[1]) for r in rows[1:]]
     assert losses[2] <= losses[0]
+    for steps in ("0", "-1"):
+        _rejects_count(["opt-lambda", "--ckpt", ckpt, "--out", d,
+                        "--steps", steps], "--steps", capsys)
 
 
 def test_invert_runs(tmp_path, ckpt):
@@ -296,7 +308,8 @@ def test_train_command_small(tmp_path, capsys):
     assert rows[0] == "step,loss"
     # one progress line per logged step: here only the last one
     out = capsys.readouterr().out
-    assert re.search(r"^step 30/30 loss \d+\.\d{4} lr \S+ steps/s \d+\.\d$",
+    assert re.search(r"^step 30/30 loss \d+\.\d{4} lr \S+ "
+                     r"grad_norm \d\.\d{3}e[+-]\d{2} steps/s \d+\.\d$",
                      out, re.M), out
     _rejects_count(["train", "--out", str(tmp_path / "t0"), "--steps", "0"],
                    "--steps", capsys)

@@ -199,13 +199,46 @@ def test_shared_conditioning_matches_per_row(batch):
         cond = dn.condition(params, cfg, embs[0] if groups == 1 else embs)
         rows = np.repeat(embs, batch // groups, axis=0)
         for allowed in (None, one, per_row):
-            got = dn.attend(params, cfg, x, t_proj, cond, allowed)
+            got = dn.attend(params, cfg, x, t_proj, cond,
+                            None if allowed is None else ~allowed)
             ref = dn.forward_batch(
                 params, cfg, x, t, rows,
                 np.broadcast_to(True if allowed is None else allowed, (batch, 7)))
             assert np.max(np.abs(got - ref)) < 1e-12
     with pytest.raises(ValueError):
         dn.attend(params, cfg, x, t_proj, cond, need_tape=True)
+
+
+def test_loss_and_grads_reuses_work_across_batch_sizes():
+    """One work dict over batches of 64, 8 and 64 rows gives, bitwise, the
+    loss and gradients of fresh calls."""
+    world = tw.default_world()
+    vocab = te.default_vocabulary()
+    enc_cfg = te.EncoderConfig()
+    cfg = dn.DenoiserConfig()
+    rng = Rng(60)
+    enc_params = te.init_encoder_params(enc_cfg, vocab.size, rng.split(0))
+    den_params = dn.init_denoiser_params(cfg, rng.split(1))
+    _, tokens = dn.training_prompts(world, vocab, enc_cfg.max_len)
+    work = {}
+    for i, bsz in enumerate((64, 8, 64)):
+        r = rng.split(2 + i)
+        allowed = r.uniform((bsz, 16)) < 0.7
+        allowed[:, 0] = True
+        batch = dn.Batch(x_t=r.normal((bsz, 64)),
+                         t=(r.randint(100, bsz) + 1).astype(np.float64),
+                         eps_true=r.normal((bsz, 64)),
+                         prompt_ids=r.randint(len(tokens), bsz),
+                         token_matrix=tokens, allowed=allowed,
+                         row_src=r.randint(len(tokens), (bsz, 16)),
+                         row_scale=None if i else 0.5 + r.uniform((bsz, 16)))
+        got = dn.loss_and_grads(enc_params, den_params, enc_cfg, cfg, batch,
+                                work=work)
+        ref = dn.loss_and_grads(enc_params, den_params, enc_cfg, cfg, batch)
+        assert got[0] == ref[0]
+        for g, want in zip(got[1:], ref[1:]):
+            for k in want:
+                assert np.array_equal(g[k], want[k]), (bsz, k)
 
 
 def test_split_checkpoint_checks_shapes_against_meta():

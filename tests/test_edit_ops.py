@@ -21,6 +21,9 @@ def test_swap_identity_and_boundaries(pair):
     assert np.array_equal(out.data[0], e_t.data[0])
     assert np.array_equal(out.data[7], e_t.data[7])
     assert np.array_equal(out.data[1:7], e_s.data[1:7])
+    for bad in ((8,), (2, -1)):
+        with pytest.raises(ValueError):
+            eo.mix_swap(e_s, e_t, bad)
 
 
 def test_soft_swap_endpoints_and_range(pair):
@@ -30,6 +33,8 @@ def test_soft_swap_endpoints_and_range(pair):
                           eo.mix_swap(e_s, e_t, (3,)).data)
     with pytest.raises(ValueError):
         eo.soft_swap(e_s, e_t, (3,), 1.5)
+    with pytest.raises(ValueError):
+        eo.soft_swap(e_s, e_t, (8,), 0.5)
 
 
 def test_scale_identity_and_effect(pair):

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import embedlab
 from embedlab import denoiser as dn
 from embedlab.pipeline import seed_noise
 from embedlab.rng import Rng
@@ -86,3 +91,88 @@ def test_regenerate_retraces_inversion(untrained_bundle):
     x_T = untrained_bundle.invert(emb, x0)
     rec = untrained_bundle.regenerate(emb, x_T)
     assert np.max(np.abs(rec - x0)) < 1e-8
+
+
+# one 470-row chain with a mask per row, the mask-sweep layout of 47 mask
+# families x 10 seeds, then one chain of two stacked embeddings (G = 2)
+# over 20 rows, unclamped; prints the sha256 of both outputs' bytes
+CHAIN_SCRIPT = """
+import hashlib
+import numpy as np
+from embedlab import denoiser as dn, text_encoder as te, toyworld as tw
+from embedlab.diffusion import make_schedule
+from embedlab.pipeline import ModelBundle, seed_noise
+from embedlab.rng import Rng
+vocab, enc_cfg, den_cfg = te.default_vocabulary(), te.EncoderConfig(), dn.DenoiserConfig()
+rng = Rng(99)
+b = ModelBundle(world=tw.default_world(), vocab=vocab, enc_cfg=enc_cfg,
+                den_cfg=den_cfg, sched=make_schedule(100, 1e-3, 0.2),
+                enc_params=te.init_encoder_params(enc_cfg, vocab.size, rng.split(0)),
+                den_params=dn.init_denoiser_params(den_cfg, rng.split(1)))
+emb = b.embed("a photo of hbar bright")
+x_T = np.tile(np.stack([seed_noise(s) for s in range(10)]), (47, 1))
+allowed = np.ones((470, 16), dtype=bool)
+for f in range(1, 47):
+    allowed[10 * f:10 * f + 10, (5 * f) % 16] = False
+swept = b.generate(emb, x_T, mask=dn.AttnMask(allowed))
+pair = b.regenerate(np.stack([emb.data, b.embed("a photo of vbar dim").data]),
+                    x_T[:20])
+print(hashlib.sha256(swept.tobytes() + pair.tobytes()).hexdigest())
+"""
+
+
+def test_chain_bytes_pinned():
+    """A 470-row masked chain and a two-embedding chain write these exact
+    bytes, at one and at two BLAS threads.
+
+    The rows are above the size where each step's arrays would come back
+    as fresh pages, so this pins the arithmetic of the chain's reused
+    arrays; any change here is a change to the sampling arithmetic.
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(embedlab.__file__)))
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run([sys.executable, "-c", CHAIN_SCRIPT], check=True,
+                              capture_output=True, text=True, env=env,
+                              timeout=300)
+        digests.add(proc.stdout.strip())
+    assert digests == {"a2023caa821e9784ceca450aea938eb2"
+                       "10cc8a6924a15a8b9546a116e24063f2"}
+
+
+def test_masked_chain_rows_match_short_chains(untrained_bundle):
+    """Rows of one 470-row chain with per-row masks equal, bitwise, the
+    same rows run as 47 chains of 10."""
+    b = untrained_bundle
+    emb = b.embed("a photo of cross bright")
+    x_T = np.tile(np.stack([seed_noise(s) for s in range(10)]), (47, 1))
+    allowed = np.ones((470, 16), dtype=bool)
+    for f in range(1, 47):
+        allowed[10 * f:10 * f + 10, f % 16] = False
+        allowed[10 * f:10 * f + 10, (3 * f) % 16] = False
+    full = b.generate(emb, x_T, mask=dn.AttnMask(allowed))
+    for lo in range(0, 470, 10):
+        part = b.generate(emb, x_T[lo:lo + 10],
+                          mask=dn.AttnMask(allowed[lo:lo + 10]))
+        assert np.array_equal(full[lo:lo + 10], part), lo
+
+
+def test_chain_results_are_not_reused(untrained_bundle):
+    """A later chain on the same bundle leaves earlier results as they were."""
+    b = untrained_bundle
+    emb = b.embed("a photo of diag bright")
+    x_T = np.stack([seed_noise(s) for s in range(4)])
+    first = b.generate(emb, x_T)
+    kept = first.copy()
+    b.generate(emb, x_T[::-1])
+    b.generate(emb, x_T[0])
+    assert np.array_equal(first, kept)
+    x0 = np.clip(seed_noise(5) * 0.1, CLAMP_LO, CLAMP_HI)
+    inv = b.invert(emb, x0)
+    kept = inv.copy()
+    b.invert(emb, x0[::-1].copy())
+    b.generate(emb, inv)
+    assert np.array_equal(inv, kept)
+    assert not np.array_equal(x0, inv)
