@@ -255,24 +255,31 @@ def _build_recipe(cfg: dict, bundle: ModelBundle) -> EditRecipe:
     kind = cfg["recipe"]
     t_s = bundle.tokens(cfg["from"])
     t_t = bundle.tokens(cfg["to"])
+    length = bundle.enc_cfg.max_len
     if kind in ("swap", "soft_swap"):
         if cfg["positions"]:
-            positions = _parse_positions(cfg["positions"],
-                                         bundle.enc_cfg.max_len)
+            positions = _parse_positions(cfg["positions"], length)
         else:
             positions = tuple(sorted(diff_positions(t_s, t_t)))
         return EditRecipe(kind=kind, positions=positions, weight=cfg["weight"])
     if kind == "scale":
         pos = cfg["scale-pos"]
         if pos < 1:
-            raise ConfigError("scale-pos is 1-based; the smallest is 1")
+            raise ConfigError("--scale-pos is 1-based; the smallest is 1")
+        if pos > length:
+            raise ConfigError(f"--scale-pos {pos} past the embedding's "
+                              f"{length} rows")
         return EditRecipe(kind="scale", scale_pos=pos - 1, scale=cfg["scale"])
     if kind == "style":
         return EditRecipe(kind="style")
     if kind == "mask":
         i, j = cfg["mask-from"], cfg["mask-to"]
         if i < 1 or j < i:
-            raise ConfigError("mask range is 1-based and needs from <= to")
+            raise ConfigError("--mask-from and --mask-to are 1-based and "
+                              "need from <= to")
+        if j > length:
+            raise ConfigError(f"--mask-to {j} past the embedding's "
+                              f"{length} rows")
         return EditRecipe(kind="mask", mask_range=(i - 1, j - 1),
                           mask_mode=cfg["mask-mode"])
     raise ConfigError(f"unknown recipe {kind!r}")
@@ -383,6 +390,9 @@ def cmd_opt_lambda(args) -> int:
     bundle = _load_bundle(cfg["ckpt"])
     ocfg = OptConfig(steps=cfg["steps"], seed=cfg["seed"], gamma=cfg["gamma"])
     ctx = make_context(bundle, cfg["from"], cfg["to"], ocfg)
+    if not ctx.diff:
+        raise ConfigError(f"--from and --to have the same tokens "
+                          f"({cfg['from']!r}): no position to optimize")
     params, trajectory = optimize(ctx, ocfg)
     save_trajectory_csv(os.path.join(out, "trajectory.csv"), trajectory)
     lam = params.lam()

@@ -112,6 +112,21 @@ def condition(params, cfg: DenoiserConfig, emb) -> dict:
     return {"qk": qk, "vo": vo}
 
 
+def condition_reverse(params, cfg: DenoiserConfig, emb, dqk, dvo):
+    """Reverse of condition() for one embedding (L, D): dL/demb from
+    dL/dqk (d_h, L) and dL/dvo (L, d_h)."""
+    emb = np.asarray(emb, dtype=np.float64)
+    emb_norm, emb_n = _unit_rows(emb)
+    demb = (dvo @ params["wo"].T) @ params["wv"].T
+    dunit = (dqk.T @ params["wq"]) @ params["wk"].T
+    dunit *= 1.0 / np.sqrt(cfg.d_a)
+    # through n = e / ||e||, as backward_batch: de = (dn - n (n . dn)) / ||e||
+    dunit -= emb_n * np.einsum("ld,ld->l", emb_n, dunit)[:, None]
+    dunit /= emb_norm[:, None]
+    demb += dunit
+    return demb
+
+
 def _attend_arrays(shape: tuple, cfg: DenoiserConfig, cond: dict) -> tuple:
     """attend()'s arrays for rows x of this shape: (shape, h, hg, scores,
     h2, h2g, m, eps), where hg and h2g are the folded branch's block views
@@ -143,10 +158,11 @@ def attend(params, cfg: DenoiserConfig, x, t_proj, cond: dict,
     cond is condition()'s folded form, or the per-row form forward_batch()
     builds for training. Folded, the B rows split into G blocks, one per
     embedding (a ValueError when G does not divide B), and each block's
-    step is scores = h @ qk and h2 = h + w @ vo. Per row, the scores are
-    q . (n @ wk) = (q @ wk.T) . n and the context is (w @ e) @ wv, so each
-    row costs (L, D) products, not (L, d_a) ones; only this branch, the
-    one training runs, can return a tape.
+    step is scores = h @ qk and h2 = h + w @ vo; its tape is h, w and m,
+    what attend_reverse reads. Per row, the scores are q . (n @ wk) =
+    (q @ wk.T) . n and the context is (w @ e) @ wv, so each row costs
+    (L, D) products, not (L, d_a) ones; its tape is what backward_batch
+    reads.
 
     work owns the arrays of one chain (or one training run): a dict, filled
     on the first call and written into by every later call on rows shaped
@@ -155,8 +171,6 @@ def attend(params, cfg: DenoiserConfig, x, t_proj, cond: dict,
     makes new arrays.
     """
     folded = "qk" in cond
-    if need_tape and folded:
-        raise ValueError("a tape needs per-row conditioning (forward_batch)")
     arrays = None if work is None else work.get("attend")
     if arrays is None or arrays[0] != x.shape:
         arrays = _attend_arrays(x.shape, cfg, cond)
@@ -193,10 +207,32 @@ def attend(params, cfg: DenoiserConfig, x, t_proj, cond: dict,
     np.matmul(h2, params["w1"], out=m)
     np.maximum(m, 0.0, out=m)
     np.matmul(m, params["w2"], out=eps)
+    if need_tape and folded:
+        return eps, {"h": h, "w": w, "m": m}
     if need_tape:
         return eps, dict(cond, x=x, h=h, q=q, qk=qk, w=w, w_emb=w_emb,
                          ctx=ctx, h2=h2, m=m)
     return eps
+
+
+def attend_reverse(params, cond: dict, h, w, m, deps, dh2, ds):
+    """Reverse of one folded attend step of one row (G = B = 1): dL/dx.
+
+    h (d_h,), w (L,) and m (d_h,) are the step's tape; deps is dL/deps.
+    dh2 (d_h,) and ds (L,) receive dL/dh2 and dL/dscores. The step's
+    share of the conditioning's gradients is two outer products,
+    dL/dqk += h x ds and dL/dvo += w x dh2, so a chain sums them once over
+    its stacked steps (H.T @ DS and W.T @ DH2) for condition_reverse.
+    """
+    dm = params["w2"] @ deps
+    dm *= m > 0.0
+    np.matmul(params["w1"], dm, out=dh2)
+    dw = cond["vo"][0] @ dh2
+    np.multiply(dw - w @ dw, w, out=ds)
+    dh = cond["qk"][0] @ ds
+    dh += dh2
+    dh *= h > 0.0
+    return params["w_in"] @ dh
 
 
 def forward_batch(params, cfg: DenoiserConfig, x, t, emb, allowed,

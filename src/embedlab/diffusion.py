@@ -136,13 +136,37 @@ def ddpm_reverse_step(sched: Schedule, x_t, eps_hat, t: int, rng,
 
 def ddim_step(sched: Schedule, x_t, eps_hat, t: int,
               clip_x0: tuple | None = None, out=None,
-              scratch=None) -> np.ndarray:
+              scratch=None, keep=None) -> np.ndarray:
     """Deterministic (eta=0) update x_t -> x_{t-1}; clip_x0, out and
-    scratch as in eps_to_x0 (so out=x_t advances x_t in place)."""
+    scratch as in eps_to_x0 (so out=x_t advances x_t in place).
+
+    keep, a bool array shaped like x_t for a clamped step, receives where
+    the clamped x0 lies strictly inside clip_x0: the clamp's derivative
+    as ddim_step_vjp reads it (an entry on a bound counts as clamped).
+    """
     x = eps_to_x0(sched, x_t, eps_hat, t, clip_x0, out, scratch)
+    if keep is not None:
+        np.greater(x, clip_x0[0], out=keep)
+        keep &= x < clip_x0[1]
     x *= sched.sqrt_ab[t - 1]
     x += np.multiply(sched.sqrt_1mab[t - 1], eps_hat, out=scratch)
     return x
+
+
+def ddim_step_vjp(sched: Schedule, g, t: int, keep=None) -> tuple:
+    """Adjoint of ddim_step: (dL/dx_t, dL/deps_hat) from g = dL/dx_{t-1}.
+
+    x_{t-1} = sqrt(ab_{t-1}) clamp(x0) + sqrt(1 - ab_{t-1}) eps_hat with
+    x0 = (x_t - sqrt(1 - ab_t) eps_hat) / sqrt(ab_t), so the clamp enters
+    as its indicator mask keep (ddim_step's); None for an unclamped step.
+    """
+    _check_t(sched, t)
+    gx = g * (sched.sqrt_ab[t - 1] / sched.sqrt_ab[t])
+    if keep is not None:
+        gx *= keep
+    geps = sched.sqrt_1mab[t - 1] * g
+    geps -= sched.sqrt_1mab[t] * gx
+    return gx, geps
 
 
 def ddim_invert_step(sched: Schedule, x_prev, eps_hat, t: int) -> np.ndarray:
@@ -167,7 +191,7 @@ def l1_objective(eps_true, eps_pred) -> float:
 
 def sample(sched: Schedule, predict_eps, x_T: np.ndarray,
            mode: str = "ddim", rng=None,
-           clip_x0: tuple | None = None) -> np.ndarray:
+           clip_x0: tuple | None = None, keep=None) -> np.ndarray:
     """Run the full reverse chain from x_T, all (B, x_dim) rows at once.
 
     predict_eps(x_t, t) supplies the conditional noise estimate; the
@@ -178,18 +202,23 @@ def sample(sched: Schedule, predict_eps, x_T: np.ndarray,
     alone. clip_x0, when given, clamps the intermediate x0 estimate to that
     range at every step (the usual clip-denoised stabilization; without it
     an imperfect predictor's errors compound geometrically along the chain).
+    keep, a bool array (T, *x_T.shape) for clamped DDIM only, receives at
+    row T - t step t's clamp mask (see ddim_step), for ddim_step_vjp.
     """
     if mode not in ("ddim", "ddpm"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "ddpm" and rng is None:
         raise ValueError("ddpm mode needs an rng")
+    if keep is not None and (mode != "ddim" or clip_x0 is None):
+        raise ValueError("clamp masks are recorded by clamped DDIM only")
     # a copy of x_T that DDIM advances in place; the caller owns the result
     x = np.array(x_T, dtype=np.float64)
     scratch = np.empty_like(x)
     for t in range(sched.T, 0, -1):
         eps_hat = predict_eps(x, t)
         if mode == "ddim":
-            ddim_step(sched, x, eps_hat, t, clip_x0, x, scratch)
+            ddim_step(sched, x, eps_hat, t, clip_x0, x, scratch,
+                      None if keep is None else keep[sched.T - t])
         else:
             x = ddpm_reverse_step(sched, x, eps_hat, t, rng, clip_x0)
     return x

@@ -3,8 +3,10 @@
 lambda is parameterized as sigmoid(theta), so it stays strictly inside
 (0, 1). The loss couples a directional surrogate of the CLIP loss (cosine
 between the image change and the class-pattern change) with a background
-preservation term. Gradients come from central finite differences on
-theta: only L parameters, and no differentiation through the sampler.
+preservation term. Gradients are exact: one reverse pass through the
+clamped DDIM chain that gave the loss (ModelBundle.generate_vjp), then
+through soft_mix and the sigmoid. Central finite differences on theta
+(fd_gradient) remain as the oracle that checks them.
 """
 
 from dataclasses import dataclass
@@ -40,13 +42,10 @@ class OptConfig:
     steps: int = 150
     lr: float = 0.5
     gamma: float = 1.0   # preservation weight
-    fd_h: float = 1e-3
     seed: int = 0
     max_halvings: int = 5
 
     def __post_init__(self):
-        if self.fd_h <= 0.0:
-            raise ValueError("fd step must be positive")
         if self.gamma < 0.0:
             raise ValueError("gamma must be non-negative")
 
@@ -87,14 +86,9 @@ def make_context(bundle: ModelBundle, source_text: str, target_text: str,
     )
 
 
-def surrogate_losses(lams: np.ndarray, ctx: LambdaContext) -> np.ndarray:
-    """Directional-cosine semantic term plus weighted background term.
-
-    One loss per row of lams (N, L), from one chain of N images.
-    """
-    e_star = np.stack([soft_mix(ctx.e_s, ctx.e_t, lam).data for lam in lams])
-    i_star = ctx.bundle.generate(e_star, np.tile(ctx.x_T, (len(lams), 1)))
-    d = i_star - ctx.i_s
+def _losses(d: np.ndarray, ctx: LambdaContext) -> np.ndarray:
+    """Directional-cosine semantic term plus weighted background term, one
+    per row of the image changes d (N, x_dim)."""
     target_dir = ctx.b_t - ctx.b_s
     # row-wise sums, so a row's loss does not depend on the batch size
     denom = (np.sqrt(np.sum(d * d, axis=1)) * np.sqrt(target_dir @ target_dir)
@@ -104,8 +98,44 @@ def surrogate_losses(lams: np.ndarray, ctx: LambdaContext) -> np.ndarray:
     return l_sem + ctx.gamma * l_prec
 
 
-def surrogate_loss(lam: np.ndarray, ctx: LambdaContext) -> float:
-    return float(surrogate_losses(np.asarray(lam)[None], ctx)[0])
+def _loss_grad(d: np.ndarray, ctx: LambdaContext) -> np.ndarray:
+    """dL/dd of one image change d (x_dim,).
+
+    The cosine term's subgradient is zero where d = 0, where the cosine
+    has no direction, so the gradient is never NaN.
+    """
+    g = (2.0 * ctx.gamma) * (d * ctx.bg)
+    target_dir = ctx.b_t - ctx.b_s
+    norm_d = np.sqrt(d @ d)
+    if norm_d > 0.0:
+        norm_t = np.sqrt(target_dir @ target_dir)
+        denom = norm_d * norm_t + EPS_GUARD
+        g += ((d @ target_dir) * norm_t / (norm_d * denom) * d
+              - target_dir) / denom
+    return g
+
+
+def surrogate_losses(lams: np.ndarray, ctx: LambdaContext) -> np.ndarray:
+    """One loss per row of lams (N, L), from one chain of N images."""
+    e_star = np.stack([soft_mix(ctx.e_s, ctx.e_t, lam).data for lam in lams])
+    i_star = ctx.bundle.generate(e_star, np.tile(ctx.x_T, (len(lams), 1)))
+    return _losses(i_star - ctx.i_s, ctx)
+
+
+def surrogate_loss(lam: np.ndarray, ctx: LambdaContext):
+    """The loss of one lam (L,), from one taped chain, and its gradient.
+
+    Returns (loss, grad): grad() is dL/dlam, by one reverse pass through
+    that chain and soft_mix, e* = lam e_s + (1 - lam) e_t.
+    """
+    e_star = soft_mix(ctx.e_s, ctx.e_t, lam)
+    i_star, vjp = ctx.bundle.generate_vjp(e_star, ctx.x_T)
+    d = i_star - ctx.i_s
+
+    def grad() -> np.ndarray:
+        demb = vjp(_loss_grad(d, ctx))
+        return np.sum(demb * (ctx.e_s.data - ctx.e_t.data), axis=1)
+    return float(_losses(d[None], ctx)[0]), grad
 
 
 def _theta_losses(thetas: np.ndarray, ctx: LambdaContext) -> np.ndarray:
@@ -137,23 +167,28 @@ def init_theta(length: int, diff: set) -> np.ndarray:
 
 
 def optimize(ctx: LambdaContext, cfg: OptConfig):
-    """Gradient descent with backtracking halving; loss never increases."""
+    """Gradient descent with backtracking halving; loss never increases.
+
+    Each evaluated candidate keeps its chain's tape, so the accepted one's
+    gradient costs one reverse pass.
+    """
     length = ctx.e_s.data.shape[0]
     theta = init_theta(length, ctx.diff)
-    loss = surrogate_loss(sigmoid(theta), ctx)
+    loss, grad = surrogate_loss(sigmoid(theta), ctx)
     if not np.isfinite(loss):
         raise OptimizationError("non-finite loss at initialization")
     trajectory = [(0, loss, sigmoid(theta).copy())]
     for step in range(1, cfg.steps + 1):
-        g = fd_gradient(theta, ctx, cfg.fd_h)
+        lam = sigmoid(theta)
+        g = grad() * (lam * (1.0 - lam))
         lr = cfg.lr
         for _ in range(cfg.max_halvings + 1):
             cand = theta - lr * g
-            cand_loss = surrogate_loss(sigmoid(cand), ctx)
+            cand_loss, cand_grad = surrogate_loss(sigmoid(cand), ctx)
             if not np.isfinite(cand_loss):
                 raise OptimizationError(f"non-finite loss at step {step}")
             if cand_loss <= loss:
-                theta, loss = cand, cand_loss
+                theta, loss, grad = cand, cand_loss, cand_grad
                 break
             lr *= 0.5
         # if no halving helped, keep theta: trajectory stays non-increasing

@@ -15,7 +15,9 @@ from . import edit_ops as eo
 from . import linalg as la
 from . import text_encoder as te
 from . import toyworld as tw
-from .optimizer import fd_gradient
+from .optimizer import (OptConfig, fd_gradient, make_context, sigmoid,
+                        surrogate_loss)
+from .pipeline import ModelBundle
 from .rng import Rng
 
 
@@ -528,6 +530,28 @@ def check_fd_quadratic(rng: Rng) -> CheckResult:
                    f"quad_err={quad_err:.3e} richardson_ratio={ratio:.2f}")
 
 
+def check_lambda_reverse_mode(rng: Rng) -> CheckResult:
+    """The exact lambda gradient (one reverse pass through the clamped DDIM
+    chain) against central differences at h = 1e-5, on an untrained model."""
+    enc_cfg, den_cfg = te.EncoderConfig(), dn.DenoiserConfig()
+    vocab = te.default_vocabulary()
+    bundle = ModelBundle(
+        world=tw.default_world(), vocab=vocab, enc_cfg=enc_cfg,
+        den_cfg=den_cfg, sched=df.make_schedule(100, 1e-3, 0.2),
+        enc_params=te.init_encoder_params(enc_cfg, vocab.size, rng.split(0)),
+        den_params=dn.init_denoiser_params(den_cfg, rng.split(1)))
+    ctx = make_context(bundle, "a photo of hbar bright",
+                       "a photo of vbar bright", OptConfig())
+    theta = rng.split(2).normal(enc_cfg.max_len)
+    lam = sigmoid(theta)
+    _, grad = surrogate_loss(lam, ctx)
+    g = grad() * (lam * (1.0 - lam))
+    g_fd = fd_gradient(theta, ctx, 1e-5)
+    rel = float(np.linalg.norm(g - g_fd) / np.linalg.norm(g_fd))
+    return _result("optimizer.reverse_mode_vs_fd", rel < 1e-6,
+                   f"rel_err={rel:.3e}")
+
+
 # ------------------------------------------------------------ semantics
 
 def check_semantic_shift_norm(rng: Rng) -> CheckResult:
@@ -576,6 +600,7 @@ ALL_CHECKS = (
     check_background_block_norm,
     check_fd_quadratic,
     check_semantic_shift_norm,
+    check_lambda_reverse_mode,
 )
 
 

@@ -208,6 +208,7 @@ def test_sample_rejects_unknown_word(tmp_path, ckpt):
                      "--prompt", "a photo of cat"]) == 2
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_edit_deterministic_outputs(tmp_path, ckpt):
     d1 = str(tmp_path / "e1")
     d2 = str(tmp_path / "e2")
@@ -223,6 +224,7 @@ def test_edit_deterministic_outputs(tmp_path, ckpt):
     assert "edits.csv" in f1 and "src_0.pgm" in f1 and "edit_0.pgm" in f1
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_edit_positions_one_based(tmp_path, ckpt, capsys):
     assert cli.main(["edit", "--ckpt", ckpt, "--out", str(tmp_path / "e"),
                      "--positions", "0"]) == 2
@@ -239,6 +241,22 @@ def test_edit_positions_one_based(tmp_path, ckpt, capsys):
     _rejects_count(["edit", "--ckpt", ckpt, "--out", str(tmp_path / "e"),
                     "--recipe", "soft_swap", "--positions", "17"],
                    "--positions", capsys)
+    _rejects_count(["edit", "--ckpt", ckpt, "--out", str(tmp_path / "e"),
+                    "--recipe", "scale", "--scale-pos", "99"],
+                   "--scale-pos 99", capsys)
+    _rejects_count(["edit", "--ckpt", ckpt, "--out", str(tmp_path / "e"),
+                    "--recipe", "mask", "--mask-from", "2", "--mask-to", "99"],
+                   "--mask-to 99", capsys)
+    _rejects_count(["edit", "--ckpt", ckpt, "--out", str(tmp_path / "e"),
+                    "--recipe", "mask", "--mask-from", "17",
+                    "--mask-to", "17"], "--mask-to 17", capsys)
+    # the last row is still in range
+    assert cli.main(["edit", "--ckpt", ckpt, "--out", str(tmp_path / "e"),
+                     "--recipe", "scale", "--scale-pos", "16",
+                     "--seeds", "1"]) == 0
+    assert cli.main(["edit", "--ckpt", ckpt, "--out", str(tmp_path / "e"),
+                     "--recipe", "mask", "--mask-from", "16", "--mask-to", "16",
+                     "--seeds", "1"]) == 0
 
 
 def test_mask_sweep_families(tmp_path, ckpt, capsys):
@@ -268,6 +286,7 @@ def test_svd_dirs_outputs(tmp_path, ckpt):
                      "--side", "diagonal"]) == 2
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_opt_lambda_runs(tmp_path, ckpt, capsys):
     d = str(tmp_path / "o")
     assert cli.main(["opt-lambda", "--ckpt", ckpt, "--out", d,
@@ -279,6 +298,12 @@ def test_opt_lambda_runs(tmp_path, ckpt, capsys):
     for steps in ("0", "-1"):
         _rejects_count(["opt-lambda", "--ckpt", ckpt, "--out", d,
                         "--steps", steps], "--steps", capsys)
+    # identical prompts leave no position to optimize
+    same = "a photo of hbar bright"
+    _rejects_count(["opt-lambda", "--ckpt", ckpt, "--out", str(tmp_path / "o2"),
+                    "--from", same, "--to", same, "--steps", "2"],
+                   "--from and --to", capsys)
+    assert not os.path.exists(os.path.join(tmp_path, "o2", "trajectory.csv"))
 
 
 def test_invert_runs(tmp_path, ckpt):

@@ -205,8 +205,76 @@ def test_shared_conditioning_matches_per_row(batch):
                 params, cfg, x, t, rows,
                 np.broadcast_to(True if allowed is None else allowed, (batch, 7)))
             assert np.max(np.abs(got - ref)) < 1e-12
-    with pytest.raises(ValueError):
-        dn.attend(params, cfg, x, t_proj, cond, need_tape=True)
+    # a folded step's tape is what attend_reverse reads
+    eps, tape = dn.attend(params, cfg, x, t_proj, cond, need_tape=True)
+    assert np.array_equal(eps, dn.attend(params, cfg, x, t_proj, cond))
+    assert sorted(tape) == ["h", "m", "w"]
+
+
+def _folded_setup(seed):
+    """Small denoiser weights large enough that the ReLUs and the softmax
+    matter, one embedding's conditioning and one row x."""
+    cfg = dn.DenoiserConfig(x_dim=6, d_h=16, d_a=8, t_feat=4,
+                            emb_dim=5, max_len=7)
+    rng = Rng(seed)
+    params = {k: 0.5 * rng.normal(shape)
+              for k, shape in dn.denoiser_param_shapes(cfg).items()}
+    emb = rng.normal((7, 5)) * (1.0 + rng.uniform((7, 1)))
+    t_proj = dn.time_features(np.array(30), 4) @ params["w_t"]
+    return cfg, params, emb, rng.normal(6), t_proj, rng
+
+
+def test_attend_reverse_matches_finite_differences():
+    """The reverse of one folded step of one row, in x and in (qk, vo),
+    against central differences of L = c . eps."""
+    cfg, params, emb, x, t_proj, rng = _folded_setup(80)
+    cond = dn.condition(params, cfg, emb)
+    c = rng.normal(6)
+    eps, tape = dn.attend(params, cfg, x, t_proj, cond, need_tape=True)
+    dh2, ds = np.empty(16), np.empty(7)
+    dx = dn.attend_reverse(params, cond, tape["h"], tape["w"].ravel(),
+                           tape["m"], c, dh2, ds)
+    dqk = np.outer(tape["h"], ds)
+    dvo = np.outer(tape["w"].ravel(), dh2)
+
+    def loss(x_, qk, vo):
+        return c @ dn.attend(params, cfg, x_, t_proj, {"qk": qk, "vo": vo})
+
+    h = 1e-6
+    qk, vo = cond["qk"], cond["vo"]
+    for grad, move in ((dx, lambda v: (x + v, qk, vo)),
+                       (dqk, lambda v: (x, qk + v[None], vo)),
+                       (dvo, lambda v: (x, qk, vo + v[None]))):
+        for _ in range(4):
+            v = rng.normal(grad.shape)
+            fd = (loss(*move(h * v)) - loss(*move(-h * v))) / (2 * h)
+            assert abs(fd - np.sum(grad * v)) < 1e-7 * max(abs(fd), 1.0)
+    # a blocked key gets no attention, so no gradient either
+    blocked = np.zeros(7, dtype=bool)
+    blocked[2] = True
+    _, tape = dn.attend(params, cfg, x, t_proj, cond, blocked, need_tape=True)
+    dn.attend_reverse(params, cond, tape["h"], tape["w"].ravel(), tape["m"],
+                      c, dh2, ds)
+    assert ds[2] == 0.0
+
+
+def test_condition_reverse_matches_finite_differences():
+    """dL/demb for L = sum(A * qk) + sum(B * vo), through the unit rows,
+    against central differences."""
+    cfg, params, emb, _, _, rng = _folded_setup(81)
+    a = rng.normal((16, 7))
+    b = rng.normal((7, 16))
+
+    def loss(e):
+        cond = dn.condition(params, cfg, e)
+        return np.sum(a * cond["qk"][0]) + np.sum(b * cond["vo"][0])
+
+    demb = dn.condition_reverse(params, cfg, emb, a, b)
+    h = 1e-6
+    for _ in range(6):
+        v = rng.normal(emb.shape)
+        fd = (loss(emb + h * v) - loss(emb - h * v)) / (2 * h)
+        assert abs(fd - np.sum(demb * v)) < 1e-7 * max(abs(fd), 1.0)
 
 
 def test_loss_and_grads_reuses_work_across_batch_sizes():

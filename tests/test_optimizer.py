@@ -48,8 +48,6 @@ def test_fd_gradient_rejects_bad_h():
 
 def test_opt_config_validation():
     with pytest.raises(ValueError):
-        op.OptConfig(fd_h=-1.0)
-    with pytest.raises(ValueError):
         op.OptConfig(gamma=-0.5)
 
 
@@ -57,23 +55,33 @@ class _LinearBundle:
     """Stand-in bundle: the 'image' is a fixed linear map of the embedding.
 
     Like ModelBundle.generate, it takes one embedding or a stack of them;
-    each image of a stack is the one its embedding gives alone.
+    each image of a stack is the one its embedding gives alone. Its
+    generate_vjp is exact, and counts the reverse passes it makes.
     """
 
     def __init__(self, rng, l=6, d=4, out=16):
         self.m = rng.normal((l * d, out))
+        self.reverse_passes = 0
 
     def generate(self, e, x_T, mask=None):
         if isinstance(e, te.TextEmbedding):
             return e.data.ravel() @ self.m
         return np.stack([row.ravel() @ self.m for row in e])
 
+    def generate_vjp(self, e, x_T):
+        def vjp(g):
+            self.reverse_passes += 1
+            return (self.m @ g).reshape(e.data.shape)
+        return self.generate(e, x_T), vjp
 
-def _make_ctx(gamma=0.1):
+
+def _make_ctx(gamma=0.1, same=False):
     rng = Rng(72)
     bundle = _LinearBundle(rng)
     e_s = te.TextEmbedding(data=rng.normal((6, 4)), semantic_len=4)
     e_t = te.TextEmbedding(data=rng.normal((6, 4)), semantic_len=4)
+    if same:
+        e_t = e_s
     x_T = rng.normal(16)
     i_s = bundle.generate(e_s, x_T)
     i_t = bundle.generate(e_t, x_T)
@@ -94,6 +102,34 @@ def test_optimize_trajectory_non_increasing():
     assert losses[-1] < losses[0]
     lam = params.lam()
     assert np.all(lam > 0.0) and np.all(lam < 1.0)
+    # one reverse pass per step, and none after the last
+    assert ctx.bundle.reverse_passes == 25
+
+
+def test_reverse_gradient_matches_finite_differences():
+    ctx = _make_ctx(gamma=0.7)
+    for theta in (op.init_theta(6, ctx.diff), Rng(75).normal(6)):
+        lam = op.sigmoid(theta)
+        loss, grad = op.surrogate_loss(lam, ctx)
+        g = grad() * lam * (1.0 - lam)
+        g_fd = op.fd_gradient(theta, ctx, 1e-5)
+        assert np.linalg.norm(g - g_fd) < 1e-7 * np.linalg.norm(g_fd)
+        assert loss == op.surrogate_losses(lam[None], ctx)[0]
+
+
+def test_gradient_is_zero_where_the_image_does_not_change():
+    """Where i* = i_s the cosine has no direction: its subgradient is zero,
+    and so is the preservation term's gradient; never NaN."""
+    ctx = _make_ctx(gamma=0.7)
+    loss, grad = op.surrogate_loss(np.ones(6), ctx)  # e* = e_s exactly
+    assert loss == 0.0
+    assert np.array_equal(grad(), np.zeros(6))
+    # identical source and target: lambda moves nothing
+    same = _make_ctx(gamma=0.7, same=True)
+    for lam in (np.ones(6), op.sigmoid(Rng(76).normal(6))):
+        loss, grad = op.surrogate_loss(lam, same)
+        assert abs(loss) < 1e-12
+        assert np.array_equal(grad(), np.zeros(6))
 
 
 def test_optimize_raises_on_nonfinite():
@@ -107,7 +143,7 @@ def test_surrogate_loss_recomputation_oracle():
     """Loss matches an independent recomputation from the dumped image."""
     ctx = _make_ctx(gamma=0.7)
     lam = Rng(73).uniform(6)
-    loss = op.surrogate_loss(lam, ctx)
+    loss, _ = op.surrogate_loss(lam, ctx)
     from embedlab.edit_ops import soft_mix
     i_star = ctx.bundle.generate(soft_mix(ctx.e_s, ctx.e_t, lam), ctx.x_T)
     d = i_star - ctx.i_s
@@ -123,8 +159,8 @@ def test_surrogate_loss_recomputation_oracle():
         tp, tm = theta.copy(), theta.copy()
         tp[i] += h
         tm[i] -= h
-        per_coord[i] = (op.surrogate_loss(op.sigmoid(tp), ctx)
-                        - op.surrogate_loss(op.sigmoid(tm), ctx)) / (2.0 * h)
+        per_coord[i] = (op.surrogate_loss(op.sigmoid(tp), ctx)[0]
+                        - op.surrogate_loss(op.sigmoid(tm), ctx)[0]) / (2.0 * h)
     assert np.max(np.abs(op.fd_gradient(theta, ctx, h) - per_coord)) < 1e-12
 
 

@@ -62,6 +62,28 @@ def test_generate_batch_matches_single_closely(untrained_bundle):
             assert np.max(np.abs(batch[i] - single(i))) < 1e-9
 
 
+def test_generate_vjp_is_generate_and_its_gradient(untrained_bundle):
+    """The taped chain's image is generate()'s bitwise, and its reverse pass
+    matches central differences of g . image along embedding directions."""
+    b = untrained_bundle
+    emb = b.embed("a photo of vbar dim").data
+    x_T = seed_noise(3)
+    img, vjp = b.generate_vjp(emb, x_T)
+    assert np.array_equal(img, b.generate(emb, x_T))
+    rng = Rng(32)
+    g = rng.normal(64)
+    demb = vjp(g)
+    assert np.array_equal(vjp(g), demb)
+    h = 1e-5
+    for _ in range(3):
+        v = rng.normal(emb.shape)
+        fd = (g @ b.generate(emb + h * v, x_T)
+              - g @ b.generate(emb - h * v, x_T)) / (2 * h)
+        assert abs(fd - np.sum(demb * v)) < 1e-6 * abs(fd)
+    with pytest.raises(ValueError):
+        b.generate_vjp(emb, x_T[None])
+
+
 def test_embed_and_tokens_consistent(untrained_bundle):
     e = untrained_bundle.embed("a photo of cross dim")
     t = untrained_bundle.tokens("a photo of cross dim")
