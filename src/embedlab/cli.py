@@ -17,6 +17,7 @@ the embedding); internally positions are 0-based.
 import argparse
 import functools
 import hashlib
+import math
 import os
 import sys
 import time
@@ -83,14 +84,19 @@ def resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
     """Merge built-in defaults, config file values, and CLI flags.
 
     Flags parsed as None mean "not given"; config file keys must all be
-    known for this command.
+    known for this command, and each value must parse as its default's type.
     """
     cfg = dict(defaults)
-    if getattr(args, "config", None):
+    if args.config:
         for key, value in load_config_file(args.config).items():
             if key not in defaults:
                 raise ConfigError(f"unknown config key {key!r}")
-            cfg[key] = type(defaults[key])(value)
+            kind = type(defaults[key])
+            try:
+                cfg[key] = kind(value)
+            except ValueError:
+                raise ConfigError(f"{args.config}: {key}={value!r} is not "
+                                  f"a valid {kind.__name__}") from None
     for key in defaults:
         flag = getattr(args, key.replace("-", "_"), None)
         if flag is not None:
@@ -157,11 +163,7 @@ def _parse_positions(text: str, length: int):
 
 # ------------------------------------------------------------- commands
 
-GEN_DATA_DEFAULTS = {"out": "runs/gen-data", "seed": 0, "n": 32}
-
-
-def cmd_gen_data(args) -> int:
-    cfg = resolve_config(args, GEN_DATA_DEFAULTS)
+def cmd_gen_data(cfg: dict) -> int:
     _require_positive(cfg, "n")
     out = prepare_out_dir(cfg, "gen-data")
     world = tw.default_world()
@@ -178,14 +180,10 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
-TRAIN_DEFAULTS = {"out": "runs/train", "seed": 7, "steps": 25000,
-                  "batch-size": 64, "lr": 1e-3, "T": 100,
-                  "beta-start": 1e-3, "beta-end": 0.2}
-
-
-def cmd_train(args) -> int:
-    cfg = resolve_config(args, TRAIN_DEFAULTS)
+def cmd_train(cfg: dict) -> int:
     _require_positive(cfg, "steps", "batch-size")
+    if not (math.isfinite(cfg["lr"]) and cfg["lr"] > 0.0):
+        raise ConfigError(f"--lr must be finite and positive, got {cfg['lr']}")
     out = prepare_out_dir(cfg, "train")
     world = tw.default_world()
     vocab = te.default_vocabulary()
@@ -217,13 +215,7 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-SAMPLE_DEFAULTS = {"out": "runs/sample", "ckpt": "runs/train/model.ckpt",
-                   "prompt": "a photo of hbar bright", "seed": 0, "n": 4,
-                   "mode": "ddim"}
-
-
-def cmd_sample(args) -> int:
-    cfg = resolve_config(args, SAMPLE_DEFAULTS)
+def cmd_sample(cfg: dict) -> int:
     _require_positive(cfg, "n")
     out = prepare_out_dir(cfg, "sample")
     bundle = _load_bundle(cfg["ckpt"])
@@ -241,14 +233,6 @@ def cmd_sample(args) -> int:
             save_pgm(os.path.join(out, f"gen_{seed}.pgm"), img)
     print(f"generated {cfg['n']} images for {cfg['prompt']!r} in {out}")
     return EXIT_OK
-
-
-EDIT_DEFAULTS = {"out": "runs/edit", "ckpt": "runs/train/model.ckpt",
-                 "recipe": "swap", "from": "a photo of hbar bright",
-                 "to": "a photo of vbar bright", "positions": "",
-                 "weight": 0.5, "scale-pos": 0, "scale": 1.0,
-                 "mask-from": 0, "mask-to": 0, "mask-mode": "exclude",
-                 "seeds": 16}
 
 
 def _build_recipe(cfg: dict, bundle: ModelBundle) -> EditRecipe:
@@ -285,8 +269,7 @@ def _build_recipe(cfg: dict, bundle: ModelBundle) -> EditRecipe:
     raise ConfigError(f"unknown recipe {kind!r}")
 
 
-def cmd_edit(args) -> int:
-    cfg = resolve_config(args, EDIT_DEFAULTS)
+def cmd_edit(cfg: dict) -> int:
     _require_positive(cfg, "seeds")
     out = prepare_out_dir(cfg, "edit")
     bundle = _load_bundle(cfg["ckpt"])
@@ -304,14 +287,8 @@ def cmd_edit(args) -> int:
     return EXIT_OK
 
 
-MASK_SWEEP_DEFAULTS = {"out": "runs/mask-sweep",
-                       "ckpt": "runs/train/model.ckpt",
-                       "prompt": "a photo of hbar bright", "seeds": 20}
-
-
-def cmd_mask_sweep(args) -> int:
+def cmd_mask_sweep(cfg: dict) -> int:
     """Three mask families per row: single M_i, prefix M_{1..j}, suffix M_{j..L}."""
-    cfg = resolve_config(args, MASK_SWEEP_DEFAULTS)
     _require_positive(cfg, "seeds")
     out = prepare_out_dir(cfg, "mask-sweep")
     bundle = _load_bundle(cfg["ckpt"])
@@ -355,17 +332,16 @@ def cmd_mask_sweep(args) -> int:
     return EXIT_OK
 
 
-SVD_DIRS_DEFAULTS = {"out": "runs/svd-dirs", "ckpt": "runs/train/model.ckpt",
-                     "prompt": "a photo of hbar bright", "side": "right",
-                     "k": 0, "seed": 0}
-
-
-def cmd_svd_dirs(args) -> int:
-    cfg = resolve_config(args, SVD_DIRS_DEFAULTS)
+def cmd_svd_dirs(cfg: dict) -> int:
     out = prepare_out_dir(cfg, "svd-dirs")
     bundle = _load_bundle(cfg["ckpt"])
     if cfg["side"] not in ("right", "left"):
         raise ConfigError(f"side must be right or left, got {cfg['side']!r}")
+    # an embedding (L, D) has min(L, D) singular directions per side
+    rank = min(bundle.enc_cfg.max_len, bundle.enc_cfg.dim)
+    if not 0 <= cfg["k"] < rank:
+        raise ConfigError(f"--k {cfg['k']} outside the embedding's singular "
+                          f"indices 0..{rank - 1}")
     points = direction_sweep(bundle, cfg["prompt"], cfg["side"], cfg["k"],
                              seed=cfg["seed"])
     save_sweep_csv(os.path.join(out, "sweep.csv"), cfg["side"], cfg["k"], points)
@@ -376,15 +352,7 @@ def cmd_svd_dirs(args) -> int:
     return EXIT_OK
 
 
-OPT_LAMBDA_DEFAULTS = {"out": "runs/opt-lambda",
-                       "ckpt": "runs/train/model.ckpt",
-                       "from": "a photo of hbar bright",
-                       "to": "a photo of vbar bright",
-                       "steps": 150, "seed": 0, "gamma": 1.0}
-
-
-def cmd_opt_lambda(args) -> int:
-    cfg = resolve_config(args, OPT_LAMBDA_DEFAULTS)
+def cmd_opt_lambda(cfg: dict) -> int:
     _require_positive(cfg, "steps")
     out = prepare_out_dir(cfg, "opt-lambda")
     bundle = _load_bundle(cfg["ckpt"])
@@ -403,14 +371,8 @@ def cmd_opt_lambda(args) -> int:
     return EXIT_OK
 
 
-INVERT_DEFAULTS = {"out": "runs/invert", "ckpt": "runs/train/model.ckpt",
-                   "class": "hbar", "style": 0.9, "seed": 0,
-                   "to": "a photo of vbar bright"}
-
-
-def cmd_invert(args) -> int:
+def cmd_invert(cfg: dict) -> int:
     """Invert a rendered sample, then edit its embedding and regenerate."""
-    cfg = resolve_config(args, INVERT_DEFAULTS)
     out = prepare_out_dir(cfg, "invert")
     bundle = _load_bundle(cfg["ckpt"])
     world = bundle.world
@@ -440,11 +402,7 @@ def cmd_invert(args) -> int:
     return EXIT_OK
 
 
-VERIFY_DEFAULTS = {"out": "runs/verify", "seed": 0}
-
-
-def cmd_verify(args) -> int:
-    cfg = resolve_config(args, VERIFY_DEFAULTS)
+def cmd_verify(cfg: dict) -> int:
     out = prepare_out_dir(cfg, "verify")
     results = run_all(cfg["seed"])
     report = format_report(results)
@@ -456,6 +414,85 @@ def cmd_verify(args) -> int:
 
 # --------------------------------------------------------------- parser
 
+# Each command's function and options: key -> (default, help). The flag
+# --key and the config-file key parse as type(default).
+COMMANDS = {
+    "gen-data": (cmd_gen_data, {
+        "out": ("runs/gen-data", "output directory"),
+        "seed": (0, "dataset seed"),
+        "n": (32, "number of samples"),
+    }),
+    "train": (cmd_train, {
+        "out": ("runs/train", "output directory"),
+        "seed": (7, "training seed"),
+        "steps": (25000, "optimizer steps"),
+        "batch-size": (64, "batch size"),
+        "lr": (1e-3, "peak learning rate"),
+        "T": (100, "diffusion steps"),
+        "beta-start": (1e-3, "first beta"),
+        "beta-end": (0.2, "last beta"),
+    }),
+    "sample": (cmd_sample, {
+        "out": ("runs/sample", "output directory"),
+        "ckpt": ("runs/train/model.ckpt", "checkpoint path"),
+        "prompt": ("a photo of hbar bright", "conditioning prompt"),
+        "seed": (0, "first seed"),
+        "n": (4, "number of images"),
+        "mode": ("ddim", "ddim or ddpm"),
+    }),
+    "edit": (cmd_edit, {
+        "out": ("runs/edit", "output directory"),
+        "ckpt": ("runs/train/model.ckpt", "checkpoint path"),
+        "recipe": ("swap", "swap | soft_swap | scale | style | mask"),
+        "from": ("a photo of hbar bright", "source prompt"),
+        "to": ("a photo of vbar bright", "target prompt"),
+        "positions": ("", "1-based comma-separated positions"),
+        "weight": (0.5, "soft_swap source weight"),
+        "scale-pos": (0, "1-based position for the scale recipe"),
+        "scale": (1.0, "scale factor"),
+        "mask-from": (0, "1-based first masked position"),
+        "mask-to": (0, "1-based last masked position"),
+        "mask-mode": ("exclude", "exclude or zero"),
+        "seeds": (16, "number of paired seeds"),
+    }),
+    "mask-sweep": (cmd_mask_sweep, {
+        "out": ("runs/mask-sweep", "output directory"),
+        "ckpt": ("runs/train/model.ckpt", "checkpoint path"),
+        "prompt": ("a photo of hbar bright", "conditioning prompt"),
+        "seeds": (20, "seeds per mask"),
+    }),
+    "svd-dirs": (cmd_svd_dirs, {
+        "out": ("runs/svd-dirs", "output directory"),
+        "ckpt": ("runs/train/model.ckpt", "checkpoint path"),
+        "prompt": ("a photo of hbar bright", "conditioning prompt"),
+        "side": ("right", "right or left singular vectors"),
+        "k": (0, "singular index"),
+        "seed": (0, "x_T seed"),
+    }),
+    "opt-lambda": (cmd_opt_lambda, {
+        "out": ("runs/opt-lambda", "output directory"),
+        "ckpt": ("runs/train/model.ckpt", "checkpoint path"),
+        "from": ("a photo of hbar bright", "source prompt"),
+        "to": ("a photo of vbar bright", "target prompt"),
+        "steps": (150, "optimization steps"),
+        "seed": (0, "x_T seed"),
+        "gamma": (1.0, "preservation weight"),
+    }),
+    "invert": (cmd_invert, {
+        "out": ("runs/invert", "output directory"),
+        "ckpt": ("runs/train/model.ckpt", "checkpoint path"),
+        "class": ("hbar", "class name of the rendered sample"),
+        "style": (0.9, "brightness of the rendered sample"),
+        "seed": (0, "render seed"),
+        "to": ("a photo of vbar bright", "edit target prompt"),
+    }),
+    "verify": (cmd_verify, {
+        "out": ("runs/verify", "output directory"),
+        "seed": (0, "oracle seed"),
+    }),
+}
+
+
 @functools.lru_cache(maxsize=1)
 def build_parser() -> _Parser:
     """The CLI parser, built once per process: every parse starts from a
@@ -465,80 +502,13 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version",
                         version=f"embedlab v{__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, defaults, extra):
+    for name, (fn, options) in COMMANDS.items():
         p = sub.add_parser(name)
-        p.set_defaults(fn=fn, defaults=defaults)
+        p.set_defaults(fn=fn, defaults={k: d for k, (d, _) in options.items()})
         p.add_argument("--config", help="key=value config file")
-        for key, kind, hlp in extra:
-            p.add_argument(f"--{key}", type=kind, default=None, help=hlp,
-                           dest=key.replace("-", "_"))
-        return p
-
-    add("gen-data", cmd_gen_data, GEN_DATA_DEFAULTS, [
-        ("out", str, "output directory"),
-        ("seed", int, "dataset seed"),
-        ("n", int, "number of samples")])
-    add("train", cmd_train, TRAIN_DEFAULTS, [
-        ("out", str, "output directory"),
-        ("seed", int, "training seed"),
-        ("steps", int, "optimizer steps"),
-        ("batch-size", int, "batch size"),
-        ("lr", float, "peak learning rate"),
-        ("T", int, "diffusion steps"),
-        ("beta-start", float, "first beta"),
-        ("beta-end", float, "last beta")])
-    add("sample", cmd_sample, SAMPLE_DEFAULTS, [
-        ("out", str, "output directory"),
-        ("ckpt", str, "checkpoint path"),
-        ("prompt", str, "conditioning prompt"),
-        ("seed", int, "first seed"),
-        ("n", int, "number of images"),
-        ("mode", str, "ddim or ddpm")])
-    add("edit", cmd_edit, EDIT_DEFAULTS, [
-        ("out", str, "output directory"),
-        ("ckpt", str, "checkpoint path"),
-        ("recipe", str, "swap | soft_swap | scale | style | mask"),
-        ("from", str, "source prompt"),
-        ("to", str, "target prompt"),
-        ("positions", str, "1-based comma-separated positions"),
-        ("weight", float, "soft_swap source weight"),
-        ("scale-pos", int, "1-based position for the scale recipe"),
-        ("scale", float, "scale factor"),
-        ("mask-from", int, "1-based first masked position"),
-        ("mask-to", int, "1-based last masked position"),
-        ("mask-mode", str, "exclude or zero"),
-        ("seeds", int, "number of paired seeds")])
-    add("mask-sweep", cmd_mask_sweep, MASK_SWEEP_DEFAULTS, [
-        ("out", str, "output directory"),
-        ("ckpt", str, "checkpoint path"),
-        ("prompt", str, "conditioning prompt"),
-        ("seeds", int, "seeds per mask")])
-    add("svd-dirs", cmd_svd_dirs, SVD_DIRS_DEFAULTS, [
-        ("out", str, "output directory"),
-        ("ckpt", str, "checkpoint path"),
-        ("prompt", str, "conditioning prompt"),
-        ("side", str, "right or left singular vectors"),
-        ("k", int, "singular index"),
-        ("seed", int, "x_T seed")])
-    add("opt-lambda", cmd_opt_lambda, OPT_LAMBDA_DEFAULTS, [
-        ("out", str, "output directory"),
-        ("ckpt", str, "checkpoint path"),
-        ("from", str, "source prompt"),
-        ("to", str, "target prompt"),
-        ("steps", int, "optimization steps"),
-        ("seed", int, "x_T seed"),
-        ("gamma", float, "preservation weight")])
-    add("invert", cmd_invert, INVERT_DEFAULTS, [
-        ("out", str, "output directory"),
-        ("ckpt", str, "checkpoint path"),
-        ("class", str, "class name of the rendered sample"),
-        ("style", float, "brightness of the rendered sample"),
-        ("seed", int, "render seed"),
-        ("to", str, "edit target prompt")])
-    add("verify", cmd_verify, VERIFY_DEFAULTS, [
-        ("out", str, "output directory"),
-        ("seed", int, "oracle seed")])
+        for key, (default, hlp) in options.items():
+            p.add_argument(f"--{key}", type=type(default), default=None,
+                           help=hlp, dest=key.replace("-", "_"))
     return parser
 
 
@@ -546,14 +516,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        return args.fn(resolve_config(args, args.defaults))
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (ConfigError, te.VocabularyError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as e:
+    except (ConfigError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (dn.TrainingError, OptimizationError, ConvergenceError,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import text_encoder as te
-from .diffusion import Schedule
+from .diffusion import Schedule, l1_objective
 from .rng import Rng
 from .toyworld import IMAGE_DIM, CLAMP_HI, CLAMP_LO, WorldSpec
 
@@ -259,12 +259,10 @@ def forward_batch(params, cfg: DenoiserConfig, x, t, emb, allowed,
 
 def predict_eps(params, cfg: DenoiserConfig, x_t, t: int,
                 emb, mask: AttnMask | None = None) -> np.ndarray:
-    """Noise prediction as the sampler makes it; emb as for condition(),
-    or a TextEmbedding."""
-    data = emb.data if isinstance(emb, te.TextEmbedding) else emb
+    """Noise prediction as the sampler makes it; emb as for condition()."""
     return attend(params, cfg, np.asarray(x_t, dtype=np.float64),
                   time_features(t, cfg.t_feat) @ params["w_t"],
-                  condition(params, cfg, data),
+                  condition(params, cfg, emb),
                   None if mask is None else ~mask.allowed)
 
 
@@ -325,10 +323,8 @@ class Batch:
     token_matrix: np.ndarray  # (P, L) token ids of the distinct prompts
     allowed: np.ndarray | None = None  # (B, L) attention-key mask
     # conditioning construction: row l of sample b comes from encoded prompt
-    # row_src[b, l] (defaults to prompt_ids[b] for every row) and is then
-    # multiplied by row_scale[b, l] (defaults to 1)
+    # row_src[b, l] (defaults to prompt_ids[b] for every row)
     row_src: np.ndarray | None = None    # (B, L) int
-    row_scale: np.ndarray | None = None  # (B, L) float
 
 
 def _gather_conditioning(emb_all: np.ndarray, batch: Batch,
@@ -351,8 +347,6 @@ def _gather_conditioning(emb_all: np.ndarray, batch: Batch,
     # mode "clip" (the indices are checked above): "raise" would copy out
     emb = np.take(emb_all.reshape(p * l, d), index, axis=0, mode="clip",
                   out=te.work_array(work, "emb", (b, l, d)))
-    if batch.row_scale is not None:
-        emb *= batch.row_scale[..., None]
     if batch.allowed is None:
         allowed = np.ones((b, l), dtype=bool)
     else:
@@ -377,28 +371,16 @@ def loss_and_grads(enc_params, den_params, enc_cfg: te.EncoderConfig,
     emb, allowed, index = _gather_conditioning(emb_all, batch, work)
     eps_pred, tape = forward_batch(den_params, cfg, batch.x_t, batch.t,
                                    emb, allowed, need_tape=True, work=work)
+    loss = l1_objective(batch.eps_true, eps_pred)
     diff = eps_pred - batch.eps_true
-    loss = float(np.mean(np.abs(diff)))
     deps = np.sign(diff) / diff.size
     den_grads, demb = backward_batch(den_params, cfg, tape, deps, den_grads,
                                      work)
-    if batch.row_scale is not None:
-        demb *= batch.row_scale[..., None]
     p, l, d = emb_all.shape
     demb_all = te.scatter_add_rows(index.ravel(), demb.reshape(-1, d), p * l)
     enc_grads = te.encode_backward(enc_params, enc_cfg, enc_tape,
                                    demb_all.reshape(p, l, d), enc_grads, work)
     return loss, enc_grads, den_grads
-
-
-def loss_only(enc_params, den_params, enc_cfg: te.EncoderConfig,
-              cfg: DenoiserConfig, batch: Batch) -> float:
-    """Forward-only L1 loss; used by finite-difference checks."""
-    emb_all = te.encode_batch(enc_params, enc_cfg, batch.token_matrix,
-                              causal=True, pad_mask=False)
-    emb, allowed, _ = _gather_conditioning(emb_all, batch)
-    eps_pred = forward_batch(den_params, cfg, batch.x_t, batch.t, emb, allowed)
-    return float(np.mean(np.abs(eps_pred - batch.eps_true)))
 
 
 @dataclass(frozen=True)
@@ -452,11 +434,6 @@ def class_word_position(world: WorldSpec, vocab: te.Vocabulary,
     if cols.size != 1:
         raise ValueError("training prompts do not share one class-word column")
     return int(cols[0])
-
-
-def nearest_style(style_values: np.ndarray, style: np.ndarray) -> np.ndarray:
-    """Index of the style word value nearest each style; ties go to the lower."""
-    return np.argmin(np.abs(style_values[None, :] - style[:, None]), axis=1)
 
 
 def flat_views(flat: np.ndarray, layout: list) -> list:
@@ -518,7 +495,6 @@ def train(world: WorldSpec, vocab: te.Vocabulary, sched: Schedule,
         den_params = init_denoiser_params(cfg, init_rng)
     _, token_matrix = training_prompts(world, vocab, enc_cfg.max_len)
     n_styles = len(world.style_words)
-    style_values = np.array([value for _, value in world.style_words])
     patterns = np.stack([p.ravel() for _, p in world.classes])
 
     flat = np.concatenate([a.ravel() for t in (enc_params, den_params)
@@ -551,7 +527,7 @@ def train(world: WorldSpec, vocab: te.Vocabulary, sched: Schedule,
             x0 = x0 + world.noise_sigma * data_rng.normal(x0.shape)
         x0 = np.clip(x0, CLAMP_LO, CLAMP_HI)
         # prompt index: class block + nearest style word
-        nearest = nearest_style(style_values, style)
+        nearest = world.nearest_style(style)
         prompt_ids = cls * n_styles + nearest
         t = data_rng.randint(sched.T, bsz) + 1
         eps = data_rng.normal(x0.shape)

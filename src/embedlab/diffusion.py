@@ -1,4 +1,4 @@
-"""DDPM forward/reverse mathematics and deterministic DDIM sampling/inversion.
+"""DDPM marginals, posteriors and reverse steps; DDIM sampling and inversion.
 
 Conventions: steps are 1-based (t = 1..T) with arrays stored 0-based and
 the boundary value alpha_bar_0 := 1, which makes the step-1 posterior
@@ -10,6 +10,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rng import Rng
+
+# ddim_invert's fixed-point iteration per step (see there)
+FP_ITERS = 8
+FP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -41,12 +45,11 @@ class GaussianParams:
     variance: float
 
 
-def make_schedule(T: int, beta_start: float, beta_end: float,
-                  allow_zero_beta: bool = False) -> Schedule:
+def make_schedule(T: int, beta_start: float, beta_end: float) -> Schedule:
+    """Linear betas; 0 < beta_start <= beta_end < 1."""
     if T < 1:
         raise ValueError("T must be >= 1")
-    lo = 0.0 if allow_zero_beta else np.nextafter(0.0, 1.0)
-    if not (lo <= beta_start <= beta_end < 1.0):
+    if not (0.0 < beta_start <= beta_end < 1.0):
         raise ValueError(f"bad beta range ({beta_start}, {beta_end})")
     betas = np.linspace(beta_start, beta_end, T)
     alphas = 1.0 - betas
@@ -64,13 +67,6 @@ def make_schedule(T: int, beta_start: float, beta_end: float,
 def _check_t(sched: Schedule, t: int) -> None:
     if not 1 <= t <= sched.T:
         raise ValueError(f"step {t} outside 1..{sched.T}")
-
-
-def forward_step(sched: Schedule, x_prev: np.ndarray, t: int, rng: Rng) -> np.ndarray:
-    """One draw from q(x_t | x_{t-1})."""
-    _check_t(sched, t)
-    a = sched.alphas[t - 1]
-    return np.sqrt(a) * x_prev + np.sqrt(1.0 - a) * rng.normal(x_prev.shape)
 
 
 def marginal_params(sched: Schedule, x0: np.ndarray, t: int) -> GaussianParams:
@@ -224,8 +220,7 @@ def sample(sched: Schedule, predict_eps, x_T: np.ndarray,
     return x
 
 
-def ddim_invert(sched: Schedule, predict_eps, x0: np.ndarray,
-                fp_iters: int = 8, fp_tol: float = 1e-12) -> np.ndarray:
+def ddim_invert(sched: Schedule, predict_eps, x0: np.ndarray) -> np.ndarray:
     """Deterministic inversion x_0 -> x_T.
 
     The sampling step maps x_t -> x_{t-1} using eps(x_t, t), so its inverse
@@ -233,19 +228,19 @@ def ddim_invert(sched: Schedule, predict_eps, x0: np.ndarray,
     fixed-point iteration: start from the first-order guess that re-predicts
     the noise at the coarser state x_{t-1}, then repeatedly re-predict at
     the current candidate x_t and recompute the algebraic inverse until the
-    candidate stabilizes (or fp_iters is exhausted). At the fixed point the
-    sampling step applied to x_t reproduces x_{t-1} exactly, so errors do
-    not accumulate along the chain the way they do under the plain
-    first-order rule.
+    candidate stabilizes (no entry moves by FP_TOL) or FP_ITERS iterations
+    are done. At the fixed point the sampling step applied to x_t
+    reproduces x_{t-1} exactly, so errors do not accumulate along the chain
+    the way they do under the plain first-order rule.
     """
     x = np.asarray(x0, dtype=np.float64)
     for t in range(1, sched.T + 1):
         eps_hat = predict_eps(x, t)
         cand = ddim_invert_step(sched, x, eps_hat, t)
-        for _ in range(fp_iters):
+        for _ in range(FP_ITERS):
             eps_hat = predict_eps(cand, t)
             nxt = ddim_invert_step(sched, x, eps_hat, t)
-            done = np.max(np.abs(nxt - cand)) < fp_tol
+            done = np.max(np.abs(nxt - cand)) < FP_TOL
             cand = nxt
             if done:
                 break

@@ -1,10 +1,11 @@
-"""Dense real linear algebra: matmul, SVD, Gram eigendecomposition, PCA.
+"""Dense real linear algebra: SVD and PCA via the SVD.
 
 The SVD is a one-sided Jacobi iteration on columns, accurate and simple at
 the matrix sizes used here (embeddings are at most a few hundred entries).
-Singular-vector signs are canonicalized so that results are reproducible:
-in every right singular vector the entry of largest magnitude is made
-non-negative.
+`svd-dirs` runs it on an embedding; PCA reads the same factors (the
+acceptance suite checks the two against each other). Singular-vector signs
+are canonicalized so that results are reproducible: in every right
+singular vector the entry of largest magnitude is made non-negative.
 """
 
 from dataclasses import dataclass
@@ -27,14 +28,6 @@ def as_matrix(a) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains non-finite entries")
     return m
-
-
-def matmul(a, b) -> np.ndarray:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
 
 
 @dataclass(frozen=True)
@@ -152,16 +145,6 @@ def svd(a) -> SvdFactors:
     return SvdFactors(u=u, sigma=sigma[:k].copy(), vt=vt)
 
 
-def gram_eigendecomposition(a):
-    """Eigenvalues (descending) and eigenvectors (columns) of a^T a."""
-    a = as_matrix(a)
-    f = svd(a)
-    n = a.shape[1]
-    eigvals = np.zeros(n)
-    eigvals[: f.sigma.shape[0]] = f.sigma**2
-    return eigvals, f.vt.T
-
-
 @dataclass(frozen=True)
 class PcaResult:
     components: np.ndarray  # principal directions as columns
@@ -185,12 +168,3 @@ def pca(a, centered: bool) -> PcaResult:
     variances[: f.sigma.shape[0]] = f.sigma**2 / denom
     return PcaResult(components=f.vt.T.copy(), variances=variances)
 
-
-def save_matrix_csv(path, a) -> None:
-    a = as_matrix(a)
-    np.savetxt(path, a, delimiter=",", fmt="%.17g")
-
-
-def load_matrix_csv(path) -> np.ndarray:
-    a = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-    return as_matrix(a)

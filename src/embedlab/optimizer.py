@@ -19,6 +19,10 @@ from .toyworld import background_mask
 
 INIT_LOGIT = np.log(0.95 / 0.05)  # lambda in {0.05, 0.95} at init
 EPS_GUARD = 1e-8
+# optimize's line search: the first step length tried, then up to
+# MAX_HALVINGS halvings of it
+LR = 0.5
+MAX_HALVINGS = 5
 
 
 class OptimizationError(RuntimeError):
@@ -40,10 +44,8 @@ class LambdaParams:
 @dataclass(frozen=True)
 class OptConfig:
     steps: int = 150
-    lr: float = 0.5
     gamma: float = 1.0   # preservation weight
     seed: int = 0
-    max_halvings: int = 5
 
     def __post_init__(self):
         if self.gamma < 0.0:
@@ -181,8 +183,8 @@ def optimize(ctx: LambdaContext, cfg: OptConfig):
     for step in range(1, cfg.steps + 1):
         lam = sigmoid(theta)
         g = grad() * (lam * (1.0 - lam))
-        lr = cfg.lr
-        for _ in range(cfg.max_halvings + 1):
+        lr = LR
+        for _ in range(MAX_HALVINGS + 1):
             cand = theta - lr * g
             cand_loss, cand_grad = surrogate_loss(sigmoid(cand), ctx)
             if not np.isfinite(cand_loss):

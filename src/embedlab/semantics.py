@@ -19,13 +19,6 @@ from .toyworld import oracle_classify, oracle_style
 DEFAULT_STRENGTHS = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 
 
-@dataclass(frozen=True)
-class DirectionSpec:
-    side: str        # "right" or "left"
-    index: int
-    strength: float
-
-
 def compress(e: TextEmbedding, side: str, k: int) -> np.ndarray:
     """e@v_k (length L) for the right side, u_k@e (length D) for the left."""
     l, d = e.data.shape
@@ -39,11 +32,11 @@ def compress(e: TextEmbedding, side: str, k: int) -> np.ndarray:
     raise ValueError(f"unknown side {side!r}")
 
 
-def semantic_shift(e: TextEmbedding, spec: DirectionSpec) -> TextEmbedding:
-    c = compress(e, spec.side, spec.index)
-    c = c[:, None] if spec.side == "right" else c[None, :]
-    return TextEmbedding(data=e.data + spec.strength * c,
-                         semantic_len=e.semantic_len)
+def direction(e: TextEmbedding, side: str, k: int) -> np.ndarray:
+    """compress(e, side, k) shaped to broadcast over e: (L, 1) for the
+    right side, (1, D) for the left."""
+    c = compress(e, side, k)
+    return c[:, None] if side == "right" else c[None, :]
 
 
 @dataclass(frozen=True)
@@ -67,8 +60,7 @@ def direction_sweep(bundle: ModelBundle, text: str, side: str, k: int,
     x_T = seed_noise(seed)
     base = bundle.generate(e, x_T)
     # one factorization per sweep; the shifted images run as one chain
-    c = compress(e, side, k)
-    c = c[:, None] if side == "right" else c[None, :]
+    c = direction(e, side, k)
     moved = [s for s in strengths if s != 0.0]
     images = {0.0: base}
     if moved:

@@ -25,7 +25,7 @@ class VocabularyError(ValueError):
 
 @dataclass(frozen=True)
 class Vocabulary:
-    words: tuple  # non-reserved words, in file order
+    words: tuple  # non-reserved words, in id order
 
     def __post_init__(self):
         if len(set(self.words)) != len(self.words):
@@ -40,16 +40,6 @@ class Vocabulary:
             return len(RESERVED) + self.words.index(word)
         except ValueError:
             raise VocabularyError(f"unknown word {word!r}") from None
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("\n".join(self.words) + "\n")
-
-    @staticmethod
-    def load(path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as f:
-            words = tuple(w.strip() for w in f if w.strip())
-        return Vocabulary(words)
 
 
 def default_vocabulary() -> Vocabulary:

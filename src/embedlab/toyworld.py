@@ -31,9 +31,12 @@ class WorldSpec:
     def pattern(self, k: int) -> np.ndarray:
         return self.classes[k][1]
 
-    def nearest_style(self, value: float) -> str:
-        best = min(self.style_words, key=lambda sw: abs(sw[1] - value))
-        return best[0]
+    def nearest_style(self, style):
+        """Index of the style word whose value is nearest each style (a
+        scalar or an array); ties go to the lower index."""
+        values = np.array([value for _, value in self.style_words])
+        return np.argmin(np.abs(values - np.asarray(style)[..., None]),
+                         axis=-1)
 
 
 @dataclass(frozen=True)
@@ -94,7 +97,8 @@ def render(world: WorldSpec, class_index: int, style_value: float, rng: Rng) -> 
     if world.noise_sigma > 0.0:
         x0 = x0 + world.noise_sigma * rng.normal(IMAGE_DIM)
     x0 = np.clip(x0, CLAMP_LO, CLAMP_HI)
-    prompt = f"a photo of {name} {world.nearest_style(style_value)}"
+    style_word = world.style_words[world.nearest_style(style_value)][0]
+    prompt = f"a photo of {name} {style_word}"
     return Sample(x0=x0, class_index=class_index, style_value=style_value, prompt=prompt)
 
 

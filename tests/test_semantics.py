@@ -4,7 +4,9 @@ import pytest
 from embedlab import semantics as sm
 from embedlab import text_encoder as te
 from embedlab.linalg import svd
+from embedlab.pipeline import seed_noise
 from embedlab.rng import Rng
+from embedlab.verify import RecordingBundle
 
 
 @pytest.fixture()
@@ -35,27 +37,57 @@ def test_compress_validation(emb):
         sm.compress(emb, "diagonal", 0)
 
 
+def _swept_embeddings(emb, side, k, strengths):
+    rec = RecordingBundle(emb)
+    sm.direction_sweep(rec, "", side, k, strengths)
+    return rec.generated
+
+
 def test_shift_norm_identity(emb):
-    """Frobenius norm of a right-vector shift is |s| * sigma_k * sqrt(D)."""
+    """The sweep moves the embedding by |s| * sigma_k (Frobenius) along a
+    right vector: the raw strength s is divided by sqrt(D)."""
     f = svd(emb.data)
     for k in range(3):
-        s = 0.37
-        shifted = sm.semantic_shift(emb, sm.DirectionSpec("right", k, s))
-        delta = np.linalg.norm(shifted.data - emb.data)
-        assert abs(delta - s * f.sigma[k] * np.sqrt(5)) < 1e-8
+        _, shifted = _swept_embeddings(emb, "right", k, (0.37, -2.0))
+        for s, e in zip((0.37, -2.0), shifted):
+            delta = np.linalg.norm(e - emb.data)
+            assert abs(delta - abs(s) * f.sigma[k]) < 1e-8
 
 
 def test_left_shift_norm_identity(emb):
+    """Along a left vector the shift repeats over the L rows, so its norm is
+    |s| * sigma_k * sqrt(L / D)."""
     f = svd(emb.data)
-    s = 0.5
-    shifted = sm.semantic_shift(emb, sm.DirectionSpec("left", 1, s))
-    delta = np.linalg.norm(shifted.data - emb.data)
-    assert abs(delta - s * f.sigma[1] * np.sqrt(6)) < 1e-8
+    _, shifted = _swept_embeddings(emb, "left", 1, (0.5,))
+    delta = np.linalg.norm(shifted[0] - emb.data)
+    assert abs(delta - 0.5 * f.sigma[1] * np.sqrt(6 / 5)) < 1e-8
 
 
 def test_zero_strength_is_identity(emb):
-    shifted = sm.semantic_shift(emb, sm.DirectionSpec("right", 0, 0.0))
-    assert np.array_equal(shifted.data, emb.data)
+    """Strength 0 is the unshifted embedding: one generate() call, given emb."""
+    generated = _swept_embeddings(emb, "right", 0, (0.0,))
+    assert len(generated) == 1 and generated[0] is emb
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_direction_sweep_images_are_generate_on_shifted(untrained_bundle,
+                                                        side):
+    """Each moved image is, bitwise, generate() on e + s / sqrt(D) * the
+    compressed direction broadcast over e."""
+    b = untrained_bundle
+    strengths = (-1.0, 0.0, 0.5, 2.0)
+    points = sm.direction_sweep(b, "a photo of cross dim", side, 2,
+                                strengths=strengths, seed=3)
+    e = b.embed("a photo of cross dim").data
+    f = svd(e)
+    c = (e @ f.vt[2])[:, None] if side == "right" else (f.u[:, 2] @ e)[None, :]
+    assert np.array_equal(sm.direction(te.TextEmbedding(e, 5), side, 2), c)
+    moved = [s for s in strengths if s != 0.0]
+    want = b.generate(np.stack([e + s / np.sqrt(e.shape[1]) * c
+                                for s in moved]),
+                      np.tile(seed_noise(3), (len(moved), 1)))
+    got = [p.image for p in points if p.strength != 0.0]
+    assert np.array_equal(np.stack(got), want)
 
 
 def test_direction_sweep_reuses_base_bitwise(untrained_bundle):

@@ -32,12 +32,6 @@ def test_tokenize_too_long(vocab):
         te.tokenize(vocab, "a " * 20, CFG.max_len)
 
 
-def test_vocabulary_roundtrip(tmp_path, vocab):
-    path = tmp_path / "vocab.txt"
-    vocab.save(path)
-    assert te.Vocabulary.load(path) == vocab
-
-
 def test_vocabulary_rejects_duplicates():
     with pytest.raises(ValueError):
         te.Vocabulary(("a", "a"))

@@ -27,6 +27,29 @@ def test_render_clamped_and_prompted(world):
     assert tw.render(world, 1, 0.35, Rng(0)).prompt == "a photo of vbar dim"
 
 
+def test_nearest_style_matches_min_rule_with_ties(world):
+    """One tie rule serves render()'s prompt and training's prompt ids."""
+    values = np.array([0.25, 0.75, 0.75, 1.0])
+    four = tw.WorldSpec(classes=world.classes, noise_sigma=0.0,
+                        style_words=tuple((f"w{j}", v)
+                                          for j, v in enumerate(values)))
+    style = np.concatenate([Rng(40).uniform(200) * 1.5 - 0.25,
+                            [0.5, 0.75, 0.875, 0.25, 2.0, -1.0]])
+
+    def rule(s):
+        return min(range(len(values)), key=lambda j: abs(values[j] - s))
+    expected = [rule(s) for s in style]
+    assert expected[-6:-2] == [0, 1, 1, 0]   # the exact ties pick the lower
+    assert four.nearest_style(style).tolist() == expected
+    assert [int(four.nearest_style(s)) for s in style] == expected
+    # render's prompt at the exact tie 0.5, between w0 and w1
+    assert tw.render(four, 0, 0.5, Rng(0)).prompt == "a photo of hbar w0"
+    # 0.7 is halfway between dim (0.4) and bright (1.0) only in decimal:
+    # in binary it is nearer dim, by both rules
+    assert world.nearest_style(0.7) == 0
+    assert tw.render(world, 0, 0.7, Rng(0)).prompt == "a photo of hbar dim"
+
+
 def test_render_rejects_bad_args(world):
     with pytest.raises(ValueError):
         tw.render(world, 99, 0.5, Rng(0))
