@@ -181,9 +181,13 @@ def cmd_gen_data(cfg: dict) -> int:
 
 
 def cmd_train(cfg: dict) -> int:
-    _require_positive(cfg, "steps", "batch-size")
+    _require_positive(cfg, "steps", "batch-size", "T")
     if not (math.isfinite(cfg["lr"]) and cfg["lr"] > 0.0):
         raise ConfigError(f"--lr must be finite and positive, got {cfg['lr']}")
+    if not 0.0 < cfg["beta-start"] <= cfg["beta-end"] < 1.0:
+        raise ConfigError(f"--beta-start and --beta-end need 0 < beta-start "
+                          f"<= beta-end < 1, got {cfg['beta-start']} and "
+                          f"{cfg['beta-end']}")
     out = prepare_out_dir(cfg, "train")
     world = tw.default_world()
     vocab = te.default_vocabulary()
@@ -217,9 +221,11 @@ def cmd_train(cfg: dict) -> int:
 
 def cmd_sample(cfg: dict) -> int:
     _require_positive(cfg, "n")
-    out = prepare_out_dir(cfg, "sample")
+    if cfg["mode"] not in ("ddim", "ddpm"):
+        raise ConfigError(f"--mode must be ddim or ddpm, got {cfg['mode']!r}")
     bundle = _load_bundle(cfg["ckpt"])
     emb = bundle.embed(cfg["prompt"])
+    out = prepare_out_dir(cfg, "sample")
     seeds = range(cfg["seed"], cfg["seed"] + cfg["n"])
     imgs = bundle.generate(emb, np.stack([seed_noise(s) for s in seeds]),
                            mode=cfg["mode"],
@@ -271,9 +277,9 @@ def _build_recipe(cfg: dict, bundle: ModelBundle) -> EditRecipe:
 
 def cmd_edit(cfg: dict) -> int:
     _require_positive(cfg, "seeds")
-    out = prepare_out_dir(cfg, "edit")
     bundle = _load_bundle(cfg["ckpt"])
     recipe = _build_recipe(cfg, bundle)
+    out = prepare_out_dir(cfg, "edit")
     outcomes = run_edit(bundle, cfg["from"], cfg["to"], recipe,
                         range(cfg["seeds"]))
     rows = [(s, recipe.label(), o) for s, o in enumerate(outcomes)]
@@ -290,11 +296,11 @@ def cmd_edit(cfg: dict) -> int:
 def cmd_mask_sweep(cfg: dict) -> int:
     """Three mask families per row: single M_i, prefix M_{1..j}, suffix M_{j..L}."""
     _require_positive(cfg, "seeds")
-    out = prepare_out_dir(cfg, "mask-sweep")
     bundle = _load_bundle(cfg["ckpt"])
     emb = bundle.embed(cfg["prompt"])
     length = emb.data.shape[0]
     base_class = bundle.class_of_text(cfg["prompt"])
+    out = prepare_out_dir(cfg, "mask-sweep")
 
     def hide(lo, hi):
         allowed = np.ones(length, dtype=bool)
@@ -333,15 +339,16 @@ def cmd_mask_sweep(cfg: dict) -> int:
 
 
 def cmd_svd_dirs(cfg: dict) -> int:
-    out = prepare_out_dir(cfg, "svd-dirs")
-    bundle = _load_bundle(cfg["ckpt"])
     if cfg["side"] not in ("right", "left"):
-        raise ConfigError(f"side must be right or left, got {cfg['side']!r}")
+        raise ConfigError(f"--side must be right or left, got {cfg['side']!r}")
+    bundle = _load_bundle(cfg["ckpt"])
     # an embedding (L, D) has min(L, D) singular directions per side
     rank = min(bundle.enc_cfg.max_len, bundle.enc_cfg.dim)
     if not 0 <= cfg["k"] < rank:
         raise ConfigError(f"--k {cfg['k']} outside the embedding's singular "
                           f"indices 0..{rank - 1}")
+    bundle.tokens(cfg["prompt"])  # an unknown word exits before the manifest
+    out = prepare_out_dir(cfg, "svd-dirs")
     points = direction_sweep(bundle, cfg["prompt"], cfg["side"], cfg["k"],
                              seed=cfg["seed"])
     save_sweep_csv(os.path.join(out, "sweep.csv"), cfg["side"], cfg["k"], points)
@@ -354,13 +361,13 @@ def cmd_svd_dirs(cfg: dict) -> int:
 
 def cmd_opt_lambda(cfg: dict) -> int:
     _require_positive(cfg, "steps")
-    out = prepare_out_dir(cfg, "opt-lambda")
     bundle = _load_bundle(cfg["ckpt"])
     ocfg = OptConfig(steps=cfg["steps"], seed=cfg["seed"], gamma=cfg["gamma"])
     ctx = make_context(bundle, cfg["from"], cfg["to"], ocfg)
     if not ctx.diff:
         raise ConfigError(f"--from and --to have the same tokens "
                           f"({cfg['from']!r}): no position to optimize")
+    out = prepare_out_dir(cfg, "opt-lambda")
     params, trajectory = optimize(ctx, ocfg)
     save_trajectory_csv(os.path.join(out, "trajectory.csv"), trajectory)
     lam = params.lam()
@@ -373,10 +380,11 @@ def cmd_opt_lambda(cfg: dict) -> int:
 
 def cmd_invert(cfg: dict) -> int:
     """Invert a rendered sample, then edit its embedding and regenerate."""
-    out = prepare_out_dir(cfg, "invert")
     bundle = _load_bundle(cfg["ckpt"])
     world = bundle.world
     k = world.class_index(cfg["class"])
+    to = bundle.embed(cfg["to"])
+    out = prepare_out_dir(cfg, "invert")
     sample = tw.render(world, k, cfg["style"], Rng(cfg["seed"]).split(2))
     emb = bundle.embed(sample.prompt)
     x_T = bundle.invert(emb, sample.x0)
@@ -387,7 +395,7 @@ def cmd_invert(cfg: dict) -> int:
     t_t = bundle.tokens(cfg["to"])
     recipe = EditRecipe(kind="swap",
                         positions=tuple(sorted(diff_positions(t_s, t_t))))
-    e_star, mask = apply_recipe(recipe, emb, bundle.embed(cfg["to"]))
+    e_star, mask = apply_recipe(recipe, emb, to)
     edited = bundle.generate(e_star, x_T, mask=mask)
 
     save_pgm(os.path.join(out, "real.pgm"), sample.x0)

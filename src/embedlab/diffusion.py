@@ -11,9 +11,11 @@ import numpy as np
 
 from .rng import Rng
 
-# ddim_invert's fixed-point iteration per step (see there)
+# ddim_invert's Picard sweeps (see there): the stop, the cap on sweeps per
+# step beyond the first, and the most steps one sweep solves together
 FP_ITERS = 8
 FP_TOL = 1e-12
+WINDOW = 20
 
 
 @dataclass(frozen=True)
@@ -21,14 +23,17 @@ class Schedule:
     alphas: np.ndarray         # alpha_t, index t-1
     alpha_bars: np.ndarray     # running products
     posterior_var: np.ndarray  # beta-tilde_t
-    # sqrt(alpha_bar_t) and sqrt(1 - alpha_bar_t), index t = 0..T
+    # sqrt(alpha_bar_t), sqrt(1 - alpha_bar_t) and their ratio
+    # sqrt(1 - alpha_bar_t) / sqrt(alpha_bar_t), index t = 0..T
     sqrt_ab: np.ndarray = field(init=False, repr=False)
     sqrt_1mab: np.ndarray = field(init=False, repr=False)
+    noise_ratio: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         ab = np.concatenate([[1.0], self.alpha_bars])
         object.__setattr__(self, "sqrt_ab", np.sqrt(ab))
         object.__setattr__(self, "sqrt_1mab", np.sqrt(1.0 - ab))
+        object.__setattr__(self, "noise_ratio", self.sqrt_1mab / self.sqrt_ab)
 
     @property
     def T(self) -> int:
@@ -176,6 +181,26 @@ def ddim_invert_step(sched: Schedule, x_prev, eps_hat, t: int) -> np.ndarray:
     return x
 
 
+def ddim_invert_steps(sched: Schedule, x_lo, eps_hat, lo: int) -> np.ndarray:
+    """ddim_invert_step composed over steps lo + 1, ..., lo + n in closed form.
+
+    x_lo (..., x_dim) is the state at step lo and eps_hat (..., n, x_dim)
+    each step's noise estimate in step order; returns x_{lo+1}, ..., x_{lo+n}
+    as (..., n, x_dim). In y = x / sqrt(ab) one step is
+    y_t = y_{t-1} + (r_t - r_{t-1}) eps_t with r_t = sqrt(1 - ab_t) / sqrt(ab_t),
+    so the composition is one cumulative sum (r is sched.noise_ratio).
+    """
+    n = np.shape(eps_hat)[-2]
+    _check_t(sched, lo + 1)
+    _check_t(sched, lo + n)
+    r = sched.noise_ratio
+    y = (r[lo + 1:lo + n + 1] - r[lo:lo + n])[:, None] * eps_hat
+    y[..., 0, :] += np.asarray(x_lo) / sched.sqrt_ab[lo]
+    np.cumsum(y, axis=-2, out=y)
+    y *= sched.sqrt_ab[lo + 1:lo + n + 1, None]
+    return y
+
+
 def l1_objective(eps_true, eps_pred) -> float:
     """Mean absolute error over every coordinate (batch-mean convention)."""
     a = np.asarray(eps_true)
@@ -221,28 +246,46 @@ def sample(sched: Schedule, predict_eps, x_T: np.ndarray,
 
 
 def ddim_invert(sched: Schedule, predict_eps, x0: np.ndarray) -> np.ndarray:
-    """Deterministic inversion x_0 -> x_T.
+    """Deterministic inversion of one image x0 (x_dim,) or of B (B, x_dim).
+
+    Returns the trajectory x_0, ..., x_T: (T + 1, x_dim) for one image and
+    (B, T + 1, x_dim) for B.
 
     The sampling step maps x_t -> x_{t-1} using eps(x_t, t), so its inverse
-    is implicit in x_t. Each step solves that implicit equation by
-    fixed-point iteration: start from the first-order guess that re-predicts
-    the noise at the coarser state x_{t-1}, then repeatedly re-predict at
-    the current candidate x_t and recompute the algebraic inverse until the
-    candidate stabilizes (no entry moves by FP_TOL) or FP_ITERS iterations
-    are done. At the fixed point the sampling step applied to x_t
-    reproduces x_{t-1} exactly, so errors do not accumulate along the chain
-    the way they do under the plain first-order rule.
+    is implicit in x_t: x_t = ddim_invert_step(x_{t-1}, eps(x_t, t), t).
+    Picard sweeps over time solve these equations a window of up to WINDOW
+    unsolved steps lo + 1..hi at a time. Each sweep predicts the noise at
+    every window step's current x_t in one predict_eps call, then recomputes
+    the window's states from the solved x_lo (ddim_invert_steps). The
+    leading steps that moved by less than FP_TOL in every image are solved
+    and the window slides past them; the step at the window's head is
+    accepted as it stands after FP_ITERS + 1 sweeps. A step entering the
+    window starts from the state before it, so its first sweep predicts the
+    noise at the coarser state x_{t-1}. At the fixed point the sampling step
+    applied to x_t reproduces x_{t-1} exactly, so errors do not accumulate
+    along the chain the way they do under the plain first-order rule.
+
+    predict_eps(x, t) receives a window's rows image-major (each image's
+    steps contiguous, in step order) and t, an int array of each row's
+    step; its result is used before the next call.
     """
-    x = np.asarray(x0, dtype=np.float64)
-    for t in range(1, sched.T + 1):
-        eps_hat = predict_eps(x, t)
-        cand = ddim_invert_step(sched, x, eps_hat, t)
-        for _ in range(FP_ITERS):
-            eps_hat = predict_eps(cand, t)
-            nxt = ddim_invert_step(sched, x, eps_hat, t)
-            done = np.max(np.abs(nxt - cand)) < FP_TOL
-            cand = nxt
-            if done:
-                break
-        x = cand
-    return x
+    x0 = np.asarray(x0, dtype=np.float64)
+    T, x_dim = sched.T, x0.shape[-1]
+    traj = np.empty((x0.size // x_dim, T + 1, x_dim))
+    traj[:, 0] = x0.reshape(-1, x_dim)
+    sweeps = np.zeros(T + 1, dtype=np.int64)
+    lo = hi = 0
+    while lo < T:
+        top = min(lo + WINDOW, T)
+        traj[:, hi + 1:top + 1] = traj[:, hi, None]
+        hi = top
+        win = traj[:, lo + 1:hi + 1]
+        steps = np.arange(lo + 1, hi + 1)
+        eps = predict_eps(win.reshape(-1, x_dim), np.tile(steps, len(traj)))
+        new = ddim_invert_steps(sched, traj[:, lo], eps.reshape(win.shape), lo)
+        done = np.abs(new - win).max(axis=(0, 2)) < FP_TOL
+        win[...] = new
+        sweeps[lo + 1:hi + 1] += 1
+        done[0] |= sweeps[lo + 1] > FP_ITERS
+        lo = hi if done.all() else lo + int(np.argmin(done))
+    return traj if x0.ndim > 1 else traj[0]

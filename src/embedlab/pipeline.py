@@ -36,6 +36,8 @@ class ModelBundle:
         The chain's B rows belong to the G embeddings in G equal contiguous
         blocks: one shared embedding is G = 1, one per row is G = B.
         mask: (L,) for every row or (B, L) with one row each.
+        predict(x, t) takes one step t for every row, or an int array of one
+        step per row.
 
         The predictor owns the chain's workspace (see denoiser.attend): the
         eps it returns is overwritten by its next call, so each chain needs
@@ -129,8 +131,29 @@ class ModelBundle:
 
     def invert(self, emb, x0: np.ndarray,
                mask: dn.AttnMask | None = None) -> np.ndarray:
-        x_T = ddim_invert(self.sched, self.predictor(emb, mask), x0)
-        return _finite("invert", x_T)
+        """The DDIM latent x_T of one image (x_dim,) or, in one solve, of B
+        images (B, x_dim).
+
+        emb and mask as for generate(): a stack of G embeddings conditions
+        G equal blocks of images, and a (B, L) mask has one row per image.
+        """
+        x0 = np.asarray(x0, dtype=np.float64)
+        if mask is None or mask.allowed.ndim == 1:
+            predict = self.predictor(emb, mask)
+        else:
+            # ddim_invert's rows are (image, step) pairs, image-major: a
+            # predictor per window width, with each image's mask row repeated
+            images = x0.size // x0.shape[-1]
+            by_width = {}
+
+            def predict(x, t):
+                width = len(x) // images
+                if width not in by_width:
+                    by_width[width] = self.predictor(emb, dn.AttnMask(
+                        np.repeat(mask.allowed, width, axis=0)))
+                return by_width[width](x, t)
+        x_T = ddim_invert(self.sched, predict, x0)[..., -1, :]
+        return _finite("invert", x_T.copy())
 
     def class_of_text(self, text: str) -> int:
         words = set(text.split())

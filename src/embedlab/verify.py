@@ -7,6 +7,8 @@ produce identical results byte for byte. Checks that need a trained model
 are out of scope here; they live in the acceptance test suite.
 """
 
+import zlib
+
 import numpy as np
 
 from . import denoiser as dn
@@ -281,6 +283,41 @@ def check_zero_denoiser_trajectory(rng: Rng) -> CheckResult:
     err = float(np.max(np.abs(got - x)))
     return _result("diffusion.zero_predictor_trajectory", err < 1e-10,
                    f"max_err={err:.3e}")
+
+
+def check_picard_inversion(rng: Rng) -> CheckResult:
+    """ddim_invert's windowed Picard sweeps against two oracles.
+
+    With a predictor that depends only on t the trajectory is
+    ddim_invert_step composed step by step. On the Rng(99) untrained model
+    every step t of the returned trajectory satisfies its own equation
+    x_t = ddim_invert_step(x_{t-1}, eps(x_t, t), t).
+    """
+    sched = df.make_schedule(100, 1e-3, 0.2)
+    table = rng.normal((sched.T + 1, 8))
+    x0 = rng.normal((2, 8))
+    traj = df.ddim_invert(sched, lambda x, t: table[t], x0)
+    x, err = x0, 0.0
+    for t in range(1, sched.T + 1):
+        x = df.ddim_invert_step(sched, x, table[t], t)
+        err = max(err, float(np.max(np.abs(traj[:, t] - x))))
+    enc_cfg, den_cfg = te.EncoderConfig(), dn.DenoiserConfig()
+    vocab = te.default_vocabulary()
+    model = Rng(99)
+    bundle = ModelBundle(
+        world=tw.default_world(), vocab=vocab, enc_cfg=enc_cfg,
+        den_cfg=den_cfg, sched=sched,
+        enc_params=te.init_encoder_params(enc_cfg, vocab.size, model.split(0)),
+        den_params=dn.init_denoiser_params(den_cfg, model.split(1)))
+    predict = bundle.predictor(bundle.embed("a photo of cross dim"))
+    traj = df.ddim_invert(sched, predict, np.clip(0.3 * rng.normal((2, 64)),
+                                                  tw.CLAMP_LO, tw.CLAMP_HI))
+    residual = max(float(np.max(np.abs(
+        df.ddim_invert_step(sched, traj[:, t - 1], predict(traj[:, t], t), t)
+        - traj[:, t]))) for t in range(1, sched.T + 1))
+    ok = err < 1e-12 and residual < 4 * df.FP_TOL
+    return _result("diffusion.picard_inversion", ok,
+                   f"vs_steps={err:.3e} fixed_point_residual={residual:.3e}")
 
 
 # --------------------------------------------------------- text encoder
@@ -577,6 +614,7 @@ ALL_CHECKS = (
     check_reverse_step_stats,
     check_l1_sum_oracle,
     check_zero_denoiser_trajectory,
+    check_picard_inversion,
     check_encoder_causal_prefix,
     check_encoder_pad_witness,
     check_encoder_noncausal_row0,
@@ -592,12 +630,14 @@ ALL_CHECKS = (
 
 
 def run_all(seed: int = 0):
-    """Run every check with an independent RNG stream per check."""
+    """Run every check with an independent RNG stream per check.
+
+    A check's stream is keyed by the CRC-32 of its function's name, so
+    adding, removing or reordering checks leaves every other check's draws
+    as they were.
+    """
     root = Rng(seed)
-    results = []
-    for i, fn in enumerate(ALL_CHECKS):
-        results.append(fn(root.split(i)))
-    return results
+    return [fn(root.split(zlib.crc32(fn.__name__.encode()))) for fn in ALL_CHECKS]
 
 
 def format_report(results) -> str:

@@ -114,10 +114,22 @@ def test_config_value_of_wrong_type_names_file_and_key(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "e")
 
 
+def _manifest(argv):
+    """The bytes of the manifest in argv's --out directory, or None."""
+    path = os.path.join(argv[argv.index("--out") + 1], "manifest.txt")
+    if not os.path.exists(path):
+        return None
+    with open(path, "rb") as f:
+        return f.read()
+
+
 def _rejects_count(argv, flag, capsys) -> None:
+    """argv exits 2 with a message naming flag, before writing a manifest."""
+    before = _manifest(argv)
     capsys.readouterr()
     assert cli.main(argv) == 2
     assert flag in capsys.readouterr().err
+    assert _manifest(argv) == before
 
 
 def test_sample_outputs(tmp_path, ckpt, capsys):
@@ -130,6 +142,8 @@ def test_sample_outputs(tmp_path, ckpt, capsys):
     assert len(rows) == 3
     _rejects_count(["sample", "--ckpt", ckpt, "--out", d, "--n", "0"],
                    "--n", capsys)
+    _rejects_count(["sample", "--ckpt", ckpt, "--out", d, "--mode", "euler"],
+                   "--mode", capsys)
 
 
 def test_sample_rejects_truncated_checkpoint(tmp_path):
@@ -237,13 +251,14 @@ def test_edit_deterministic_outputs(tmp_path, ckpt):
 
 
 def test_edit_positions_one_based(tmp_path, ckpt, capsys):
-    assert cli.main(["edit", "--ckpt", ckpt, "--out", str(tmp_path / "e"),
-                     "--positions", "0"]) == 2
-    assert cli.main(["edit", "--ckpt", ckpt, "--out", str(tmp_path / "e"),
-                     "--recipe", "scale", "--scale-pos", "0"]) == 2
-    assert cli.main(["edit", "--ckpt", ckpt, "--out", str(tmp_path / "e"),
-                     "--recipe", "mask", "--mask-from", "0",
-                     "--mask-to", "2"]) == 2
+    _rejects_count(["edit", "--ckpt", ckpt, "--out", str(tmp_path / "e"),
+                    "--positions", "0"], "--positions", capsys)
+    _rejects_count(["edit", "--ckpt", ckpt, "--out", str(tmp_path / "e"),
+                    "--recipe", "scale", "--scale-pos", "0"],
+                   "--scale-pos", capsys)
+    _rejects_count(["edit", "--ckpt", ckpt, "--out", str(tmp_path / "e"),
+                    "--recipe", "mask", "--mask-from", "0", "--mask-to", "2"],
+                   "--mask-from", capsys)
     _rejects_count(["edit", "--ckpt", ckpt, "--out", str(tmp_path / "e"),
                     "--seeds", "0"], "--seeds", capsys)
     # past the 16 rows of an embedding
@@ -261,6 +276,7 @@ def test_edit_positions_one_based(tmp_path, ckpt, capsys):
     _rejects_count(["edit", "--ckpt", ckpt, "--out", str(tmp_path / "e"),
                     "--recipe", "mask", "--mask-from", "17",
                     "--mask-to", "17"], "--mask-to 17", capsys)
+    assert not os.path.exists(tmp_path / "e")
     # the last row is still in range
     assert cli.main(["edit", "--ckpt", ckpt, "--out", str(tmp_path / "e"),
                      "--recipe", "scale", "--scale-pos", "16",
@@ -288,13 +304,18 @@ def test_mask_sweep_families(tmp_path, ckpt, capsys):
                    "--seeds", capsys)
 
 
-def test_svd_dirs_outputs(tmp_path, ckpt):
+def test_svd_dirs_outputs(tmp_path, ckpt, capsys):
+    _rejects_count(["svd-dirs", "--ckpt", ckpt, "--out", str(tmp_path / "x"),
+                    "--side", "diagonal"], "--side", capsys)
+    assert not os.path.exists(tmp_path / "x")
     d = str(tmp_path / "sv")
     assert cli.main(["svd-dirs", "--ckpt", ckpt, "--out", d, "--k", "1"]) == 0
     rows = open(os.path.join(d, "sweep.csv")).read().splitlines()
     assert len(rows) == 8  # header + 7 default strengths
-    assert cli.main(["svd-dirs", "--ckpt", ckpt, "--out", d,
-                     "--side", "diagonal"]) == 2
+    _rejects_count(["svd-dirs", "--ckpt", ckpt, "--out", d,
+                    "--side", "diagonal"], "--side", capsys)
+    _rejects_count(["svd-dirs", "--ckpt", ckpt, "--out", d,
+                    "--prompt", "a photo of cat"], "unknown word 'cat'", capsys)
 
 
 def test_svd_dirs_rejects_out_of_range_k(tmp_path, ckpt, capsys):
@@ -303,6 +324,7 @@ def test_svd_dirs_rejects_out_of_range_k(tmp_path, ckpt, capsys):
         _rejects_count(["svd-dirs", "--ckpt", ckpt, "--out", str(tmp_path),
                         "--k", k], f"--k {k} outside", capsys)
     assert not os.path.exists(tmp_path / "sweep.csv")
+    assert not os.path.exists(tmp_path / "manifest.txt")
     assert cli.main(["svd-dirs", "--ckpt", ckpt, "--out", str(tmp_path),
                      "--k", "15", "--side", "left"]) == 0
 
@@ -323,7 +345,7 @@ def test_opt_lambda_runs(tmp_path, ckpt, capsys):
     _rejects_count(["opt-lambda", "--ckpt", ckpt, "--out", str(tmp_path / "o2"),
                     "--from", same, "--to", same, "--steps", "2"],
                    "--from and --to", capsys)
-    assert not os.path.exists(os.path.join(tmp_path, "o2", "trajectory.csv"))
+    assert not os.path.exists(os.path.join(tmp_path, "o2"))
 
 
 def test_invert_runs(tmp_path, ckpt):
@@ -334,6 +356,22 @@ def test_invert_runs(tmp_path, ckpt):
     assert np.isfinite(err)
     for name in ("real.pgm", "recon.pgm", "edited.pgm"):
         assert os.path.exists(os.path.join(d, name))
+
+
+def test_invert_bytes_independent_of_blas_threads(tmp_path, ckpt):
+    """The invert command writes the same bytes with one and with two BLAS
+    threads, each run in its own process."""
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"inv{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        subprocess.run([sys.executable, "-m", "embedlab.cli", "invert",
+                        "--ckpt", ckpt, "--out", str(out)], check=True,
+                       capture_output=True, env=env, timeout=300)
+        outs.append(_read_all(out))
+    assert outs[0] == outs[1]
+    assert {"invert.csv", "real.pgm", "recon.pgm", "edited.pgm"} <= set(outs[0])
 
 
 def test_verify_command(tmp_path):
@@ -360,6 +398,14 @@ def test_train_command_small(tmp_path, capsys):
                    "--steps", capsys)
     _rejects_count(["train", "--out", str(tmp_path / "t0"),
                     "--batch-size", "0"], "--batch-size", capsys)
+    _rejects_count(["train", "--out", str(tmp_path / "t0"), "--T", "0"],
+                   "--T", capsys)
+    for start, end in (("0", "0.2"), ("0.3", "0.2"), ("1e-3", "1"),
+                       ("nan", "0.2")):
+        _rejects_count(["train", "--out", str(tmp_path / "t0"),
+                        "--beta-start", start, "--beta-end", end],
+                       "--beta-start and --beta-end", capsys)
+    assert not os.path.exists(tmp_path / "t0")
     # the produced checkpoint loads back into a usable bundle
     d2 = str(tmp_path / "s")
     assert cli.main(["sample", "--ckpt", os.path.join(d, "model.ckpt"),
@@ -371,7 +417,7 @@ def test_train_rejects_bad_lr(tmp_path, capsys):
         d = tmp_path / f"t{lr}"
         _rejects_count(["train", "--out", str(d), "--steps", "1",
                         "--lr", lr], "--lr", capsys)
-        assert not os.path.exists(d / "model.ckpt")
+        assert not os.path.exists(d)
 
 
 def test_train_bytes_pinned(tmp_path):

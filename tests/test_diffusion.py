@@ -182,9 +182,30 @@ def test_invert_is_inverse_for_consistent_predictor():
         return 0.1 * fixed[t]
 
     x0 = rng.normal(5)
-    x_T = df.ddim_invert(sched, predict, x0)
-    back = df.sample(sched, predict, x_T, mode="ddim")
+    traj = df.ddim_invert(sched, predict, x0)
+    assert traj.shape == (31, 5) and np.array_equal(traj[0], x0)
+    back = df.sample(sched, predict, traj[-1], mode="ddim")
     assert np.max(np.abs(back - x0)) < 1e-10
+
+
+def test_window_composition_matches_single_steps(sched):
+    """ddim_invert_steps over windows that start at step 1, end at step T
+    or sit inside the chain, on one and on three images, equals
+    ddim_invert_step applied step by step."""
+    rng = Rng(29)
+    for lo, n in ((0, 1), (0, 20), (37, 20), (80, 20), (99, 1), (0, 100)):
+        x_lo = rng.normal((3, 6))
+        eps = rng.normal((3, n, 6))
+        got = df.ddim_invert_steps(sched, x_lo, eps, lo)
+        assert got.shape == (3, n, 6)
+        x = x_lo
+        for j in range(n):
+            x = df.ddim_invert_step(sched, x, eps[:, j], lo + 1 + j)
+            assert np.max(np.abs(got[:, j] - x)) < 1e-12, (lo, j)
+        one = df.ddim_invert_steps(sched, x_lo[1], eps[1], lo)
+        assert np.max(np.abs(one - got[1])) < 1e-15
+    with pytest.raises(ValueError):
+        df.ddim_invert_steps(sched, x_lo, rng.normal((3, 2, 6)), 99)
 
 
 def test_ddim_step_vjp_matches_finite_differences(sched):

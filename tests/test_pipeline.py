@@ -105,6 +105,31 @@ def test_invert_shape(untrained_bundle):
     assert np.all(np.isfinite(x_T))
 
 
+def test_batched_inversion_matches_single(untrained_bundle):
+    """Each row of a (B, x_dim) inversion matches its batch-1 inversion:
+    with one shared embedding, and with one embedding and one mask per
+    image (G = B)."""
+    b = untrained_bundle
+    x0 = np.clip(np.stack([seed_noise(s) for s in range(3)]) * 0.1,
+                 CLAMP_LO, CLAMP_HI)
+    emb = b.embed("a photo of hbar dim")
+    stack = np.stack([b.embed(p).data for p in
+                      ("a photo of hbar dim", "a photo of cross bright",
+                       "a photo of vbar dim")])
+    allowed = np.ones((3, 16), dtype=bool)
+    allowed[1, 4:9] = False
+    allowed[2, :6] = False
+    cases = [
+        (b.invert(emb, x0), lambda i: b.invert(emb, x0[i])),
+        (b.invert(stack, x0, dn.AttnMask(allowed)),
+         lambda i: b.invert(stack[i], x0[i], dn.AttnMask(allowed[i]))),
+    ]
+    for batch, single in cases:
+        assert batch.shape == x0.shape
+        for i in range(3):
+            assert np.max(np.abs(batch[i] - single(i))) < 1e-10, i
+
+
 def test_regenerate_retraces_inversion(untrained_bundle):
     # invert() solves each implicit step to a fixed point, so the unclamped
     # regeneration must retrace the original sample even for random weights
