@@ -129,6 +129,12 @@ def _require_positive(cfg: dict, *keys: str) -> None:
             raise ConfigError(f"--{key} must be at least 1, got {cfg[key]}")
 
 
+def _require_float(cfg: dict, key: str, ok, want: str) -> None:
+    """--key must pass ok; a NaN fails every comparison, so ok rejects it."""
+    if not ok(cfg[key]):
+        raise ConfigError(f"--{key} must be {want}, got {cfg[key]}")
+
+
 def _load_bundle(path) -> ModelBundle:
     try:
         tensors = dn.load_checkpoint(path)
@@ -182,8 +188,8 @@ def cmd_gen_data(cfg: dict) -> int:
 
 def cmd_train(cfg: dict) -> int:
     _require_positive(cfg, "steps", "batch-size", "T")
-    if not (math.isfinite(cfg["lr"]) and cfg["lr"] > 0.0):
-        raise ConfigError(f"--lr must be finite and positive, got {cfg['lr']}")
+    _require_float(cfg, "lr", lambda v: 0.0 < v < math.inf,
+                   "finite and positive")
     if not 0.0 < cfg["beta-start"] <= cfg["beta-end"] < 1.0:
         raise ConfigError(f"--beta-start and --beta-end need 0 < beta-start "
                           f"<= beta-end < 1, got {cfg['beta-start']} and "
@@ -227,9 +233,8 @@ def cmd_sample(cfg: dict) -> int:
     emb = bundle.embed(cfg["prompt"])
     out = prepare_out_dir(cfg, "sample")
     seeds = range(cfg["seed"], cfg["seed"] + cfg["n"])
-    imgs = bundle.generate(emb, np.stack([seed_noise(s) for s in seeds]),
-                           mode=cfg["mode"],
-                           rng=[Rng(s).split(1) for s in seeds])
+    rng = [Rng(s).split(1) for s in seeds] if cfg["mode"] == "ddpm" else None
+    imgs = bundle.generate(emb, seed_noise(seeds), mode=cfg["mode"], rng=rng)
     with open(os.path.join(out, "metrics.csv"), "w", encoding="utf-8") as f:
         f.write("seed,class,score,style\n")
         for seed, img in zip(seeds, imgs):
@@ -251,6 +256,9 @@ def _build_recipe(cfg: dict, bundle: ModelBundle) -> EditRecipe:
             positions = _parse_positions(cfg["positions"], length)
         else:
             positions = tuple(sorted(diff_positions(t_s, t_t)))
+        if kind == "soft_swap":
+            _require_float(cfg, "weight", lambda v: 0.0 <= v <= 1.0,
+                           "in [0, 1]")
         return EditRecipe(kind=kind, positions=positions, weight=cfg["weight"])
     if kind == "scale":
         pos = cfg["scale-pos"]
@@ -259,6 +267,7 @@ def _build_recipe(cfg: dict, bundle: ModelBundle) -> EditRecipe:
         if pos > length:
             raise ConfigError(f"--scale-pos {pos} past the embedding's "
                               f"{length} rows")
+        _require_float(cfg, "scale", math.isfinite, "finite")
         return EditRecipe(kind="scale", scale_pos=pos - 1, scale=cfg["scale"])
     if kind == "style":
         return EditRecipe(kind="style")
@@ -313,13 +322,18 @@ def cmd_mask_sweep(cfg: dict) -> int:
     families += [(f"suffix_M{j + 1}-{length}", hide(j, length - 1))
                  for j in range(1, length)]
     labels, allowed = zip(*families)
+    # single_M1 and prefix_M1-1 hide the same row, as do single_M<L> and
+    # suffix_M<L>-<L>: each distinct mask, in first-seen order, is chained once
+    slot = {}
+    which = [slot.setdefault(a.tobytes(), len(slot)) for a in allowed]
+    masks = np.array(allowed)[np.unique(which, return_index=True)[1]]
 
-    # every family x seed pair is one row of a single chain
+    # every distinct mask x seed pair is one row of a single chain
     n = cfg["seeds"]
-    x_T = np.stack([seed_noise(s) for s in range(n)])
-    imgs = bundle.generate(emb, np.tile(x_T, (len(families), 1)),
-                           mask=dn.AttnMask(np.repeat(allowed, n, axis=0)))
-    imgs = imgs.reshape(len(families), n, -1)
+    by_mask = bundle.generate(emb, np.tile(seed_noise(range(n)), (len(masks), 1)),
+                              mask=dn.AttnMask(np.repeat(masks, n, axis=0)))
+    by_mask = by_mask.reshape(len(masks), n, -1)
+    imgs = [by_mask[i] for i in which]   # one (n, x_dim) view per family
     z = 1.959963984540054
     with open(os.path.join(out, "mask_sweep.csv"), "w", encoding="utf-8") as f:
         f.write("mask,class_keep_rate,ci_lo,ci_hi\n")
@@ -361,6 +375,8 @@ def cmd_svd_dirs(cfg: dict) -> int:
 
 def cmd_opt_lambda(cfg: dict) -> int:
     _require_positive(cfg, "steps")
+    _require_float(cfg, "gamma", lambda v: 0.0 <= v < math.inf,
+                   "finite and non-negative")
     bundle = _load_bundle(cfg["ckpt"])
     ocfg = OptConfig(steps=cfg["steps"], seed=cfg["seed"], gamma=cfg["gamma"])
     ctx = make_context(bundle, cfg["from"], cfg["to"], ocfg)
@@ -383,10 +399,10 @@ def cmd_invert(cfg: dict) -> int:
     bundle = _load_bundle(cfg["ckpt"])
     world = bundle.world
     k = world.class_index(cfg["class"])
-    to = bundle.embed(cfg["to"])
-    out = prepare_out_dir(cfg, "invert")
+    _require_float(cfg, "style", lambda v: 0.0 < v <= 1.0, "in (0, 1]")
     sample = tw.render(world, k, cfg["style"], Rng(cfg["seed"]).split(2))
-    emb = bundle.embed(sample.prompt)
+    to, emb = bundle.embed([cfg["to"], sample.prompt])
+    out = prepare_out_dir(cfg, "invert")
     x_T = bundle.invert(emb, sample.x0)
     recon = bundle.regenerate(emb, x_T)
     err = float(np.max(np.abs(recon - sample.x0)))

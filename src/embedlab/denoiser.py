@@ -9,6 +9,7 @@ finite differences in the test suite before any training result is trusted.
 """
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -595,11 +596,21 @@ def save_checkpoint(path, tensors: dict) -> None:
 
 
 def load_checkpoint(path) -> dict:
+    """The tensors of a checkpoint file, by name.
+
+    The file is read into one float64 buffer, made anew for each load.
+    Once the headers are parsed, each tensor's data moves forward to the
+    end of the previous tensor's, so the tensors lie packed from the
+    buffer's start, the rest of it zeroed, and each tensor is a writable
+    view of its slice.
+    """
     with open(path, "rb") as f:
-        buf = f.read()
+        flat = np.empty(-(-os.fstat(f.fileno()).st_size // 8), dtype="<f8")
+        raw = memoryview(flat).cast("B")
+        buf = raw[:f.readinto(raw)]
     pos = 0
 
-    def take(n: int, what: str) -> bytes:
+    def take(n: int, what: str) -> memoryview:
         nonlocal pos
         if n > len(buf) - pos:
             raise CheckpointError(f"checkpoint truncated: {what} needs {n} "
@@ -612,15 +623,22 @@ def load_checkpoint(path) -> dict:
 
     if take(4, "magic") != b"EMB1":
         raise CheckpointError("bad checkpoint magic")
-    out = {}
+    spans = []
     for _ in range(u32("tensor count")):
-        name = take(u32("name length"), "name").decode("utf-8")
+        name = str(take(u32("name length"), "name"), "utf-8")
         ndim = u32(f"rank of {name!r}")
         dims = struct.unpack(f"<{ndim}I", take(4 * ndim, f"shape of {name!r}"))
-        data = take(8 * math.prod(dims), f"data of {name!r}")
-        out[name] = np.frombuffer(data, dtype="<f8").reshape(dims).astype(np.float64)
+        n = 8 * math.prod(dims)
+        take(n, f"data of {name!r}")
+        spans.append((name, dims, pos - n, n))
     if pos != len(buf):
         raise CheckpointError(f"{len(buf) - pos} trailing bytes after the last tensor")
+    out, start = {}, 0
+    for name, dims, offset, n in spans:
+        raw[start:start + n] = raw[offset:offset + n]   # a memmove
+        out[name] = flat[start // 8:(start + n) // 8].reshape(dims)
+        start += n
+    flat[start // 8:] = 0.0
     return out
 
 
@@ -652,10 +670,16 @@ def split_checkpoint(tensors: dict):
     Every tensor is checked against the configs in meta.*: a missing,
     extra or misshapen tensor raises CheckpointError naming it, as does a
     non-finite one or an encoder head count that does not divide its width.
+    The parameter dicts hold the tensors themselves, not copies.
     """
-    for name, arr in tensors.items():
-        if not np.isfinite(arr).all():
-            raise CheckpointError(f"tensor {name!r} has non-finite values")
+    # load_checkpoint's tensors view one buffer: one check clears them all,
+    # and only a failed check looks for the tensor to name
+    buffers = {id(b): b for b in (a.base if isinstance(a.base, np.ndarray)
+                                  else a for a in tensors.values())}
+    if not all(np.isfinite(b).all() for b in buffers.values()):
+        for name, arr in tensors.items():
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"tensor {name!r} has non-finite values")
     for name in ("meta.enc_cfg", "meta.den_cfg", "meta.schedule", "enc.tok_emb"):
         if name not in tensors:
             raise CheckpointError(f"tensor {name!r} is missing")
@@ -695,9 +719,7 @@ def split_checkpoint(tensors: dict):
             raise CheckpointError(f"tensor {name!r} has shape "
                                   f"{tensors[name].shape}, the configs in "
                                   f"meta.* give {expected[name]}")
-    enc_params = {k[4:]: v.copy() for k, v in tensors.items()
-                  if k.startswith("enc.")}
-    den_params = {k[4:]: v.copy() for k, v in tensors.items()
-                  if k.startswith("den.")}
+    enc_params = {k[4:]: v for k, v in tensors.items() if k.startswith("enc.")}
+    den_params = {k[4:]: v for k, v in tensors.items() if k.startswith("den.")}
     sched_meta = tuple(tensors["meta.schedule"])
     return enc_params, den_params, enc_cfg, cfg, sched_meta

@@ -163,9 +163,9 @@ def run_edit(bundle: ModelBundle, source_text: str, target_text: str,
     The source and the edit run as the two blocks of one chain, so an edit
     that changes nothing reproduces the source bitwise.
     """
-    e_s = bundle.embed(source_text)
-    e_star, mask = apply_recipe(recipe, e_s, bundle.embed(target_text))
-    x_T = np.stack([seed_noise(s) for s in seeds])
+    e_s, e_t = bundle.embed([source_text, target_text])
+    e_star, mask = apply_recipe(recipe, e_s, e_t)
+    x_T = seed_noise(seeds)
     n = len(x_T)
     if mask is not None:
         # the source block attends to every row

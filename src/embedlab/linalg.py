@@ -2,6 +2,8 @@
 
 The SVD is a one-sided Jacobi iteration on columns, accurate and simple at
 the matrix sizes used here (embeddings are at most a few hundred entries).
+Its sweeps follow the round-robin ordering, so each round rotates n / 2
+disjoint column pairs in a few array operations.
 `svd-dirs` runs it on an embedding; PCA reads the same factors (the
 acceptance suite checks the two against each other). Singular-vector signs
 are canonicalized so that results are reproducible: in every right
@@ -61,43 +63,65 @@ def _complete_basis(cols: list[np.ndarray], m: int) -> list[np.ndarray]:
     return out
 
 
+def _round_robin(n: int) -> list:
+    """The rounds of one sweep over n columns, each a (2, n // 2) array of
+    column pairs, first row p, second q > p: the pairs of a round are
+    disjoint, and every pair of columns meets in exactly one round (Brent &
+    Luk 1985). An odd n sits one column out in each of its n rounds.
+    """
+    slots = list(range(n + n % 2))   # slot n, if any, is the sit-out
+    half = len(slots) // 2
+    rounds = []
+    for _ in range(len(slots) - 1):
+        pairs = sorted((min(i, j), max(i, j)) for i, j
+                       in zip(slots[:half], reversed(slots[half:])))
+        pairs = [pq for pq in pairs if pq[1] < n]
+        if pairs:
+            rounds.append(np.array(pairs).T)
+        # the circle method: slot 0 stays, the others move one place
+        slots = slots[:1] + slots[-1:] + slots[1:-1]
+    return rounds
+
+
 def _jacobi_tall(a: np.ndarray):
-    """One-sided Jacobi on an m x n matrix with m >= n."""
+    """One-sided Jacobi on an m x n matrix with m >= n.
+
+    Each round of a sweep rotates the disjoint column pairs of the
+    round-robin schedule at once, on the working matrix b and the
+    accumulated right rotations v stacked in one array. Each rotation is
+    the inner one, |theta| <= pi/4, from Rutishauser's
+    t = sign(zeta) / (|zeta| + sqrt(1 + zeta^2)), zeta = (aqq - app) / 2apq,
+    written as t = sign(zeta) 2|apq| / (|aqq - app| + hypot(aqq - app, 2apq)).
+    A pair whose cosine |apq| / sqrt(app aqq) is within JACOBI_TOL is left
+    as it is; converged when a whole sweep leaves every pair.
+    """
     m, n = a.shape
-    b = a.copy()
-    v = np.eye(n)
-    converged = False
+    w = np.vstack([a, np.eye(n)])   # b above v
+    rounds = _round_robin(n)
     for _ in range(JACOBI_SWEEP_CAP):
-        off_max = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                bp = b[:, p]
-                bq = b[:, q]
-                app = bp @ bp
-                aqq = bq @ bq
-                apq = bp @ bq
-                denom = app * aqq
-                if denom <= 0.0:
-                    continue
-                off = abs(apq) / np.sqrt(denom)
-                off_max = max(off_max, off)
-                if off <= JACOBI_TOL:
-                    continue
-                theta = 0.5 * np.arctan2(2.0 * apq, app - aqq)
-                c = np.cos(theta)
-                s = np.sin(theta)
-                b[:, p], b[:, q] = c * bp + s * bq, -s * bp + c * bq
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp + s * vq
-                v[:, q] = -s * vp + c * vq
-        if off_max <= JACOBI_TOL:
-            converged = True
+        rotated = False
+        for pq in rounds:
+            x = w[:, pq]   # (m + n, 2, pairs)
+            g = np.einsum("ixk,iyk->xyk", x[:m], x[:m])
+            app, aqq, apq = g[0, 0], g[1, 1], g[0, 1]
+            turn = apq * apq > (JACOBI_TOL * JACOBI_TOL) * (app * aqq)
+            if not turn.any():
+                continue
+            rotated = True
+            d = aqq - app
+            two = 2.0 * apq
+            t = np.divide(np.copysign(1.0, d) * two, np.abs(d) + np.hypot(d, two),
+                          out=np.zeros_like(d), where=turn)
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = c * t
+            w[:, pq] = np.einsum("ixk,xyk->iyk", x, np.array([[c, s], [-s, c]]))
+        if not rotated:
             break
-    if not converged:
+    else:
         raise ConvergenceError(
             f"one-sided Jacobi did not converge in {JACOBI_SWEEP_CAP} sweeps"
         )
+    b, v = w[:m], w[m:]
 
     norms = np.sqrt(np.einsum("ij,ij->j", b, b))
     order = np.argsort(-norms, kind="stable")

@@ -73,11 +73,11 @@ def make_context(bundle: ModelBundle, source_text: str, target_text: str,
     k_s = bundle.class_of_text(source_text)
     k_t = bundle.class_of_text(target_text)
     x_T = seed_noise(cfg.seed)
-    e_s = bundle.embed(source_text)
+    e_s, e_t = bundle.embed([source_text, target_text])
     return LambdaContext(
         bundle=bundle,
         e_s=e_s,
-        e_t=bundle.embed(target_text),
+        e_t=e_t,
         diff=diff_positions(t_s, t_t),
         x_T=x_T,
         i_s=bundle.generate(e_s, x_T),

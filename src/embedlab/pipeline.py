@@ -7,7 +7,7 @@ import numpy as np
 from . import denoiser as dn
 from . import text_encoder as te
 from .diffusion import Schedule, ddim_invert, ddim_step_vjp, sample
-from .rng import Rng
+from .rng import split_normals
 from .toyworld import CLAMP_HI, CLAMP_LO, IMAGE_DIM, WorldSpec
 
 
@@ -21,9 +21,20 @@ class ModelBundle:
     enc_params: dict
     den_params: dict
 
-    def embed(self, text: str) -> te.TextEmbedding:
-        tokens = te.tokenize(self.vocab, text, self.enc_cfg.max_len)
-        return te.encode(self.enc_params, self.enc_cfg, tokens)
+    def embed(self, text):
+        """The embedding of one text, or a list of embeddings of a list of
+        texts, from one encode_batch call.
+
+        A text's rows do not depend on the others in the batch, so each
+        embedding is bitwise the one its text gives alone.
+        """
+        texts = [text] if isinstance(text, str) else list(text)
+        tokens = [self.tokens(t) for t in texts]
+        data = te.encode_batch(self.enc_params, self.enc_cfg,
+                               [t.ids for t in tokens])
+        embs = [te.TextEmbedding(data=d, semantic_len=t.semantic_len)
+                for d, t in zip(data, tokens)]
+        return embs[0] if isinstance(text, str) else embs
 
     def tokens(self, text: str) -> te.TokenSeq:
         return te.tokenize(self.vocab, text, self.enc_cfg.max_len)
@@ -172,6 +183,12 @@ def _finite(stage: str, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def seed_noise(seed: int, n: int = IMAGE_DIM) -> np.ndarray:
-    """The shared x_T for a given seed (stream 0 of the seed's generator)."""
-    return Rng(seed).split(0).normal(n)
+def seed_noise(seeds, n: int = IMAGE_DIM) -> np.ndarray:
+    """The shared x_T of a seed: stream 0 of the seed's generator.
+
+    One seed gives (n,); a sequence of seeds gives (len(seeds), n), drawn
+    in one pass, each row bitwise the draw of its seed alone.
+    """
+    if np.ndim(seeds) == 0:
+        return split_normals([seeds], 0, n)[0]
+    return split_normals(seeds, 0, n)

@@ -4,6 +4,10 @@ Every value is a pure function of (key, stream, counter), so independent
 streams can be split off for parallel work without sharing state, and a
 fixed seed reproduces the exact same byte sequence on every run.
 The mixing function is SplitMix64; Gaussians come from Box-Muller.
+
+The draws are batch-native: the kernels below work on uint64 arrays of
+keys, so the generators of many seeds draw in one pass (split_normals)
+with the same bits as one Rng per seed.
 """
 
 import numpy as np
@@ -11,12 +15,13 @@ import numpy as np
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+_MASK = 0xFFFFFFFFFFFFFFFF
 _TWO53 = float(1 << 53)
 
 
-def _mix64(x):
-    """SplitMix64 finalizer on uint64 scalars or arrays."""
-    x = np.uint64(x) if np.isscalar(x) else x.astype(np.uint64)
+def _mix(x):
+    """SplitMix64 finalizer: in place on a uint64 array, which wraps
+    silently, or on a uint64 scalar, which wraps under errstate only."""
     x ^= x >> np.uint64(30)
     x *= _MIX1
     x ^= x >> np.uint64(27)
@@ -25,34 +30,77 @@ def _mix64(x):
     return x
 
 
+def _keys(seeds, stream: int):
+    """The key of Rng(seed, stream) for each uint64 seed (array or scalar)."""
+    return _mix(seeds * _GOLDEN + _mix(np.uint64(int(stream) & _MASK)))
+
+
+def _child_seeds(keys, stream: int):
+    """The seed that split(stream) gives each key's generator."""
+    return _mix(keys + np.uint64((int(stream) + 1) & _MASK))
+
+
+def _words(keys, counter: int, n: int) -> np.ndarray:
+    """Raw words counter..counter + n - 1 of each key: (n,) for one key,
+    (len(keys), n) for an array of keys."""
+    idx = np.arange(counter + 1, counter + n + 1, dtype=np.uint64)
+    idx *= _GOLDEN
+    return _mix(np.add.outer(keys, idx))
+
+
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """Words to floats in (0, 1), one per word (words are overwritten)."""
+    words >>= np.uint64(11)
+    # below 2**53 after the shift, so the int64 view converts exactly
+    u = words.view(np.int64).astype(np.float64)
+    u += 0.5
+    u /= _TWO53
+    return u
+
+
+def _box_muller(u: np.ndarray, n: int) -> np.ndarray:
+    """n deviates per row from rows of 2m uniforms, m = (n + 1) // 2: the
+    first m give the radii, the next m the angles."""
+    m = (n + 1) // 2
+    r = np.sqrt(-2.0 * np.log(u[..., :m]))
+    a = 2.0 * np.pi * u[..., m:2 * m]
+    return np.concatenate([r * np.cos(a), r * np.sin(a)], axis=-1)[..., :n]
+
+
+def split_normals(seeds, stream: int, n: int) -> np.ndarray:
+    """Rng(seed).split(stream).normal(n) for every seed, bitwise, as one
+    (len(seeds), n) array: one SplitMix64 pass over every row's words and
+    one Box-Muller pass."""
+    # masked to 64 bits, as Rng masks a seed
+    keys = np.array([int(s) & _MASK for s in seeds], dtype=np.uint64)
+    with np.errstate(over="ignore"):   # the stream's scalar key terms
+        keys = _keys(_child_seeds(_keys(keys, 0), stream), stream)
+    return _box_muller(_uniforms(_words(keys, 0, 2 * ((n + 1) // 2))), n)
+
+
 class Rng:
     """Deterministic counter-based generator with stream splitting."""
 
     def __init__(self, seed: int, stream: int = 0):
-        seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-        stream = int(stream) & 0xFFFFFFFFFFFFFFFF
-        with np.errstate(over="ignore"):
-            self._key = _mix64(np.uint64(seed) * _GOLDEN + _mix64(np.uint64(stream)))
+        with np.errstate(over="ignore"):   # uint64 scalars warn as they wrap
+            self._key = _keys(np.uint64(int(seed) & _MASK), stream)
         self._counter = 0
-        self._spare = None  # cached second Box-Muller deviate
 
     def split(self, stream: int) -> "Rng":
         """Derive an independent child stream; does not advance this one."""
         with np.errstate(over="ignore"):
-            child_seed = int(_mix64(self._key + np.uint64(int(stream) + 1)))
-        return Rng(child_seed, stream)
+            return Rng(int(_child_seeds(self._key, stream)), stream)
 
     def _raw(self, n: int) -> np.ndarray:
         """Next n raw uint64 words."""
-        idx = np.arange(self._counter, self._counter + n, dtype=np.uint64)
+        words = _words(self._key, self._counter, n)
         self._counter += n
-        with np.errstate(over="ignore"):
-            return _mix64(self._key + (idx + np.uint64(1)) * _GOLDEN)
+        return words
 
     def uniform(self, size=None):
         """Uniform floats in (0, 1)."""
         n = 1 if size is None else int(np.prod(size))
-        u = ((self._raw(n) >> np.uint64(11)).astype(np.float64) + 0.5) / _TWO53
+        u = _uniforms(self._raw(n))
         if size is None:
             return float(u[0])
         return u.reshape(size)
@@ -60,12 +108,7 @@ class Rng:
     def normal(self, size=None):
         """Standard normal deviates via Box-Muller."""
         n = 1 if size is None else int(np.prod(size))
-        m = (n + 1) // 2
-        u1 = self.uniform(m)
-        u2 = self.uniform(m)
-        r = np.sqrt(-2.0 * np.log(u1))
-        a = 2.0 * np.pi * u2
-        z = np.concatenate([r * np.cos(a), r * np.sin(a)])[:n]
+        z = _box_muller(_uniforms(self._raw(2 * ((n + 1) // 2))), n)
         if size is None:
             return float(z[0])
         return z.reshape(size)

@@ -348,6 +348,25 @@ def test_opt_lambda_runs(tmp_path, ckpt, capsys):
     assert not os.path.exists(os.path.join(tmp_path, "o2"))
 
 
+def test_float_flags_checked_before_manifest(tmp_path, ckpt, capsys):
+    """A NaN, infinite or out-of-range float flag exits 2 naming the flag,
+    before any output is written."""
+    d = str(tmp_path / "f")
+    base = ["--ckpt", ckpt, "--out", d]
+    for gamma in ("nan", "inf", "-1"):
+        _rejects_count(["opt-lambda", "--gamma", gamma, "--steps", "1"] + base,
+                       "--gamma", capsys)
+    for style in ("nan", "-3", "inf", "0", "1.5"):
+        _rejects_count(["invert", "--style", style] + base, "--style", capsys)
+    for scale in ("nan", "inf", "-inf"):
+        _rejects_count(["edit", "--recipe", "scale", "--scale-pos", "6",
+                        f"--scale={scale}"] + base, "--scale", capsys)
+    for weight in ("2.5", "-0.5", "nan"):
+        _rejects_count(["edit", "--recipe", "soft_swap", "--weight", weight]
+                       + base, "--weight", capsys)
+    assert not os.path.exists(d)
+
+
 def test_invert_runs(tmp_path, ckpt):
     d = str(tmp_path / "i")
     assert cli.main(["invert", "--ckpt", ckpt, "--out", d]) == 0

@@ -380,6 +380,29 @@ def test_checkpoint_roundtrip(tmp_path):
         assert np.array_equal(e2[k], v)
 
 
+def test_checkpoint_loads_share_no_memory(tmp_path):
+    """Each load fills its own buffer; the parameters it hands out are
+    writable views of it, and writing one leaves another load alone."""
+    rng = Rng(40)
+    enc_cfg = te.EncoderConfig(max_len=8, dim=8, n_blocks=1, n_heads=2)
+    cfg = dn.DenoiserConfig(d_h=8, d_a=4, t_feat=4, emb_dim=8, max_len=8)
+    tensors = dn.checkpoint_tensors(te.init_encoder_params(enc_cfg, 12, rng),
+                                    dn.init_denoiser_params(cfg, rng),
+                                    enc_cfg, cfg, (10, 1e-3, 0.2))
+    path = tmp_path / "m.ckpt"
+    dn.save_checkpoint(path, tensors)
+    first, second = dn.load_checkpoint(path), dn.load_checkpoint(path)
+    for name in tensors:
+        assert not np.may_share_memory(first[name], second[name]), name
+        assert first[name].flags.writeable, name
+    enc_params, den_params = dn.split_checkpoint(first)[:2]
+    for name, arr in list(enc_params.items()) + list(den_params.items()):
+        assert arr.flags.writeable, name
+        arr += 1.0
+    for name in tensors:
+        assert np.array_equal(second[name], tensors[name]), name
+
+
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"NOPE" + b"\x00" * 16)

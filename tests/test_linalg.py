@@ -110,3 +110,53 @@ def test_pca_uncentered_equals_right_singular_vectors():
 def test_pca_centered_needs_two_rows():
     with pytest.raises(ValueError):
         la.pca(np.ones((1, 3)), centered=True)
+
+
+def _svd_inputs(bundle):
+    """16 x 32 embeddings of the training prompts, random 16 x 32 matrices,
+    and matrices whose Jacobi side has an odd number of columns."""
+    prompts = [f"a photo of {c} {s}" for c in ("hbar", "vbar", "diag", "cross")
+               for s in ("bright", "dim")]
+    mats = [e.data for e in bundle.embed(prompts)]
+    mats += [Rng(300 + i).normal((16, 32)) for i in range(5)]
+    mats += [Rng(400 + i).normal(shape) for i, shape
+             in enumerate([(9, 5), (7, 3), (5, 11), (13, 7), (3, 9)])]
+    return mats
+
+
+def test_svd_vectors_match_numpy_up_to_sign(untrained_bundle):
+    """Round-robin Jacobi gives numpy's factors: singular values, and the
+    singular vectors up to sign where the values are distinct. Each input
+    converges within JACOBI_SWEEP_CAP sweeps, or svd() would raise."""
+    for a in _svd_inputs(untrained_bundle):
+        f = la.svd(a)
+        u, s, vt = np.linalg.svd(a)
+        assert np.max(np.abs(f.sigma - s)) < 1e-12, a.shape
+        assert np.min(np.abs(np.diff(s))) > 1e-3 * s[0], a.shape
+        for j in range(len(s)):
+            for got, want in ((f.vt[j], vt[j]), (f.u[:, j], u[:, j])):
+                sign = 1.0 if got @ want > 0.0 else -1.0
+                assert np.max(np.abs(got - sign * want)) < 1e-9, (a.shape, j)
+        k = len(s)
+        assert np.max(np.abs(f.vt[:k] @ f.vt[:k].T - np.eye(k))) < 1e-10
+        assert np.max(np.abs(f.u[:, :k].T @ f.u[:, :k] - np.eye(k))) < 1e-10
+
+
+def test_round_robin_meets_every_pair_once():
+    for n in range(1, 10):
+        rounds = la._round_robin(n)
+        assert len(rounds) == (0 if n == 1 else n - 1 + n % 2)
+        seen = []
+        for p, q in rounds:
+            cols = np.concatenate([p, q])
+            assert len(set(cols)) == len(cols)          # disjoint pairs
+            assert len(p) == n // 2 and np.all(p < q)
+            seen += list(zip(p.tolist(), q.tolist()))
+        assert sorted(seen) == [(p, q) for p in range(n)
+                                for q in range(p + 1, n)]
+
+
+def test_svd_sweep_cap_raises(monkeypatch):
+    monkeypatch.setattr(la, "JACOBI_SWEEP_CAP", 1)
+    with pytest.raises(la.ConvergenceError):
+        la.svd(Rng(7).normal((16, 32)))

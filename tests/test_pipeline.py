@@ -18,6 +18,35 @@ def test_seed_noise_deterministic():
     assert seed_noise(0).shape == (64,)
 
 
+def test_seed_noise_sequence_matches_per_seed_draws():
+    """A sequence of seeds draws, bitwise, what each seed draws alone,
+    masked to 64 bits as Rng masks a seed."""
+    seeds = list(range(2000)) + [-1, -5, 2**63, 2**63 + 5, 2**64 - 1, 2**64 + 3]
+    batch = seed_noise(seeds)
+    assert batch.shape == (len(seeds), 64)
+    for row, seed in zip(batch, seeds):
+        assert np.array_equal(row, Rng(seed).split(0).normal(64))
+    assert np.array_equal(seed_noise(range(3)), batch[:3])
+    assert np.array_equal(seed_noise(-1), seed_noise(2**64 - 1))
+
+
+def test_embed_list_matches_one_text_at_a_time(untrained_bundle):
+    """One encode_batch call over several texts gives each text's own
+    embedding bitwise: every ordered pair of training prompts, and all
+    eight at once."""
+    b = untrained_bundle
+    prompts = [f"a photo of {c} {s}" for c in ("hbar", "vbar", "diag", "cross")
+               for s in ("bright", "dim")]
+    alone = {p: b.embed(p) for p in prompts}
+    batches = [[p, q] for p in prompts for q in prompts] + [prompts]
+    for texts in batches:
+        embs = b.embed(texts)
+        assert len(embs) == len(texts)
+        for text, emb in zip(texts, embs):
+            assert np.array_equal(emb.data, alone[text].data), texts
+            assert emb.semantic_len == alone[text].semantic_len
+
+
 def test_generate_deterministic(untrained_bundle):
     emb = untrained_bundle.embed("a photo of diag dim")
     x_T = seed_noise(2)

@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from embedlab.rng import Rng
+from embedlab.rng import Rng, split_normals
 
 
 def test_same_seed_same_sequence():
@@ -62,3 +64,41 @@ def test_randint_bounds_and_coverage():
     assert v.min() == 0 and v.max() == 6
     assert set(np.unique(v)) == set(range(7))
     assert isinstance(Rng(3).randint(7), int)
+
+
+def _battery_digest(rng_class) -> str:
+    """sha256 over a fixed battery of draws: every kind of draw, odd sizes,
+    split streams, and seeds that Rng masks to 64 bits."""
+    h = hashlib.sha256()
+    for seed in (0, -1, 2**63 + 5):
+        r = rng_class(seed)
+        for size in (None, 1, 3, 7, 64, 257, (3, 5)):
+            h.update(np.float64(r.uniform(size)).tobytes())
+            h.update(np.float64(r.normal(size)).tobytes())
+            h.update(np.int64(r.randint(13, size)).tobytes())
+        for stream in (0, 1, 2, 99):
+            child = r.split(stream)
+            h.update(child.normal(33).tobytes())
+            h.update(child.uniform(5).tobytes())
+            h.update(child.split(3).normal(4).tobytes())
+        h.update(rng_class(seed, 5).normal(9).tobytes())
+    return h.hexdigest()
+
+
+def test_draws_match_golden_digest():
+    """The battery's bits, as the generator drew them before its kernels
+    were batched: a changed bit anywhere changes the digest."""
+    assert _battery_digest(Rng) == ("3dc096b508112ace710ab1cf466a88a0"
+                                    "ed4678efd5b973724b39b0f3a71386bd")
+
+
+def test_split_normals_match_one_rng_per_seed():
+    seeds = [0, 1, 5, 1999, -1, -7, 2**63, 2**63 + 5, 2**64 - 1, 2**64 + 3]
+    for stream, n in ((0, 64), (2, 7), (1, 1)):
+        rows = split_normals(seeds, stream, n)
+        assert rows.shape == (len(seeds), n)
+        for row, seed in zip(rows, seeds):
+            assert np.array_equal(row, Rng(seed).split(stream).normal(n))
+    # seeds are masked to 64 bits, as Rng masks them
+    assert np.array_equal(split_normals([-1], 0, 4),
+                          split_normals([2**64 - 1], 0, 4))

@@ -1,0 +1,85 @@
+"""Print the sha256 of every file a fixed battery of embedlab commands writes.
+
+Usage, from anywhere:
+
+    python tools/output_digests.py > digests.txt
+
+The battery runs on the benchmark's trained checkpoint,
+perfbench/data/trained-seed7.ckpt (read only), and writes into a temporary
+directory that is removed afterwards. Each output prints as one
+`sha256  command/path` line, sorted. Run it in two checkouts and diff the
+two listings: every line that differs names an output whose bytes changed.
+Manifests are included; they hold the checkpoint path relative to the
+checkout, so two checkouts on one machine give comparable listings.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import shutil
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CKPT = os.path.join("perfbench", "data", "trained-seed7.ckpt")
+SWAP = ["--from", "a photo of hbar bright", "--to", "a photo of vbar bright"]
+
+
+def edit(*flags) -> list:
+    return ["edit", "--ckpt", CKPT, "--seeds", "16", *flags]
+
+
+# (output directory, argv without --out)
+BATTERY = [
+    ("sample-ddim", ["sample", "--ckpt", CKPT, "--n", "4"]),
+    ("sample-ddpm", ["sample", "--ckpt", CKPT, "--n", "3", "--mode", "ddpm"]),
+    ("mask-sweep", ["mask-sweep", "--ckpt", CKPT, "--seeds", "4"]),
+    ("edit-swap", edit("--recipe", "swap", *SWAP)),
+    ("edit-soft_swap", edit("--recipe", "soft_swap", "--weight", "0.25", *SWAP)),
+    ("edit-scale", edit("--recipe", "scale", "--scale-pos", "6",
+                        "--scale", "1.5")),
+    ("edit-style", edit("--recipe", "style", "--from", "a photo of diag dim",
+                        "--to", "a photo of cross bright")),
+    ("edit-mask", edit("--recipe", "mask", "--mask-from", "5",
+                       "--mask-to", "6")),
+    ("edit-mask-zero", edit("--recipe", "mask", "--mask-from", "5",
+                            "--mask-to", "6", "--mask-mode", "zero")),
+    ("invert", ["invert", "--ckpt", CKPT]),
+    ("svd-dirs-right", ["svd-dirs", "--ckpt", CKPT, "--side", "right",
+                        "--k", "1"]),
+    ("svd-dirs-left", ["svd-dirs", "--ckpt", CKPT, "--side", "left",
+                       "--k", "1"]),
+    ("opt-lambda", ["opt-lambda", "--ckpt", CKPT, "--steps", "2"]),
+    ("train", ["train", "--steps", "30"]),
+]
+
+
+def main() -> int:
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    from embedlab import cli
+
+    os.chdir(ROOT)
+    tmp = tempfile.mkdtemp(prefix="output-digests-")
+    lines = []
+    try:
+        for tag, argv in BATTERY:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv + ["--out", os.path.join(tmp, tag)])
+            if code != 0:
+                print(f"{tag}: exit {code}", file=sys.stderr)
+                return 1
+        for dirpath, _, files in os.walk(tmp):
+            for name in files:
+                path = os.path.join(dirpath, name)
+                with open(path, "rb") as f:
+                    digest = hashlib.sha256(f.read()).hexdigest()
+                lines.append(f"{digest}  {os.path.relpath(path, tmp)}")
+    finally:
+        shutil.rmtree(tmp)
+    print("\n".join(sorted(lines, key=lambda line: line.split("  ")[1])))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
