@@ -37,7 +37,7 @@ from .optimizer import (OptConfig, OptimizationError, make_context, optimize,
 from .pipeline import ModelBundle, seed_noise
 from .rng import Rng
 from .semantics import direction_sweep, save_sweep_csv
-from .toyworld import oracle_classify, oracle_style, save_pgm
+from .toyworld import oracle_classify, oracle_style, save_pgm, write_in_place
 from .verify import format_report, run_all
 
 EXIT_OK = 0
@@ -118,8 +118,8 @@ def prepare_out_dir(cfg: dict, command: str) -> str:
              f"numpy={np.__version__}",
              f"config_hash={config_hash(cfg)}"]
     lines += [f"{k}={cfg[k]}" for k in sorted(cfg) if k != "out"]
-    with open(os.path.join(out, "manifest.txt"), "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+    write_in_place(os.path.join(out, "manifest.txt"),
+                   ["\n".join(lines) + "\n"])
     return out
 
 
@@ -217,10 +217,8 @@ def cmd_train(cfg: dict) -> int:
                                     (cfg["T"], cfg["beta-start"], cfg["beta-end"]))
     ckpt = os.path.join(out, "model.ckpt")
     dn.save_checkpoint(ckpt, tensors)
-    with open(os.path.join(out, "loss.csv"), "w", encoding="utf-8") as f:
-        f.write("step,loss\n")
-        for step, loss in log:
-            f.write(f"{step},{loss:.17g}\n")
+    lines = ["step,loss\n"] + [f"{step},{loss:.17g}\n" for step, loss in log]
+    write_in_place(os.path.join(out, "loss.csv"), lines)
     print(f"final loss {log[-1][1]:.4f}; checkpoint at {ckpt}")
     return EXIT_OK
 
@@ -235,13 +233,14 @@ def cmd_sample(cfg: dict) -> int:
     seeds = range(cfg["seed"], cfg["seed"] + cfg["n"])
     rng = [Rng(s).split(1) for s in seeds] if cfg["mode"] == "ddpm" else None
     imgs = bundle.generate(emb, seed_noise(seeds), mode=cfg["mode"], rng=rng)
-    with open(os.path.join(out, "metrics.csv"), "w", encoding="utf-8") as f:
-        f.write("seed,class,score,style\n")
-        for seed, img in zip(seeds, imgs):
-            k, score = oracle_classify(bundle.world, img)
-            style = oracle_style(bundle.world, img, k)
-            f.write(f"{seed},{k},{score:.17g},{style:.17g}\n")
-            save_pgm(os.path.join(out, f"gen_{seed}.pgm"), img)
+    k, score = oracle_classify(bundle.world, imgs)
+    style = oracle_style(bundle.world, imgs, k)
+    lines = ["seed,class,score,style\n"]
+    lines += [f"{seed},{c},{sc:.17g},{st:.17g}\n" for seed, c, sc, st
+              in zip(seeds, k.tolist(), score.tolist(), style.tolist())]
+    write_in_place(os.path.join(out, "metrics.csv"), lines)
+    for seed, img in zip(seeds, imgs):
+        save_pgm(os.path.join(out, f"gen_{seed}.pgm"), img)
     print(f"generated {cfg['n']} images for {cfg['prompt']!r} in {out}")
     return EXIT_OK
 
@@ -330,24 +329,24 @@ def cmd_mask_sweep(cfg: dict) -> int:
 
     # every distinct mask x seed pair is one row of a single chain
     n = cfg["seeds"]
-    by_mask = bundle.generate(emb, np.tile(seed_noise(range(n)), (len(masks), 1)),
-                              mask=dn.AttnMask(np.repeat(masks, n, axis=0)))
-    by_mask = by_mask.reshape(len(masks), n, -1)
-    imgs = [by_mask[i] for i in which]   # one (n, x_dim) view per family
+    imgs = bundle.generate(emb, np.tile(seed_noise(range(n)), (len(masks), 1)),
+                           mask=dn.AttnMask(np.repeat(masks, n, axis=0)))
+    # and is classified once, in one call for them all
+    kept = oracle_classify(bundle.world, imgs)[0] == base_class
+    by_mask, kept = imgs.reshape(len(masks), n, -1), kept.reshape(len(masks), n)
     z = 1.959963984540054
-    with open(os.path.join(out, "mask_sweep.csv"), "w", encoding="utf-8") as f:
-        f.write("mask,class_keep_rate,ci_lo,ci_hi\n")
-        for label, fam_imgs in zip(labels, imgs):
-            keep = np.mean([oracle_classify(bundle.world, im)[0] == base_class
-                            for im in fam_imgs])
-            # Wilson 95% interval for the keep rate
-            mid = (keep + z * z / (2 * n)) / (1 + z * z / n)
-            hw = (z / (1 + z * z / n)
-                  * np.sqrt(keep * (1 - keep) / n + z * z / (4 * n * n)))
-            f.write(f"{label},{float(keep):.17g},{float(mid - hw):.17g},"
-                    f"{float(mid + hw):.17g}\n")
-    for label, fam_imgs in zip(labels, imgs):
-        save_pgm(os.path.join(out, f"grid_{label}.pgm"), fam_imgs[0])
+    lines = ["mask,class_keep_rate,ci_lo,ci_hi\n"]
+    for label, i in zip(labels, which):
+        keep = np.mean(kept[i])
+        # Wilson 95% interval for the keep rate
+        mid = (keep + z * z / (2 * n)) / (1 + z * z / n)
+        hw = (z / (1 + z * z / n)
+              * np.sqrt(keep * (1 - keep) / n + z * z / (4 * n * n)))
+        lines.append(f"{label},{float(keep):.17g},{float(mid - hw):.17g},"
+                     f"{float(mid + hw):.17g}\n")
+    write_in_place(os.path.join(out, "mask_sweep.csv"), lines)
+    for label, i in zip(labels, which):
+        save_pgm(os.path.join(out, f"grid_{label}.pgm"), by_mask[i, 0])
     print(f"swept {len(families) - 1} masks x {n} seeds; report in {out}")
     return EXIT_OK
 
@@ -418,9 +417,9 @@ def cmd_invert(cfg: dict) -> int:
     save_pgm(os.path.join(out, "recon.pgm"), recon)
     save_pgm(os.path.join(out, "edited.pgm"), edited)
     k_edit, _ = oracle_classify(world, edited)
-    with open(os.path.join(out, "invert.csv"), "w", encoding="utf-8") as f:
-        f.write("roundtrip_linf,class_src,class_edited\n")
-        f.write(f"{err:.17g},{k},{k_edit}\n")
+    write_in_place(os.path.join(out, "invert.csv"),
+                   ["roundtrip_linf,class_src,class_edited\n",
+                    f"{err:.17g},{k},{k_edit}\n"])
     print(f"round-trip max error {err:.4f}; edited class "
           f"{world.classes[k_edit][0]}; report in {out}")
     return EXIT_OK
@@ -430,8 +429,7 @@ def cmd_verify(cfg: dict) -> int:
     out = prepare_out_dir(cfg, "verify")
     results = run_all(cfg["seed"])
     report = format_report(results)
-    with open(os.path.join(out, "verify.txt"), "w", encoding="utf-8") as f:
-        f.write(report)
+    write_in_place(os.path.join(out, "verify.txt"), [report])
     print(report, end="")
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY
 

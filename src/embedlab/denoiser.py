@@ -18,7 +18,8 @@ import numpy as np
 from . import text_encoder as te
 from .diffusion import Schedule, l1_objective
 from .rng import Rng
-from .toyworld import IMAGE_DIM, CLAMP_HI, CLAMP_LO, WorldSpec
+from .toyworld import (IMAGE_DIM, CLAMP_HI, CLAMP_LO, WorldSpec,
+                       write_in_place)
 
 
 class TrainingError(RuntimeError):
@@ -194,9 +195,10 @@ def attend(params, cfg: DenoiserConfig, x, t_proj, cond: dict,
         if folded and blocked.ndim == 2:
             blocked = blocked.reshape(scores.shape)
         np.copyto(scores, -1e30, where=blocked)
-    scores -= scores.max(axis=-1, keepdims=True)
+    # the ufunc reductions behind ndarray.max and .sum, without the wrappers
+    scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
     w = np.exp(scores, out=scores)
-    w /= w.sum(axis=-1, keepdims=True)
+    w /= np.add.reduce(w, axis=-1, keepdims=True)
     if folded:
         np.matmul(w, cond["vo"], out=h2g)
         h2g += hg
@@ -582,17 +584,16 @@ def train(world: WorldSpec, vocab: te.Vocabulary, sched: Schedule,
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(path, tensors: dict) -> None:
-    with open(path, "wb") as f:
-        f.write(b"EMB1")
-        f.write(struct.pack("<I", len(tensors)))
+    """Write tensors to path, one tensor's chunks at a time."""
+    def chunks():
+        yield b"EMB1" + struct.pack("<I", len(tensors))
         for name in sorted(tensors):
             arr = np.ascontiguousarray(tensors[name], dtype="<f8")
             nb = name.encode("utf-8")
-            f.write(struct.pack("<I", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<I", arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            f.write(arr.tobytes())
+            yield (struct.pack("<I", len(nb)) + nb
+                   + struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape))
+            yield arr.tobytes()
+    write_in_place(path, chunks())
 
 
 def load_checkpoint(path) -> dict:

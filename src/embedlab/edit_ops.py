@@ -13,7 +13,8 @@ import numpy as np
 from .denoiser import AttnMask
 from .pipeline import ModelBundle, seed_noise
 from .text_encoder import TextEmbedding, TokenSeq
-from .toyworld import background_mask, oracle_classify, oracle_style
+from .toyworld import (background_mask, oracle_classify, oracle_style,
+                       write_in_place)
 
 
 @dataclass(frozen=True)
@@ -177,25 +178,20 @@ def run_edit(bundle: ModelBundle, source_text: str, target_text: str,
     i_s, i_star = images[:n], images[n:]
     bg = background_mask(bundle.world, bundle.class_of_text(source_text),
                          bundle.class_of_text(target_text))
-    outcomes = []
-    for img_s, img_star in zip(i_s, i_star):
-        cls_src, _ = oracle_classify(bundle.world, img_s)
-        cls_star, _ = oracle_classify(bundle.world, img_star)
-        outcomes.append(EditOutcome(
-            i_s=img_s, i_star=img_star, class_src=cls_src, class_star=cls_star,
-            style_src=oracle_style(bundle.world, img_s, cls_src),
-            style_star=oracle_style(bundle.world, img_star, cls_star),
-            background_l2=float(np.sqrt(np.sum((img_star - img_s)[bg] ** 2))),
-        ))
-    return outcomes
+    k, _ = oracle_classify(bundle.world, images)
+    cls, style = k.tolist(), oracle_style(bundle.world, images, k).tolist()
+    return [EditOutcome(
+        i_s=i_s[i], i_star=i_star[i], class_src=cls[i], class_star=cls[n + i],
+        style_src=style[i], style_star=style[n + i],
+        background_l2=float(np.sqrt(np.sum((i_star[i] - i_s[i])[bg] ** 2))),
+    ) for i in range(n)]
 
 
 def save_edit_report_csv(path, rows) -> None:
     """rows: iterables of (seed, recipe_label, EditOutcome)."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("seed,recipe,class_src,class_star,style_src,style_star,"
-                "background_l2\n")
-        for seed, label, o in rows:
-            f.write(f"{seed},{label},{o.class_src},{o.class_star},"
-                    f"{o.style_src:.17g},{o.style_star:.17g},"
-                    f"{o.background_l2:.17g}\n")
+    lines = ["seed,recipe,class_src,class_star,style_src,style_star,"
+             "background_l2\n"]
+    lines += [f"{seed},{label},{o.class_src},{o.class_star},"
+              f"{o.style_src:.17g},{o.style_star:.17g},{o.background_l2:.17g}\n"
+              for seed, label, o in rows]
+    write_in_place(path, lines)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .edit_ops import diff_positions, soft_mix
 from .pipeline import ModelBundle, seed_noise
-from .toyworld import background_mask
+from .toyworld import background_mask, write_in_place
 
 INIT_LOGIT = np.log(0.95 / 0.05)  # lambda in {0.05, 0.95} at init
 EPS_GUARD = 1e-8
@@ -199,10 +199,10 @@ def optimize(ctx: LambdaContext, cfg: OptConfig):
 
 
 def save_trajectory_csv(path, trajectory) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        n = trajectory[0][2].shape[0]
-        cols = ",".join(f"lambda_{i}" for i in range(n))
-        f.write(f"step,loss,{cols}\n")
-        for step, loss, lam in trajectory:
-            vals = ",".join(f"{v:.17g}" for v in lam)
-            f.write(f"{step},{loss:.17g},{vals}\n")
+    n = trajectory[0][2].shape[0]
+    cols = ",".join(f"lambda_{i}" for i in range(n))
+    lines = [f"step,loss,{cols}\n"]
+    for step, loss, lam in trajectory:
+        vals = ",".join(f"{v:.17g}" for v in lam)
+        lines.append(f"{step},{loss:.17g},{vals}\n")
+    write_in_place(path, lines)

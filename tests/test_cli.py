@@ -146,6 +146,22 @@ def test_sample_outputs(tmp_path, ckpt, capsys):
                    "--mode", capsys)
 
 
+def test_sample_rerun_rewrites_outputs(tmp_path, ckpt):
+    """A smaller run into a used directory leaves the same report bytes as
+    into a fresh one."""
+    used, fresh = str(tmp_path / "used"), str(tmp_path / "fresh")
+    second = ["sample", "--ckpt", ckpt, "--n", "1",
+              "--prompt", "a photo of vbar dim"]
+    assert cli.main(["sample", "--ckpt", ckpt, "--out", used, "--n", "3",
+                     "--prompt", "a photo of cross bright"]) == 0
+    assert cli.main(second + ["--out", used]) == 0
+    assert cli.main(second + ["--out", fresh]) == 0
+    for name in ("metrics.csv", "manifest.txt", "gen_0.pgm"):
+        with open(os.path.join(used, name), "rb") as a, \
+                open(os.path.join(fresh, name), "rb") as b:
+            assert a.read() == b.read(), name
+
+
 def test_sample_rejects_truncated_checkpoint(tmp_path):
     bad = tmp_path / "short.ckpt"
     bad.write_bytes(b"EMB1\x01\x00")

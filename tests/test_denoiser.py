@@ -380,6 +380,19 @@ def test_checkpoint_roundtrip(tmp_path):
         assert np.array_equal(e2[k], v)
 
 
+def test_checkpoint_saved_over_a_longer_file(tmp_path):
+    """Saving cuts the file at the new checkpoint's end: a tail left from
+    the longer file would fail the load's trailing-bytes check."""
+    tensors = {"a": np.arange(6.0).reshape(2, 3), "b": np.array([0.5])}
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(b"\xff" * 4096)
+    dn.save_checkpoint(path, tensors)
+    loaded = dn.load_checkpoint(path)
+    assert set(loaded) == set(tensors)
+    for name in tensors:
+        assert np.array_equal(loaded[name], tensors[name])
+
+
 def test_checkpoint_loads_share_no_memory(tmp_path):
     """Each load fills its own buffer; the parameters it hands out are
     writable views of it, and writing one leaves another load alone."""

@@ -84,6 +84,89 @@ def test_classify_tie_breaks_to_lowest_index(world):
     assert k == 0 and score == 0.0
 
 
+def _classify_one(world, x):
+    """The per-image oracle_classify that the batch path must reproduce."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    scores = []
+    for _, pattern in world.classes:
+        b = pattern.ravel()
+        scores.append((x @ b) / np.sqrt(b @ b))
+    best = int(np.argmax(scores))
+    norm = float(np.sqrt(x @ x))
+    score = scores[best] / norm if norm > 0.0 else 0.0
+    return best, float(score)
+
+
+def _style_one(world, x, k):
+    b = world.pattern(k).ravel()
+    return float((np.asarray(x, dtype=np.float64).ravel() @ b) / (b @ b))
+
+
+def _oracle_images(world):
+    """Rendered images, random ones from 1e-3 to 1e3 in magnitude, the zero
+    image and a tie between classes 0 and 1, as one (N, 64) stack."""
+    rng = Rng(15)
+    rendered = [tw.render(world, k, s, rng).x0 for k in range(4)
+                for s in (0.1, 0.4, 0.7, 1.0)]
+    mags = 10.0 ** (6.0 * rng.uniform(2000) - 3.0)
+    random = mags[:, None] * rng.normal((2000, tw.IMAGE_DIM))
+    tie = world.pattern(0).ravel() + world.pattern(1).ravel()
+    return np.vstack([rendered, random, np.zeros((1, tw.IMAGE_DIM)), tie])
+
+
+def test_batch_oracles_match_per_image_bitwise(world):
+    x = _oracle_images(world)
+    k, score = tw.oracle_classify(world, x)
+    style = tw.oracle_style(world, x, k)
+    assert k.shape == score.shape == style.shape == (len(x),)
+    for i, img in enumerate(x):
+        k_ref, score_ref = _classify_one(world, img)
+        assert (int(k[i]), float(score[i])) == (k_ref, score_ref), i
+        assert float(style[i]) == _style_one(world, img, k_ref), i
+        # one image gives Python scalars, bitwise the stack's row
+        one = tw.oracle_classify(world, img)
+        assert one == (k_ref, score_ref)
+        assert type(one[0]) is int and type(one[1]) is float
+        assert tw.oracle_style(world, img, k_ref) == float(style[i])
+    # the zero image scores 0 and the tie goes to the lower index
+    assert (k[-2], score[-2]) == (0, 0.0)
+    p0, p1 = world.pattern(0).ravel(), world.pattern(1).ravel()
+    assert x[-1] @ p0 / np.sqrt(p0 @ p0) == x[-1] @ p1 / np.sqrt(p1 @ p1)
+    assert k[-1] == 0
+
+
+def test_batch_style_takes_one_class_for_every_image(world):
+    x = _oracle_images(world)[:40]
+    for c in range(len(world.classes)):
+        style = tw.oracle_style(world, x, c)
+        assert style.tolist() == [_style_one(world, img, c) for img in x]
+
+
+def test_style_rejects_invalid_class(world):
+    x = np.ones((3, tw.IMAGE_DIM))
+    for bad in (-1, len(world.classes)):
+        with pytest.raises(ValueError, match="invalid class index"):
+            tw.oracle_style(world, x[0], bad)
+        with pytest.raises(ValueError, match="invalid class index"):
+            tw.oracle_style(world, x, np.array([0, bad, 1]))
+
+
+def test_write_in_place_leaves_exactly_the_new_bytes(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"x" * 5000)
+    inode = path.stat().st_ino
+    tw.write_in_place(path, ["short\n", b"tail"])
+    assert path.read_bytes() == b"short\ntail"
+    assert path.stat().st_ino == inode
+    # a new file gets the mode open(path, "w") gives it
+    tw.write_in_place(tmp_path / "new.txt", ["a"])
+    with open(tmp_path / "ref.txt", "w"):
+        pass
+    assert (tmp_path / "new.txt").read_bytes() == b"a"
+    assert ((tmp_path / "new.txt").stat().st_mode
+            == (tmp_path / "ref.txt").stat().st_mode)
+
+
 def test_style_estimator_monte_carlo(world):
     rng = Rng(13)
     vals = [tw.oracle_style(world, tw.render(world, 0, 0.7, rng).x0, 0)

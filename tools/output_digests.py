@@ -11,6 +11,11 @@ directory that is removed afterwards. Each output prints as one
 two listings: every line that differs names an output whose bytes changed.
 Manifests are included; they hold the checkpoint path relative to the
 checkout, so two checkouts on one machine give comparable listings.
+
+The last entries rerun commands into directories that already hold an
+earlier run's files, mostly with smaller outputs, so the listing also
+covers files rewritten over longer ones. Files that only the earlier run
+writes stay as it left them.
 """
 
 import contextlib
@@ -52,6 +57,21 @@ BATTERY = [
                        "--k", "1"]),
     ("opt-lambda", ["opt-lambda", "--ckpt", CKPT, "--steps", "2"]),
     ("train", ["train", "--steps", "30"]),
+    # reruns into existing directories
+    ("sample-ddim", ["sample", "--ckpt", CKPT, "--n", "2", "--seed", "5"]),
+    ("sample-ddpm", ["sample", "--ckpt", CKPT, "--n", "1", "--mode", "ddpm"]),
+    ("mask-sweep", ["mask-sweep", "--ckpt", CKPT, "--seeds", "2",
+                    "--prompt", "a photo of cross dim"]),
+    ("edit-swap", ["edit", "--ckpt", CKPT, "--seeds", "2", "--recipe", "swap",
+                   "--from", "a photo of diag dim", "--to", "a photo of cross dim"]),
+    ("edit-scale", ["edit", "--ckpt", CKPT, "--seeds", "3", "--recipe",
+                    "scale", "--scale-pos", "6", "--scale", "0.5"]),
+    ("invert", ["invert", "--ckpt", CKPT, "--class", "vbar", "--style", "0.5",
+                "--to", "a photo of hbar dim"]),
+    ("svd-dirs-right", ["svd-dirs", "--ckpt", CKPT, "--side", "right",
+                        "--k", "0", "--seed", "3"]),
+    ("opt-lambda", ["opt-lambda", "--ckpt", CKPT, "--steps", "1"]),
+    ("train", ["train", "--steps", "10", "--seed", "3"]),
 ]
 
 
