@@ -177,7 +177,7 @@ def cmd_gen_data(cfg: dict) -> int:
     samples = []
     for i in range(cfg["n"]):
         k = rng.randint(len(world.classes))
-        style = 0.3 + 0.7 * rng.uniform()
+        style = tw.draw_style(rng.uniform())
         samples.append(tw.render(world, k, style, rng))
     tw.save_dataset_csv(os.path.join(out, "dataset.csv"), samples)
     for i, s in enumerate(samples[:8]):

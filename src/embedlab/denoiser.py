@@ -11,14 +11,14 @@ finite differences in the test suite before any training result is trusted.
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import text_encoder as te
 from .diffusion import Schedule, l1_objective
 from .rng import Rng
-from .toyworld import (IMAGE_DIM, CLAMP_HI, CLAMP_LO, WorldSpec,
+from .toyworld import (IMAGE_DIM, CLAMP_HI, CLAMP_LO, WorldSpec, draw_style,
                        write_in_place)
 
 
@@ -370,7 +370,7 @@ def loss_and_grads(enc_params, den_params, enc_cfg: te.EncoderConfig,
     """
     emb_all, enc_tape = te.encode_batch(
         enc_params, enc_cfg, batch.token_matrix,
-        causal=True, pad_mask=False, need_tape=True, work=work)
+        causal=True, need_tape=True, work=work)
     emb, allowed, index = _gather_conditioning(emb_all, batch, work)
     eps_pred, tape = forward_batch(den_params, cfg, batch.x_t, batch.t,
                                    emb, allowed, need_tape=True, work=work)
@@ -386,34 +386,33 @@ def loss_and_grads(enc_params, den_params, enc_cfg: te.EncoderConfig,
     return loss, enc_grads, den_grads
 
 
+# Adam moment decays and denominator guard
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# conditioning-dropout augmentation. The causal encoder copies the whole
+# prompt's meaning into the EOS summary row, and a denoiser trained only
+# on full contexts learns to read that one row, which makes single-row
+# embedding edits generatively inert. Hiding the EOS/PAD keys on most
+# samples forces the class and style word rows to carry the signal.
+P_WORDS_ONLY = 0.35
+P_PAD_MASKED = 0.25
+# compositional conditioning augmentation: on a small fraction of samples
+# the conditioning is a donor prompt's embedding with the class-word row
+# swapped in from the true prompt. This puts row-swapped embeddings on
+# the training manifold, so single-row edits steer generation instead of
+# producing out-of-distribution conditioning the denoiser ignores. The
+# rate must stay small: a large rate makes the context rows unreliable
+# and the model degenerates to reading the class row alone.
+P_SWAP_AUG = 0.12
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     steps: int = 25000
     batch_size: int = 64
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     lr_final: float | None = 5e-5  # cosine decay target; None = constant lr
     seed: int = 0
     log_every: int = 100
-    style_min: float = 0.3
-    style_max: float = 1.0
-    # conditioning-dropout augmentation. The causal encoder copies the whole
-    # prompt's meaning into the EOS summary row, and a denoiser trained only
-    # on full contexts learns to read that one row, which makes single-row
-    # embedding edits generatively inert. Hiding the EOS/PAD keys on most
-    # samples forces the class and style word rows to carry the signal.
-    p_words_only: float = 0.35
-    p_pad_masked: float = 0.25
-    # compositional conditioning augmentation: on a small fraction of samples
-    # the conditioning is a donor prompt's embedding with the class-word row
-    # swapped in from the true prompt. This puts row-swapped embeddings on
-    # the training manifold, so single-row edits steer generation instead of
-    # producing out-of-distribution conditioning the denoiser ignores. The
-    # rate must stay small: a large rate makes the context rows unreliable
-    # and the model degenerates to reading the class row alone.
-    p_swap_aug: float = 0.12
 
 
 def training_prompts(world: WorldSpec, vocab: te.Vocabulary, max_len: int):
@@ -475,13 +474,11 @@ def adam_update(p, g, m, v, step: int, lr, b1: float, b2: float,
 
 def train(world: WorldSpec, vocab: te.Vocabulary, sched: Schedule,
           enc_cfg: te.EncoderConfig, cfg: DenoiserConfig,
-          train_cfg: TrainConfig,
-          enc_params: dict | None = None, den_params: dict | None = None,
-          on_log=None):
+          train_cfg: TrainConfig, on_log=None):
     """Joint Adam training of encoder and denoiser on the L1 objective.
 
-    Trains copies of the given (or fresh) parameters, held as views of one
-    flat vector, and returns them with the log of (step, loss) pairs.
+    Trains fresh parameters, held as views of one flat vector, and returns
+    them with the log of (step, loss) pairs.
     on_log(step, loss, lr, grad_norm), if given, is called at every logged
     step; grad_norm is the L2 norm of that step's flat gradient.
 
@@ -492,10 +489,8 @@ def train(world: WorldSpec, vocab: te.Vocabulary, sched: Schedule,
     rng = Rng(train_cfg.seed)
     init_rng = rng.split(0)
     data_rng = rng.split(1)
-    if enc_params is None:
-        enc_params = te.init_encoder_params(enc_cfg, vocab.size, init_rng)
-    if den_params is None:
-        den_params = init_denoiser_params(cfg, init_rng)
+    enc_params = te.init_encoder_params(enc_cfg, vocab.size, init_rng)
+    den_params = init_denoiser_params(cfg, init_rng)
     _, token_matrix = training_prompts(world, vocab, enc_cfg.max_len)
     n_styles = len(world.style_words)
     patterns = np.stack([p.ravel() for _, p in world.classes])
@@ -522,9 +517,7 @@ def train(world: WorldSpec, vocab: te.Vocabulary, sched: Schedule,
     log = []
     for step in range(1, train_cfg.steps + 1):
         cls = data_rng.randint(len(world.classes), bsz)
-        style = (train_cfg.style_min
-                 + (train_cfg.style_max - train_cfg.style_min)
-                 * data_rng.uniform(bsz))
+        style = draw_style(data_rng.uniform(bsz))
         x0 = style[:, None] * patterns[cls]
         if world.noise_sigma > 0.0:
             x0 = x0 + world.noise_sigma * data_rng.normal(x0.shape)
@@ -538,16 +531,15 @@ def train(world: WorldSpec, vocab: te.Vocabulary, sched: Schedule,
         x_t = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
         allowed = np.ones((bsz, enc_cfg.max_len), dtype=bool)
         u = data_rng.uniform(bsz)
-        words_sel = u < train_cfg.p_words_only
-        pad_sel = ((u >= train_cfg.p_words_only)
-                   & (u < train_cfg.p_words_only + train_cfg.p_pad_masked))
+        words_sel = u < P_WORDS_ONLY
+        pad_sel = (u >= P_WORDS_ONLY) & (u < P_WORDS_ONLY + P_PAD_MASKED)
         allowed[words_sel] = words_only_keys
         allowed[pad_sel] = pad_masked_keys
         # compositional augmentation: condition on a donor prompt of a random
         # class with the true prompt's class-word row swapped in
         row_src = np.broadcast_to(prompt_ids[:, None],
                                   (bsz, enc_cfg.max_len)).copy()
-        swap_sel = data_rng.uniform(bsz) < train_cfg.p_swap_aug
+        swap_sel = data_rng.uniform(bsz) < P_SWAP_AUG
         donor_cls = data_rng.randint(len(world.classes), bsz)
         donor_ids = donor_cls * n_styles + nearest
         row_src[swap_sel] = donor_ids[swap_sel, None]
@@ -569,8 +561,8 @@ def train(world: WorldSpec, vocab: te.Vocabulary, sched: Schedule,
         if logged:
             # before adam_update overwrites grad
             grad_norm = float(np.linalg.norm(grad))
-        adam_update(flat, grad, m, v2, step, lr, train_cfg.beta1,
-                    train_cfg.beta2, train_cfg.adam_eps, scratch)
+        adam_update(flat, grad, m, v2, step, lr, ADAM_BETA1, ADAM_BETA2,
+                    ADAM_EPS, scratch)
         if logged:
             log.append((step, loss))
             if on_log is not None:

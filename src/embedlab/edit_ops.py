@@ -6,7 +6,7 @@ the source and edited images always share the same x_T under deterministic
 DDIM sampling, so any difference is attributable to the embedding change.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,25 +19,25 @@ from .toyworld import (background_mask, oracle_classify, oracle_style,
 
 @dataclass(frozen=True)
 class EditRecipe:
-    kind: str                       # swap | soft_swap | scale | style | soft_mix | mask
-    positions: tuple = ()           # swap / soft_swap
+    kind: str                       # swap | soft_swap | scale | style | mask
+    positions: tuple = ()           # swap / soft_swap: 0-based rows
     weight: float = 0.5             # soft_swap: weight on the source row
-    scale_pos: int = 0              # scale
+    scale_pos: int = 0              # scale: 0-based row
     scale: float = 1.0              # scale
-    lam: tuple = ()                 # soft_mix
     mask_range: tuple = (0, 0)      # mask: inclusive 0-based (i, j)
     mask_mode: str = "exclude"      # exclude keys from attention, or "zero" rows
-    style_boundary: str = "include-eos"
 
     def label(self) -> str:
+        """Report label; it names rows 1-based, as the CLI flags do."""
         if self.kind == "swap":
-            return f"swap[{','.join(map(str, self.positions))}]"
+            return f"swap[{','.join(str(p + 1) for p in self.positions)}]"
         if self.kind == "soft_swap":
             return f"soft_swap[w={self.weight}]"
         if self.kind == "scale":
-            return f"scale[{self.scale_pos}x{self.scale}]"
+            return f"scale[{self.scale_pos + 1}x{self.scale}]"
         if self.kind == "mask":
-            return f"mask[{self.mask_range[0]}-{self.mask_range[1]}:{self.mask_mode}]"
+            i, j = self.mask_range
+            return f"mask[{i + 1}-{j + 1}:{self.mask_mode}]"
         return self.kind
 
 
@@ -99,20 +99,11 @@ def mix_scale(e: TextEmbedding, j: int, c: float) -> TextEmbedding:
     return TextEmbedding(data=out, semantic_len=e.semantic_len)
 
 
-def mix_style(e_s: TextEmbedding, e_t: TextEmbedding,
-              boundary: str = "include-eos") -> TextEmbedding:
-    """Semantic rows from the source, padding rows from the target.
-
-    boundary "include-eos" keeps BOS..EOS on the source side; "exclude-eos"
-    moves the EOS row to the target (padding) side.
-    """
+def mix_style(e_s: TextEmbedding, e_t: TextEmbedding) -> TextEmbedding:
+    """Semantic rows (BOS..EOS) from the source, padding rows from the
+    target."""
     _check_shapes(e_s, e_t)
-    if boundary == "include-eos":
-        cut = e_s.semantic_len
-    elif boundary == "exclude-eos":
-        cut = e_s.semantic_len - 1
-    else:
-        raise ValueError(f"unknown style boundary {boundary!r}")
+    cut = e_s.semantic_len
     out = np.concatenate([e_s.data[:cut], e_t.data[cut:]], axis=0)
     return TextEmbedding(data=out, semantic_len=e_s.semantic_len)
 
@@ -137,9 +128,7 @@ def apply_recipe(recipe: EditRecipe, e_s: TextEmbedding, e_t: TextEmbedding):
     if recipe.kind == "scale":
         return mix_scale(e_s, recipe.scale_pos, recipe.scale), None
     if recipe.kind == "style":
-        return mix_style(e_s, e_t, recipe.style_boundary), None
-    if recipe.kind == "soft_mix":
-        return soft_mix(e_s, e_t, recipe.lam), None
+        return mix_style(e_s, e_t), None
     if recipe.kind == "mask":
         i, j = recipe.mask_range
         length = e_s.data.shape[0]

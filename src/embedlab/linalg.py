@@ -43,24 +43,29 @@ class SvdFactors:
         return (self.u[:, :k] * self.sigma) @ self.vt[:k, :]
 
 
-def _complete_basis(cols: list[np.ndarray], m: int) -> list[np.ndarray]:
-    """Extend an orthonormal column list to a full basis of R^m.
+def _complete_basis(cols: np.ndarray) -> np.ndarray:
+    """An m x m orthogonal matrix whose first columns are the orthonormal
+    columns of cols (m, k).
 
     Deterministic: standard basis vectors are tried in index order and
-    Gram-Schmidt-orthogonalized against what is already present.
+    projected off the columns present twice; one classical Gram-Schmidt
+    pass leaves its own rounding behind, a second removes it.
     """
-    out = list(cols)
+    m, k = cols.shape
+    q = np.empty((m, m))
+    q[:, :k] = cols
     for i in range(m):
-        if len(out) == m:
+        if k == m:
             break
         v = np.zeros(m)
         v[i] = 1.0
-        for u in out:
-            v -= (u @ v) * u
+        for _ in range(2):
+            v -= q[:, :k] @ (q[:, :k].T @ v)
         nrm = float(np.sqrt(v @ v))
         if nrm > 1e-8:
-            out.append(v / nrm)
-    return out
+            q[:, k] = v / nrm
+            k += 1
+    return q
 
 
 def _round_robin(n: int) -> list:
@@ -129,24 +134,13 @@ def _jacobi_tall(a: np.ndarray):
     b = b[:, order]
     v = v[:, order]
 
-    u_cols = []
     zero_tol = max(m, n) * np.finfo(np.float64).eps * max(norms[0], 1.0)
-    for j in range(n):
-        if norms[j] > zero_tol:
-            u_cols.append(b[:, j] / norms[j])
-        else:
-            norms[j] = 0.0
-    filled = _complete_basis(u_cols, m)
-    # reinsert completion vectors at the zero-sigma slots, extras at the end
+    live = norms > zero_tol
+    norms[~live] = 0.0
+    filled = _complete_basis(b[:, live] / norms[live])
+    # completion vectors go to the zero-sigma slots, extras at the end
     u = np.empty((m, m))
-    it = iter(filled[len(u_cols):])
-    k = 0
-    for j in range(m):
-        if j < n and norms[j] > 0.0:
-            u[:, j] = u_cols[k]
-            k += 1
-        else:
-            u[:, j] = next(it)
+    u[:, np.r_[np.flatnonzero(live), np.flatnonzero(~live), n:m]] = filled
     return u, norms, v.T
 
 

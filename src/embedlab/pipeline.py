@@ -138,8 +138,7 @@ class ModelBundle:
                                         h.T @ ds, w.T @ dh2)
         return _finite("generate", x0), vjp
 
-    def regenerate(self, emb, x_T: np.ndarray,
-                   mask: dn.AttnMask | None = None) -> np.ndarray:
+    def regenerate(self, emb, x_T: np.ndarray) -> np.ndarray:
         """Deterministic DDIM regeneration from an inverted latent.
 
         Unlike generate(), the intermediate x0 estimate is not clamped:
@@ -148,32 +147,17 @@ class ModelBundle:
         noise levels, so clamping would break the bijection and the round
         trip regenerate(invert(x0)) would no longer retrace x0.
         """
-        return self.generate(emb, x_T, mask, clip_x0=None)
+        return self.generate(emb, x_T, clip_x0=None)
 
-    def invert(self, emb, x0: np.ndarray,
-               mask: dn.AttnMask | None = None) -> np.ndarray:
+    def invert(self, emb, x0: np.ndarray) -> np.ndarray:
         """The DDIM latent x_T of one image (x_dim,) or, in one solve, of B
         images (B, x_dim).
 
-        emb and mask as for generate(): a stack of G embeddings conditions
-        G equal blocks of images, and a (B, L) mask has one row per image.
+        emb as for generate(): a stack of G embeddings conditions G equal
+        blocks of images.
         """
         x0 = np.asarray(x0, dtype=np.float64)
-        if mask is None or mask.allowed.ndim == 1:
-            predict = self.predictor(emb, mask)
-        else:
-            # ddim_invert's rows are (image, step) pairs, image-major: a
-            # predictor per window width, with each image's mask row repeated
-            images = x0.size // x0.shape[-1]
-            by_width = {}
-
-            def predict(x, t):
-                width = len(x) // images
-                if width not in by_width:
-                    by_width[width] = self.predictor(emb, dn.AttnMask(
-                        np.repeat(mask.allowed, width, axis=0)))
-                return by_width[width](x, t)
-        x_T = ddim_invert(self.sched, predict, x0)[..., -1, :]
+        x_T = ddim_invert(self.sched, self.predictor(emb), x0)[..., -1, :]
         return _finite("invert", x_T.copy())
 
     def class_of_text(self, text: str) -> int:
@@ -193,12 +177,13 @@ def _finite(stage: str, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def seed_noise(seeds, n: int = IMAGE_DIM) -> np.ndarray:
+def seed_noise(seeds) -> np.ndarray:
     """The shared x_T of a seed: stream 0 of the seed's generator.
 
-    One seed gives (n,); a sequence of seeds gives (len(seeds), n), drawn
-    in one pass, each row bitwise the draw of its seed alone.
+    One seed gives (IMAGE_DIM,); a sequence of seeds gives (len(seeds),
+    IMAGE_DIM), drawn in one pass, each row bitwise the draw of its seed
+    alone.
     """
     if np.ndim(seeds) == 0:
-        return split_normals([seeds], 0, n)[0]
-    return split_normals(seeds, 0, n)
+        return split_normals([seeds], 0, IMAGE_DIM)[0]
+    return split_normals(seeds, 0, IMAGE_DIM)

@@ -1,14 +1,14 @@
 """CLIP-style toy transformer text encoder.
 
 Pre-norm residual blocks, multi-head scaled dot-product self-attention,
-ReLU feed-forward, final layer norm. The causal mask and the padding mask
-are independently toggleable: the CLIP-like configuration is causal=True,
-pad_mask=False, which lets PAD rows absorb information from the semantic
-tokens. Forward and backward passes are written out by hand so the encoder
+ReLU feed-forward, final layer norm. Attention is causal, as in CLIP, and
+PAD positions are never masked, so PAD rows absorb information from the
+semantic tokens (the non-causal form exists only for an oracle check).
+Forward and backward passes are written out by hand so the encoder
 can be trained jointly with the denoiser without an autodiff framework.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -150,14 +150,12 @@ def _layer_norm_backward(dy, cache):
     return dx, dg, db
 
 
-def _attention_allowed(ids: np.ndarray, causal: bool, pad_mask: bool) -> np.ndarray:
+def _attention_allowed(ids: np.ndarray, causal: bool) -> np.ndarray:
     """Boolean (B, L, L): may query position i attend to key position j."""
     b, l = ids.shape
     allowed = np.ones((b, l, l), dtype=bool)
     if causal:
         allowed &= np.tril(np.ones((l, l), dtype=bool))[None, :, :]
-    if pad_mask:
-        allowed &= (ids != PAD)[:, None, :]
     return allowed
 
 
@@ -202,14 +200,14 @@ def block_forward(params, cfg: EncoderConfig, i: int, x: np.ndarray,
 
 
 def encode_batch(params, cfg: EncoderConfig, ids: np.ndarray,
-                 causal: bool = True, pad_mask: bool = False,
-                 need_tape: bool = False, work: dict | None = None):
+                 causal: bool = True, need_tape: bool = False,
+                 work: dict | None = None):
     """Encode a (B, L) id batch to (B, L, D); optionally keep a backprop tape.
 
     work as for block_forward.
     """
     ids = np.asarray(ids, dtype=np.int64)
-    allowed = _attention_allowed(ids, causal, pad_mask)
+    allowed = _attention_allowed(ids, causal)
 
     x = params["tok_emb"][ids] + params["pos_emb"][None, :, :]
     tape = {"ids": ids, "allowed": allowed, "blocks": []}
@@ -302,7 +300,7 @@ def encode_backward(params, cfg: EncoderConfig, tape, dout,
 
 
 def encode(params, cfg: EncoderConfig, tokens: TokenSeq,
-           causal: bool = True, pad_mask: bool = False) -> TextEmbedding:
+           causal: bool = True) -> TextEmbedding:
     ids = np.asarray([tokens.ids], dtype=np.int64)
-    out = encode_batch(params, cfg, ids, causal=causal, pad_mask=pad_mask)
+    out = encode_batch(params, cfg, ids, causal=causal)
     return TextEmbedding(data=out[0], semantic_len=tokens.semantic_len)

@@ -15,6 +15,8 @@ from .rng import Rng
 
 IMAGE_DIM = 64
 CLAMP_LO, CLAMP_HI = -0.2, 1.2
+# brightness interval of the data: training and gen-data draw styles from it
+STYLE_LO, STYLE_HI = 0.3, 1.0
 
 
 @dataclass(frozen=True)
@@ -86,6 +88,11 @@ def _check_world(world: WorldSpec) -> None:
                 raise ValueError(
                     f"patterns {i} and {j} too correlated ({corr:.3f})"
                 )
+
+
+def draw_style(u):
+    """The brightness of each uniform draw u in (0, 1), a scalar or an array."""
+    return STYLE_LO + (STYLE_HI - STYLE_LO) * u
 
 
 def render(world: WorldSpec, class_index: int, style_value: float, rng: Rng) -> Sample:

@@ -329,8 +329,8 @@ def check_encoder_causal_prefix(rng: Rng) -> CheckResult:
         params = te.init_encoder_params(cfg, vocab.size, rng.split(trial))
         t1 = te.tokenize(vocab, "a photo of hbar dim", cfg.max_len)
         t2 = te.tokenize(vocab, "a photo of vbar dim", cfg.max_len)
-        e1 = te.encode(params, cfg, t1, causal=True, pad_mask=False)
-        e2 = te.encode(params, cfg, t2, causal=True, pad_mask=False)
+        e1 = te.encode(params, cfg, t1, causal=True)
+        e2 = te.encode(params, cfg, t2, causal=True)
         # first differing token is position 4; prefix rows must match exactly
         if not np.array_equal(e1.data[:4], e2.data[:4]):
             return _result("encoder.causal_prefix", False,
@@ -347,8 +347,8 @@ def check_encoder_pad_witness(rng: Rng) -> CheckResult:
     params = te.init_encoder_params(cfg, vocab.size, rng)
     t1 = te.tokenize(vocab, "a photo of hbar dim", cfg.max_len)
     t2 = te.tokenize(vocab, "a photo of vbar dim", cfg.max_len)
-    e1 = te.encode(params, cfg, t1, causal=True, pad_mask=False)
-    e2 = te.encode(params, cfg, t2, causal=True, pad_mask=False)
+    e1 = te.encode(params, cfg, t1, causal=True)
+    e2 = te.encode(params, cfg, t2, causal=True)
     sem = t1.semantic_len
     dist = np.linalg.norm(e1.data[sem:] - e2.data[sem:], axis=1)
     return _result("encoder.pad_information_witness", float(dist.max()) > 1e-6,
@@ -362,8 +362,8 @@ def check_encoder_noncausal_row0(rng: Rng) -> CheckResult:
         params = te.init_encoder_params(cfg, vocab.size, rng.split(100 + trial))
         t1 = te.tokenize(vocab, "a photo of hbar dim", cfg.max_len)
         t2 = te.tokenize(vocab, "a photo of hbar bright", cfg.max_len)
-        e1 = te.encode(params, cfg, t1, causal=False, pad_mask=False)
-        e2 = te.encode(params, cfg, t2, causal=False, pad_mask=False)
+        e1 = te.encode(params, cfg, t1, causal=False)
+        e2 = te.encode(params, cfg, t2, causal=False)
         if np.array_equal(e1.data[0], e2.data[0]):
             return _result("encoder.noncausal_row0", False,
                            f"row 0 unchanged at trial {trial}")
@@ -376,7 +376,7 @@ def check_encoder_bos_constancy(rng: Rng) -> CheckResult:
     params = te.init_encoder_params(cfg, vocab.size, rng)
     prompts = ["a photo of hbar dim", "a photo of cross bright", "diag dim"]
     rows = [te.encode(params, cfg, te.tokenize(vocab, p, cfg.max_len),
-                      causal=True, pad_mask=False).data[0] for p in prompts]
+                      causal=True).data[0] for p in prompts]
     ok = all(np.array_equal(rows[0], r) for r in rows[1:])
     return _result("encoder.bos_row_constancy", ok,
                    "BOS row bitwise-identical across prompts" if ok

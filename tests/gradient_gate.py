@@ -73,7 +73,7 @@ def run_gate():
         pred = lean_eps(emb, emb / n[..., None])
         return float(np.mean(np.abs(pred - batch.eps_true)))
 
-    allowed_enc = te._attention_allowed(tok, causal=True, pad_mask=False)
+    allowed_enc = te._attention_allowed(tok, causal=True)
     nh = enc_cfg.n_heads
     dh = enc_cfg.dim // nh
     enc_scale = 1.0 / np.sqrt(dh)

@@ -10,6 +10,7 @@ import pytest
 import embedlab
 from embedlab import cli
 from embedlab import denoiser as dn
+from embedlab import toyworld as tw
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(embedlab.__file__)))
 
@@ -44,6 +45,8 @@ def test_gen_data_deterministic_and_parsable(tmp_path, capsys):
     data = np.loadtxt(os.path.join(d1, "dataset.csv"),
                       delimiter=",", skiprows=1)
     assert data.shape == (8, 66)
+    # the style column is drawn from the world's brightness interval
+    assert np.all((tw.STYLE_LO < data[:, 1]) & (data[:, 1] < tw.STYLE_HI))
     manifest = open(os.path.join(d1, "manifest.txt")).read()
     assert "command=gen-data" in manifest
     assert "config_hash=" in manifest
@@ -293,13 +296,17 @@ def test_edit_positions_one_based(tmp_path, ckpt, capsys):
                     "--recipe", "mask", "--mask-from", "17",
                     "--mask-to", "17"], "--mask-to 17", capsys)
     assert not os.path.exists(tmp_path / "e")
-    # the last row is still in range
-    assert cli.main(["edit", "--ckpt", ckpt, "--out", str(tmp_path / "e"),
-                     "--recipe", "scale", "--scale-pos", "16",
-                     "--seeds", "1"]) == 0
-    assert cli.main(["edit", "--ckpt", ckpt, "--out", str(tmp_path / "e"),
-                     "--recipe", "mask", "--mask-from", "16", "--mask-to", "16",
-                     "--seeds", "1"]) == 0
+    # the last row is still in range, and the reports name it as the flags do
+    for flags, label in ((["--recipe", "scale", "--scale-pos", "16"],
+                          "scale[16x1.0]"),
+                         (["--recipe", "mask", "--mask-from", "16",
+                           "--mask-to", "16"], "mask[16-16:exclude]"),
+                         (["--positions", "5"], "swap[5]")):
+        assert cli.main(["edit", "--ckpt", ckpt, "--out", str(tmp_path / "e"),
+                         "--seeds", "1", *flags]) == 0
+        assert capsys.readouterr().out.startswith(f"{label}: ")
+        rows = open(tmp_path / "e" / "edits.csv").read().splitlines()
+        assert rows[1].split(",")[1] == label
 
 
 def test_mask_sweep_families(tmp_path, ckpt, capsys):

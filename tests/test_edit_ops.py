@@ -50,14 +50,9 @@ def test_scale_identity_and_effect(pair):
 
 def test_style_swap_boundaries(pair):
     e_s, e_t = pair
-    inc = eo.mix_style(e_s, e_t, "include-eos")
+    inc = eo.mix_style(e_s, e_t)
     assert np.array_equal(inc.data[:5], e_s.data[:5])
     assert np.array_equal(inc.data[5:], e_t.data[5:])
-    exc = eo.mix_style(e_s, e_t, "exclude-eos")
-    assert np.array_equal(exc.data[:4], e_s.data[:4])
-    assert np.array_equal(exc.data[4:], e_t.data[4:])
-    with pytest.raises(ValueError):
-        eo.mix_style(e_s, e_t, "bogus")
 
 
 def test_soft_mix_identities(pair):
@@ -105,11 +100,12 @@ def test_apply_recipe_mask_modes(pair):
 
 
 def test_recipe_labels():
-    assert eo.EditRecipe(kind="swap", positions=(4,)).label() == "swap[4]"
+    """Labels name rows 1-based, as the CLI flags do."""
+    assert eo.EditRecipe(kind="swap", positions=(4,)).label() == "swap[5]"
     assert eo.EditRecipe(kind="scale", scale_pos=5, scale=2.0).label() \
-        == "scale[5x2.0]"
+        == "scale[6x2.0]"
     assert eo.EditRecipe(kind="mask", mask_range=(1, 3)).label() \
-        == "mask[1-3:exclude]"
+        == "mask[2-4:exclude]"
 
 
 def test_run_edit_shared_seed_pairing(untrained_bundle):

@@ -67,6 +67,17 @@ def test_svd_wide_matrix():
     assert np.max(np.abs(f.vt @ f.vt.T - np.eye(7))) < 1e-10
 
 
+def test_completed_basis_is_orthonormal():
+    """The full u and vt, completion vectors included, are orthonormal to
+    the Jacobi rows' precision on a wide matrix and on its transpose."""
+    a = Rng(301).normal((16, 32))
+    for x in (a, a.T):
+        f = la.svd(x)
+        m, n = x.shape
+        assert np.max(np.abs(f.u.T @ f.u - np.eye(m))) <= 1e-11
+        assert np.max(np.abs(f.vt @ f.vt.T - np.eye(n))) <= 1e-11
+
+
 def test_gram_power_iteration_oracle():
     a = Rng(4).normal((6, 4))
     g = a.T @ a

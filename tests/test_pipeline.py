@@ -136,8 +136,7 @@ def test_invert_shape(untrained_bundle):
 
 def test_batched_inversion_matches_single(untrained_bundle):
     """Each row of a (B, x_dim) inversion matches its batch-1 inversion:
-    with one shared embedding, and with one embedding and one mask per
-    image (G = B)."""
+    with one shared embedding, and with one embedding per image (G = B)."""
     b = untrained_bundle
     x0 = np.clip(np.stack([seed_noise(s) for s in range(3)]) * 0.1,
                  CLAMP_LO, CLAMP_HI)
@@ -145,13 +144,9 @@ def test_batched_inversion_matches_single(untrained_bundle):
     stack = np.stack([b.embed(p).data for p in
                       ("a photo of hbar dim", "a photo of cross bright",
                        "a photo of vbar dim")])
-    allowed = np.ones((3, 16), dtype=bool)
-    allowed[1, 4:9] = False
-    allowed[2, :6] = False
     cases = [
         (b.invert(emb, x0), lambda i: b.invert(emb, x0[i])),
-        (b.invert(stack, x0, dn.AttnMask(allowed)),
-         lambda i: b.invert(stack[i], x0[i], dn.AttnMask(allowed[i]))),
+        (b.invert(stack, x0), lambda i: b.invert(stack[i], x0[i])),
     ]
     for batch, single in cases:
         assert batch.shape == x0.shape

@@ -37,6 +37,7 @@ def edit(*flags) -> list:
 
 # (output directory, argv without --out)
 BATTERY = [
+    ("gen-data", ["gen-data", "--n", "12"]),
     ("sample-ddim", ["sample", "--ckpt", CKPT, "--n", "4"]),
     ("sample-ddpm", ["sample", "--ckpt", CKPT, "--n", "3", "--mode", "ddpm"]),
     ("mask-sweep", ["mask-sweep", "--ckpt", CKPT, "--seeds", "4"]),
@@ -58,6 +59,7 @@ BATTERY = [
     ("opt-lambda", ["opt-lambda", "--ckpt", CKPT, "--steps", "2"]),
     ("train", ["train", "--steps", "30"]),
     # reruns into existing directories
+    ("gen-data", ["gen-data", "--n", "5", "--seed", "3"]),
     ("sample-ddim", ["sample", "--ckpt", CKPT, "--n", "2", "--seed", "5"]),
     ("sample-ddpm", ["sample", "--ckpt", CKPT, "--n", "1", "--mode", "ddpm"]),
     ("mask-sweep", ["mask-sweep", "--ckpt", CKPT, "--seeds", "2",
