@@ -17,7 +17,7 @@ import numpy as np
 
 from . import text_encoder as te
 from .diffusion import Schedule, l1_objective
-from .rng import Rng
+from .rng import Rng, box_muller, randints, uniforms
 from .toyworld import (IMAGE_DIM, CLAMP_HI, CLAMP_LO, WorldSpec, draw_style,
                        write_in_place)
 
@@ -82,17 +82,14 @@ def time_features(t, n_feat: int) -> np.ndarray:
     return np.concatenate([np.sin(arg), np.cos(arg)], axis=-1)
 
 
-def _unit_rows(emb: np.ndarray, out=None):
-    """Row norms (+ KEY_NORM_EPS) and unit rows of embeddings (..., L, D).
-
-    out, if given, receives the unit rows.
-    """
+def _unit_rows(emb: np.ndarray):
+    """Row norms (+ KEY_NORM_EPS) and unit rows of embeddings (..., L, D)."""
     # keys are computed from unit-normalized rows so attention depends only
     # on a row's direction; scaling a row then modulates its value
     # contribution linearly (the fader behaviour) instead of exponentially
     # re-routing attention toward it
     emb_norm = np.sqrt(np.einsum("...ld,...ld->...l", emb, emb)) + KEY_NORM_EPS
-    return emb_norm, np.divide(emb, emb_norm[..., None], out=out)
+    return emb_norm, emb / emb_norm[..., None]
 
 
 def condition(params, cfg: DenoiserConfig, emb) -> dict:
@@ -239,19 +236,24 @@ def attend_reverse(params, cond: dict, h, w, m, deps, dh2, ds):
 
 
 def forward_batch(params, cfg: DenoiserConfig, x, t, emb, allowed,
-                  need_tape: bool = False, work: dict | None = None):
+                  need_tape: bool = False, work: dict | None = None, *,
+                  unit, tf=None):
     """Batched forward pass with per-row conditioning, as training runs it.
 
-    x: (B, x_dim), t: (B,), emb: (B, L, D), allowed: (B, L) bool. work as
-    for attend(); it holds the unit rows of emb too.
+    x: (B, x_dim), t: (B,), emb: (B, L, D), allowed: (B, L) bool, unit:
+    the (norms, unit rows) pair _unit_rows(emb) gives, which
+    _gather_conditioning gathers from the prompt bank's. work as for
+    attend(). tf, time_features(t, cfg.t_feat), is made here unless the
+    caller has it (training gathers it from a table).
     """
     x = np.asarray(x, dtype=np.float64)
     allowed = np.asarray(allowed, dtype=bool)
     if not allowed.any(axis=1).all():
         raise ValueError("attention mask with no allowed position")
     emb = np.asarray(emb, dtype=np.float64)
-    emb_norm, emb_n = _unit_rows(emb, te.work_array(work, "emb_n", emb.shape))
-    tf = time_features(t, cfg.t_feat)
+    emb_norm, emb_n = unit
+    if tf is None:
+        tf = time_features(t, cfg.t_feat)
     out = attend(params, cfg, x, tf @ params["w_t"],
                  {"emb": emb, "emb_norm": emb_norm, "emb_n": emb_n},
                  ~allowed, need_tape, work)
@@ -328,15 +330,18 @@ class Batch:
     # conditioning construction: row l of sample b comes from encoded prompt
     # row_src[b, l] (defaults to prompt_ids[b] for every row)
     row_src: np.ndarray | None = None    # (B, L) int
+    tf: np.ndarray | None = None  # (B, t_feat) time_features(t), if known
 
 
 def _gather_conditioning(emb_all: np.ndarray, batch: Batch,
                          work: dict | None = None):
     """Assemble per-sample conditioning from the encoded prompt bank.
 
-    Returns the (B, L, D) conditioning, written into work when given (see
-    attend()), the (B, L) key mask, and the (B, L) source of each
-    conditioning row as an index into emb_all flattened to (P * L, D).
+    Returns the (B, L, D) conditioning; its (norms, unit rows) pair, as
+    _unit_rows gives it, gathered from the bank's; the (B, L) key mask;
+    and the (B, L) source of each conditioning row as an index into
+    emb_all flattened to (P * L, D). The gathered arrays are written into
+    work when given (see attend()).
     """
     b = batch.x_t.shape[0]
     p, l, d = emb_all.shape
@@ -350,11 +355,18 @@ def _gather_conditioning(emb_all: np.ndarray, batch: Batch,
     # mode "clip" (the indices are checked above): "raise" would copy out
     emb = np.take(emb_all.reshape(p * l, d), index, axis=0, mode="clip",
                   out=te.work_array(work, "emb", (b, l, d)))
+    # the gathered rows are copies of the bank's P * L rows, and a row's
+    # norm and unit row do not depend on the array it sits in
+    bank_norm, bank_n = _unit_rows(emb_all)
+    emb_n = np.take(bank_n.reshape(p * l, d), index, axis=0, mode="clip",
+                    out=te.work_array(work, "emb_n", (b, l, d)))
+    emb_norm = np.take(bank_norm.ravel(), index, mode="clip",
+                       out=te.work_array(work, "emb_norm", (b, l)))
     if batch.allowed is None:
         allowed = np.ones((b, l), dtype=bool)
     else:
         allowed = batch.allowed
-    return emb, allowed, index
+    return emb, (emb_norm, emb_n), allowed, index
 
 
 def loss_and_grads(enc_params, den_params, enc_cfg: te.EncoderConfig,
@@ -371,9 +383,10 @@ def loss_and_grads(enc_params, den_params, enc_cfg: te.EncoderConfig,
     emb_all, enc_tape = te.encode_batch(
         enc_params, enc_cfg, batch.token_matrix,
         causal=True, need_tape=True, work=work)
-    emb, allowed, index = _gather_conditioning(emb_all, batch, work)
+    emb, unit, allowed, index = _gather_conditioning(emb_all, batch, work)
     eps_pred, tape = forward_batch(den_params, cfg, batch.x_t, batch.t,
-                                   emb, allowed, need_tape=True, work=work)
+                                   emb, allowed, need_tape=True, work=work,
+                                   unit=unit, tf=batch.tf)
     loss = l1_objective(batch.eps_true, eps_pred)
     diff = eps_pred - batch.eps_true
     deps = np.sign(diff) / diff.size
@@ -472,13 +485,97 @@ def adam_update(p, g, m, v, step: int, lr, b1: float, b2: float,
     p -= g
 
 
+def training_batches(world: WorldSpec, vocab: te.Vocabulary, sched: Schedule,
+                     enc_cfg: te.EncoderConfig, cfg: DenoiserConfig,
+                     bsz: int, rng: Rng):
+    """Endless training batches of bsz samples, drawn from rng.
+
+    Each step draws, in stream order, the class of each sample
+    (randint(C, B)), its style (uniform(B)), in a noisy world its pixel
+    noise (normal(B * x_dim)), its step (randint(T, B)), its target noise
+    (normal(B * x_dim)), its key mask (uniform(B)), whether it is swap
+    augmented (uniform(B)) and its donor class (randint(C, B)). The step's
+    words come from one pass over the stream and are cut into those calls'
+    segments, with the same bits as the calls themselves; one Box-Muller
+    call serves both normal blocks.
+    """
+    _, token_matrix = training_prompts(world, vocab, enc_cfg.max_len)
+    n_classes = len(world.classes)
+    n_styles = len(world.style_words)
+    patterns = np.stack([p.ravel() for _, p in world.classes])
+    noisy = world.noise_sigma > 0.0
+    n_px = bsz * patterns.shape[1]
+    normal_words = 2 * ((n_px + 1) // 2)
+    # the stream's segments in draw order, then the word order a step
+    # gathers them in: normal blocks (one row each), randint rows, uniform
+    # rows
+    sizes = {"cls": bsz, "style": bsz}
+    if noisy:
+        sizes["noise"] = normal_words
+    sizes.update(t=bsz, eps=normal_words, keys=bsz, swap=bsz, donor=bsz)
+    starts = dict(zip(sizes, np.cumsum([0] + list(sizes.values()))))
+    gathered = (["noise"] if noisy else []) + ["eps", "cls", "t", "donor",
+                                               "style", "keys", "swap"]
+    order = np.concatenate([np.arange(starts[k], starts[k] + sizes[k])
+                            for k in gathered])
+    n_normal = 2 if noisy else 1
+    int_words = slice(n_normal * normal_words, n_normal * normal_words + 3 * bsz)
+    int_bounds = [[n_classes], [sched.T], [n_classes]]
+
+    # tables by step index t_idx, the step being t_idx + 1
+    sqrt_ab = np.sqrt(sched.alpha_bars)
+    sqrt_1m_ab = np.sqrt(1.0 - sched.alpha_bars)
+    t_table = time_features(np.arange(1, sched.T + 1), cfg.t_feat)
+    sem_len = int(np.max(np.sum(token_matrix != te.PAD, axis=1)))
+    class_pos = class_word_position(world, vocab, token_matrix)
+    cols = np.arange(enc_cfg.max_len)
+    # key masks by kind: words-only hides the EOS summary row and the PAD
+    # tail, pad-masked only the PAD tail, and the rest hide nothing; a
+    # sample's kind is how many of the bounds its key-mask draw reaches
+    key_masks = np.stack([cols < sem_len - 1, cols < sem_len,
+                          np.ones(enc_cfg.max_len, dtype=bool)])
+    kind_bounds = np.array([P_WORDS_ONLY, P_WORDS_ONLY + P_PAD_MASKED])
+
+    while True:
+        words = rng.raw(order.size)[order]
+        z = box_muller(uniforms(words[:int_words.start].reshape(n_normal, -1)),
+                       n_px)
+        cls, t_idx, donor_cls = randints(words[int_words].reshape(3, bsz),
+                                         int_bounds)
+        u_style, u_keys, u_swap = uniforms(words[int_words.stop:].reshape(3, bsz))
+
+        style = draw_style(u_style)
+        x0 = style[:, None] * patterns[cls]
+        if noisy:
+            x0 += world.noise_sigma * z[0].reshape(x0.shape)
+        np.clip(x0, CLAMP_LO, CLAMP_HI, out=x0)
+        # prompt index: class block + nearest style word
+        nearest = world.nearest_style(style)
+        prompt_ids = cls * n_styles + nearest
+        eps = z[-1].reshape(x0.shape)
+        x_t = sqrt_ab[t_idx][:, None] * x0
+        x_t += sqrt_1m_ab[t_idx][:, None] * eps
+        allowed = key_masks[np.searchsorted(kind_bounds, u_keys, side="right")]
+        # compositional augmentation: condition on a donor prompt of a random
+        # class with the true prompt's class-word row swapped in
+        donor_ids = donor_cls * n_styles + nearest
+        row_src = np.empty((bsz, enc_cfg.max_len), dtype=np.int64)
+        row_src[...] = np.where(u_swap < P_SWAP_AUG, donor_ids,
+                                prompt_ids)[:, None]
+        row_src[:, class_pos] = prompt_ids
+        yield Batch(x_t=x_t, t=(t_idx + 1).astype(np.float64), eps_true=eps,
+                    prompt_ids=prompt_ids, token_matrix=token_matrix,
+                    allowed=allowed, row_src=row_src, tf=t_table[t_idx])
+
+
 def train(world: WorldSpec, vocab: te.Vocabulary, sched: Schedule,
           enc_cfg: te.EncoderConfig, cfg: DenoiserConfig,
           train_cfg: TrainConfig, on_log=None):
     """Joint Adam training of encoder and denoiser on the L1 objective.
 
-    Trains fresh parameters, held as views of one flat vector, and returns
-    them with the log of (step, loss) pairs.
+    Trains fresh parameters, held as views of one flat vector, on
+    training_batches() of the seed's data stream, and returns them with
+    the log of (step, loss) pairs.
     on_log(step, loss, lr, grad_norm), if given, is called at every logged
     step; grad_norm is the L2 norm of that step's flat gradient.
 
@@ -488,12 +585,10 @@ def train(world: WorldSpec, vocab: te.Vocabulary, sched: Schedule,
     """
     rng = Rng(train_cfg.seed)
     init_rng = rng.split(0)
-    data_rng = rng.split(1)
     enc_params = te.init_encoder_params(enc_cfg, vocab.size, init_rng)
     den_params = init_denoiser_params(cfg, init_rng)
-    _, token_matrix = training_prompts(world, vocab, enc_cfg.max_len)
-    n_styles = len(world.style_words)
-    patterns = np.stack([p.ravel() for _, p in world.classes])
+    batches = training_batches(world, vocab, sched, enc_cfg, cfg,
+                               train_cfg.batch_size, rng.split(1))
 
     flat = np.concatenate([a.ravel() for t in (enc_params, den_params)
                            for a in t.values()])
@@ -505,50 +600,10 @@ def train(world: WorldSpec, vocab: te.Vocabulary, sched: Schedule,
     scratch = np.empty_like(flat)
     work = {}
 
-    sem_len = int(np.max(np.sum(token_matrix != te.PAD, axis=1)))
-    class_pos = class_word_position(world, vocab, token_matrix)
-    cols = np.arange(enc_cfg.max_len)
-    # words-only: hide the EOS summary row and the PAD tail;
-    # pad-masked: hide only the PAD tail
-    words_only_keys = cols < sem_len - 1
-    pad_masked_keys = cols < sem_len
-
-    bsz = train_cfg.batch_size
     log = []
     for step in range(1, train_cfg.steps + 1):
-        cls = data_rng.randint(len(world.classes), bsz)
-        style = draw_style(data_rng.uniform(bsz))
-        x0 = style[:, None] * patterns[cls]
-        if world.noise_sigma > 0.0:
-            x0 = x0 + world.noise_sigma * data_rng.normal(x0.shape)
-        x0 = np.clip(x0, CLAMP_LO, CLAMP_HI)
-        # prompt index: class block + nearest style word
-        nearest = world.nearest_style(style)
-        prompt_ids = cls * n_styles + nearest
-        t = data_rng.randint(sched.T, bsz) + 1
-        eps = data_rng.normal(x0.shape)
-        ab = sched.alpha_bars[t - 1][:, None]
-        x_t = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
-        allowed = np.ones((bsz, enc_cfg.max_len), dtype=bool)
-        u = data_rng.uniform(bsz)
-        words_sel = u < P_WORDS_ONLY
-        pad_sel = (u >= P_WORDS_ONLY) & (u < P_WORDS_ONLY + P_PAD_MASKED)
-        allowed[words_sel] = words_only_keys
-        allowed[pad_sel] = pad_masked_keys
-        # compositional augmentation: condition on a donor prompt of a random
-        # class with the true prompt's class-word row swapped in
-        row_src = np.broadcast_to(prompt_ids[:, None],
-                                  (bsz, enc_cfg.max_len)).copy()
-        swap_sel = data_rng.uniform(bsz) < P_SWAP_AUG
-        donor_cls = data_rng.randint(len(world.classes), bsz)
-        donor_ids = donor_cls * n_styles + nearest
-        row_src[swap_sel] = donor_ids[swap_sel, None]
-        row_src[swap_sel, class_pos] = prompt_ids[swap_sel]
-        batch = Batch(x_t=x_t, t=t.astype(np.float64), eps_true=eps,
-                      prompt_ids=prompt_ids, token_matrix=token_matrix,
-                      allowed=allowed, row_src=row_src)
         loss, _, _ = loss_and_grads(enc_params, den_params, enc_cfg, cfg,
-                                    batch, enc_g, den_g, work)
+                                    next(batches), enc_g, den_g, work)
         if not np.isfinite(loss):
             raise TrainingError(f"non-finite loss at step {step}")
         if train_cfg.lr_final is None:

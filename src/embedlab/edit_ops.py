@@ -29,10 +29,11 @@ class EditRecipe:
 
     def label(self) -> str:
         """Report label; it names rows 1-based, as the CLI flags do."""
+        rows = ",".join(str(p + 1) for p in self.positions)
         if self.kind == "swap":
-            return f"swap[{','.join(str(p + 1) for p in self.positions)}]"
+            return f"swap[{rows}]"
         if self.kind == "soft_swap":
-            return f"soft_swap[w={self.weight}]"
+            return f"soft_swap[{rows}:w={self.weight}]"
         if self.kind == "scale":
             return f"scale[{self.scale_pos + 1}x{self.scale}]"
         if self.kind == "mask":

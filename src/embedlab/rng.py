@@ -7,7 +7,10 @@ The mixing function is SplitMix64; Gaussians come from Box-Muller.
 
 The draws are batch-native: the kernels below work on uint64 arrays of
 keys, so the generators of many seeds draw in one pass (split_normals)
-with the same bits as one Rng per seed.
+with the same bits as one Rng per seed. They work on any array of words
+too, so the words of several calls can come from one raw() pass and be
+converted together (uniforms, randints, box_muller) with the same bits
+as the calls.
 """
 
 import numpy as np
@@ -48,7 +51,7 @@ def _words(keys, counter: int, n: int) -> np.ndarray:
     return _mix(np.add.outer(keys, idx))
 
 
-def _uniforms(words: np.ndarray) -> np.ndarray:
+def uniforms(words: np.ndarray) -> np.ndarray:
     """Words to floats in (0, 1), one per word (words are overwritten)."""
     words >>= np.uint64(11)
     # below 2**53 after the shift, so the int64 view converts exactly
@@ -58,7 +61,14 @@ def _uniforms(words: np.ndarray) -> np.ndarray:
     return u
 
 
-def _box_muller(u: np.ndarray, n: int) -> np.ndarray:
+def randints(words: np.ndarray, n) -> np.ndarray:
+    """Words to integers uniform on [0, n), one per word; n may be an
+    array of bounds that broadcasts against words. Modulo bias is
+    negligible for n << 2^64."""
+    return (words % np.asarray(n, dtype=np.uint64)).astype(np.int64)
+
+
+def box_muller(u: np.ndarray, n: int) -> np.ndarray:
     """n deviates per row from rows of 2m uniforms, m = (n + 1) // 2: the
     first m give the radii, the next m the angles."""
     m = (n + 1) // 2
@@ -75,7 +85,7 @@ def split_normals(seeds, stream: int, n: int) -> np.ndarray:
     keys = np.array([int(s) & _MASK for s in seeds], dtype=np.uint64)
     with np.errstate(over="ignore"):   # the stream's scalar key terms
         keys = _keys(_child_seeds(_keys(keys, 0), stream), stream)
-    return _box_muller(_uniforms(_words(keys, 0, 2 * ((n + 1) // 2))), n)
+    return box_muller(uniforms(_words(keys, 0, 2 * ((n + 1) // 2))), n)
 
 
 class Rng:
@@ -91,7 +101,7 @@ class Rng:
         with np.errstate(over="ignore"):
             return Rng(int(_child_seeds(self._key, stream)), stream)
 
-    def _raw(self, n: int) -> np.ndarray:
+    def raw(self, n: int) -> np.ndarray:
         """Next n raw uint64 words."""
         words = _words(self._key, self._counter, n)
         self._counter += n
@@ -100,7 +110,7 @@ class Rng:
     def uniform(self, size=None):
         """Uniform floats in (0, 1)."""
         n = 1 if size is None else int(np.prod(size))
-        u = _uniforms(self._raw(n))
+        u = uniforms(self.raw(n))
         if size is None:
             return float(u[0])
         return u.reshape(size)
@@ -108,15 +118,15 @@ class Rng:
     def normal(self, size=None):
         """Standard normal deviates via Box-Muller."""
         n = 1 if size is None else int(np.prod(size))
-        z = _box_muller(_uniforms(self._raw(2 * ((n + 1) // 2))), n)
+        z = box_muller(uniforms(self.raw(2 * ((n + 1) // 2))), n)
         if size is None:
             return float(z[0])
         return z.reshape(size)
 
     def randint(self, n: int, size=None):
-        """Integers uniform on [0, n); modulo bias negligible for n << 2^64."""
+        """Integers uniform on [0, n)."""
         k = 1 if size is None else int(np.prod(size))
-        v = (self._raw(k) % np.uint64(n)).astype(np.int64)
+        v = randints(self.raw(k), n)
         if size is None:
             return int(v[0])
         return v.reshape(size)

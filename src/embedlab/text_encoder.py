@@ -131,23 +131,43 @@ def init_encoder_params(cfg: EncoderConfig, vocab_size: int, rng: Rng) -> dict:
 
 
 def _layer_norm(x, g, b):
-    mu = x.mean(axis=-1, keepdims=True)
+    # np.add.reduce and then a divide by n are the two ufunc calls that
+    # ndarray.mean makes, without its Python wrapper; every array updated
+    # in place here is fresh
+    n = x.shape[-1]
+    mu = np.add.reduce(x, axis=-1, keepdims=True)
+    mu /= n
     xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * inv
-    return g * xhat + b, (xhat, inv, g)
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True)
+    var /= n
+    var += LN_EPS
+    inv = np.sqrt(var, out=var)
+    np.divide(1.0, inv, out=inv)
+    xhat = np.multiply(xc, inv, out=xc)
+    out = g * xhat
+    out += b
+    return out, (xhat, inv, g)
 
 
-def _layer_norm_backward(dy, cache):
+def _layer_norm_backward(dy, cache, dg, db):
+    """dL/dx of a layer norm; dg and db receive dL/dgain and dL/dbias."""
     xhat, inv, g = cache
-    dg = (dy * xhat).sum(axis=tuple(range(dy.ndim - 1)))
-    db = dy.sum(axis=tuple(range(dy.ndim - 1)))
+    n = dy.shape[-1]
+    rows = tuple(range(dy.ndim - 1))
+    prod = dy * xhat
+    np.add.reduce(prod, axis=rows, out=dg)
+    np.add.reduce(dy, axis=rows, out=db)
     dxhat = dy * g
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    dx = inv * (dxhat - m1 - xhat * m2)
-    return dx, dg, db
+    m1 = np.add.reduce(dxhat, axis=-1, keepdims=True)
+    m1 /= n
+    m2 = np.add.reduce(np.multiply(dxhat, xhat, out=prod), axis=-1,
+                       keepdims=True)
+    m2 /= n
+    # dx = inv * (dxhat - m1 - xhat * m2), written into dxhat
+    dxhat -= m1
+    dxhat -= np.multiply(xhat, m2, out=prod)
+    dxhat *= inv
+    return dxhat
 
 
 def _attention_allowed(ids: np.ndarray, causal: bool) -> np.ndarray:
@@ -157,6 +177,22 @@ def _attention_allowed(ids: np.ndarray, causal: bool) -> np.ndarray:
     if causal:
         allowed &= np.tril(np.ones((l, l), dtype=bool))[None, :, :]
     return allowed
+
+
+def _rows_matmul(x, w, out=None):
+    """x (..., n) @ w (n, m) as one 2-D product over every row of x.
+
+    numpy's matmul makes one BLAS call per leading index of x; one call
+    gives the same bits for every product it is used on here. It does not
+    for dpre @ w1.T and dx1 @ wo.T in encode_backward (their bits changed
+    on some batch shapes), which stay stacked.
+    out, if given, is a C-contiguous (..., m) array that receives x @ w.
+    """
+    rows = x.reshape(-1, x.shape[-1])
+    if out is None:
+        return (rows @ w).reshape(x.shape[:-1] + (w.shape[-1],))
+    np.matmul(rows, w, out=out.reshape(rows.shape[0], w.shape[-1]))
+    return out
 
 
 def block_forward(params, cfg: EncoderConfig, i: int, x: np.ndarray,
@@ -169,29 +205,28 @@ def block_forward(params, cfg: EncoderConfig, i: int, x: np.ndarray,
     h = cfg.n_heads
     dh = cfg.dim // h
     scale = 1.0 / np.sqrt(dh)
+    bsz, l, _ = x.shape
     xn, ln1 = _layer_norm(x, params[f"b{i}.ln1_g"], params[f"b{i}.ln1_b"])
-    q = xn @ params[f"b{i}.wq"]
-    k = xn @ params[f"b{i}.wk"]
-    v = xn @ params[f"b{i}.wv"]
-    bsz, l, _ = q.shape
-    qh = q.reshape(bsz, l, h, dh).transpose(0, 2, 1, 3)
-    kh = k.reshape(bsz, l, h, dh).transpose(0, 2, 1, 3)
-    vh = v.reshape(bsz, l, h, dh).transpose(0, 2, 1, 3)
-    scores = (qh @ kh.swapaxes(-1, -2)) * scale
-    scores = np.where(allowed[:, None, :, :], scores, -1e30)
-    scores -= scores.max(axis=-1, keepdims=True)
-    w = np.exp(scores)
-    w /= w.sum(axis=-1, keepdims=True)
+    heads = (bsz, l, h, dh)
+    qh = _rows_matmul(xn, params[f"b{i}.wq"]).reshape(heads).transpose(0, 2, 1, 3)
+    kh = _rows_matmul(xn, params[f"b{i}.wk"]).reshape(heads).transpose(0, 2, 1, 3)
+    vh = _rows_matmul(xn, params[f"b{i}.wv"]).reshape(heads).transpose(0, 2, 1, 3)
+    scores = qh @ kh.swapaxes(-1, -2)
+    scores *= scale
+    np.copyto(scores, -1e30, where=~allowed[:, None, :, :])
+    # the ufunc reductions behind ndarray.max and .sum, without the wrappers
+    scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
+    w = np.exp(scores, out=scores)
+    w /= np.add.reduce(w, axis=-1, keepdims=True)
     ctx = w @ vh
     merged = ctx.transpose(0, 2, 1, 3).reshape(bsz, l, cfg.dim)
-    attn_out = merged @ params[f"b{i}.wo"]
-    x1 = x + attn_out
+    x1 = x + _rows_matmul(merged, params[f"b{i}.wo"])
     xn2, ln2 = _layer_norm(x1, params[f"b{i}.ln2_g"], params[f"b{i}.ln2_b"])
     ff = (bsz, l, 4 * cfg.dim)
-    pre = np.matmul(xn2, params[f"b{i}.w1"],
-                    out=work_array(work, f"enc.b{i}.pre", ff))
+    pre = _rows_matmul(xn2, params[f"b{i}.w1"],
+                       out=work_array(work, f"enc.b{i}.pre", ff))
     act = np.maximum(pre, 0.0, out=work_array(work, f"enc.b{i}.act", ff))
-    out = x1 + act @ params[f"b{i}.w2"]
+    out = x1 + _rows_matmul(act, params[f"b{i}.w2"])
     if need_tape:
         return out, {"ln1": ln1, "xn": xn, "qh": qh, "kh": kh, "vh": vh,
                      "w": w, "merged": merged, "ln2": ln2, "xn2": xn2,
@@ -204,13 +239,19 @@ def encode_batch(params, cfg: EncoderConfig, ids: np.ndarray,
                  work: dict | None = None):
     """Encode a (B, L) id batch to (B, L, D); optionally keep a backprop tape.
 
-    work as for block_forward.
+    work as for block_forward; it keeps the attention mask too, which
+    depends only on the batch shape and causal.
     """
     ids = np.asarray(ids, dtype=np.int64)
-    allowed = _attention_allowed(ids, causal)
+    mask_key = ("enc.allowed", ids.shape, causal)
+    allowed = None if work is None else work.get(mask_key)
+    if allowed is None:
+        allowed = _attention_allowed(ids, causal)
+        if work is not None:
+            work[mask_key] = allowed
 
     x = params["tok_emb"][ids] + params["pos_emb"][None, :, :]
-    tape = {"ids": ids, "allowed": allowed, "blocks": []}
+    tape = {"ids": ids, "blocks": []}
     for i in range(cfg.n_blocks):
         if need_tape:
             x, block_tape = block_forward(params, cfg, i, x, allowed,
@@ -252,16 +293,16 @@ def encode_backward(params, cfg: EncoderConfig, tape, dout,
     if grads is None:
         grads = {k: np.empty_like(v) for k, v in params.items()}
 
-    dx, grads["ln_f_g"][...], grads["ln_f_b"][...] = _layer_norm_backward(
-        dout, tape["ln_f"])
+    dx = _layer_norm_backward(dout, tape["ln_f"], grads["ln_f_g"],
+                              grads["ln_f_b"])
 
     for i in reversed(range(cfg.n_blocks)):
         t = tape["blocks"][i]
         bsz, l, _ = dx.shape
         # feed-forward
         ff = t["pre"].shape
-        dact = np.matmul(dx, params[f"b{i}.w2"].T,
-                         out=work_array(work, "enc.dact", ff))
+        dact = _rows_matmul(dx, params[f"b{i}.w2"].T,
+                            out=work_array(work, "enc.dact", ff))
         np.matmul(t["act"].reshape(-1, 4 * d).T, dx.reshape(-1, d),
                   out=grads[f"b{i}.w2"])
         dpre = np.multiply(dact, t["pre"] > 0.0,
@@ -269,8 +310,8 @@ def encode_backward(params, cfg: EncoderConfig, tape, dout,
         np.matmul(t["xn2"].reshape(-1, d).T, dpre.reshape(-1, 4 * d),
                   out=grads[f"b{i}.w1"])
         dxn2 = dpre @ params[f"b{i}.w1"].T
-        dx1, grads[f"b{i}.ln2_g"][...], grads[f"b{i}.ln2_b"][...] = (
-            _layer_norm_backward(dxn2, t["ln2"]))
+        dx1 = _layer_norm_backward(dxn2, t["ln2"], grads[f"b{i}.ln2_g"],
+                                   grads[f"b{i}.ln2_b"])
         dx1 += dx  # residual
         # attention
         np.matmul(t["merged"].reshape(-1, d).T, dx1.reshape(-1, d),
@@ -280,7 +321,7 @@ def encode_backward(params, cfg: EncoderConfig, tape, dout,
         w = t["w"]
         dw = dctx @ t["vh"].swapaxes(-1, -2)
         dvh = w.swapaxes(-1, -2) @ dctx
-        dscores = (dw - (dw * w).sum(axis=-1, keepdims=True)) * w
+        dscores = (dw - np.add.reduce(dw * w, axis=-1, keepdims=True)) * w
         dqh = (dscores @ t["kh"]) * scale
         dkh = (dscores.swapaxes(-1, -2) @ t["qh"]) * scale
         xn_flat = t["xn"].reshape(-1, d)
@@ -289,8 +330,8 @@ def encode_backward(params, cfg: EncoderConfig, tape, dout,
             dpart = dpart.transpose(0, 2, 1, 3).reshape(bsz * l, d)
             np.matmul(xn_flat.T, dpart, out=grads[f"b{i}.{name}"])
             dxn = dxn + dpart @ params[f"b{i}.{name}"].T
-        dx0, grads[f"b{i}.ln1_g"][...], grads[f"b{i}.ln1_b"][...] = (
-            _layer_norm_backward(dxn.reshape(bsz, l, d), t["ln1"]))
+        dx0 = _layer_norm_backward(dxn.reshape(bsz, l, d), t["ln1"],
+                                   grads[f"b{i}.ln1_g"], grads[f"b{i}.ln1_b"])
         dx = dx0 + dx1  # residual
 
     grads["tok_emb"][...] = scatter_add_rows(

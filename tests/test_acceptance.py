@@ -104,8 +104,8 @@ def test_criterion_3_encoder_mask_suite():
             et = te.encode(params, cfg, tt).data
             if not np.array_equal(es[:first], et[:first]):
                 causal_ok = False
-    # padding-information witness: with pad_mask=False the PAD rows change
-    # when the semantic tokens change
+    # padding-information witness: PAD keys are never masked, so the PAD
+    # rows change when the semantic tokens change
     params = te.init_encoder_params(cfg, vocab.size, Rng(299))
     ts = te.tokenize(vocab, "a photo of hbar dim", cfg.max_len)
     tt = te.tokenize(vocab, "a photo of vbar dim", cfg.max_len)

@@ -110,7 +110,8 @@ def test_zero_residual_gives_zero_gradients():
                      prompt_ids=np.array([0, 0]), token_matrix=tok)
     emb = te.encode_batch(enc_params, enc_cfg, tok)[batch.prompt_ids]
     batch.eps_true = dn.forward_batch(den_params, cfg, batch.x_t, batch.t,
-                                      emb, np.ones((2, 8), dtype=bool))
+                                      emb, np.ones((2, 8), dtype=bool),
+                                      unit=dn._unit_rows(emb))
     loss, enc_g, den_g = dn.loss_and_grads(enc_params, den_params,
                                            enc_cfg, cfg, batch)
     assert loss == 0.0
@@ -164,7 +165,7 @@ def test_row_scale_scales_value_contribution_linearly():
     for e in (emb, scaled):
         _, tape = dn.forward_batch(params, SMALL_CFG, x[None], np.array([3.0]),
                                    e[None], np.ones((1, 4), dtype=bool),
-                                   need_tape=True)
+                                   need_tape=True, unit=dn._unit_rows(e[None]))
         if e is emb:
             w_base = tape["w"]
         else:
@@ -203,7 +204,8 @@ def test_shared_conditioning_matches_per_row(batch):
                             None if allowed is None else ~allowed)
             ref = dn.forward_batch(
                 params, cfg, x, t, rows,
-                np.broadcast_to(True if allowed is None else allowed, (batch, 7)))
+                np.broadcast_to(True if allowed is None else allowed, (batch, 7)),
+                unit=dn._unit_rows(rows))
             assert np.max(np.abs(got - ref)) < 1e-12
     # a folded step's tape is what attend_reverse reads
     eps, tape = dn.attend(params, cfg, x, t_proj, cond, need_tape=True)
@@ -534,3 +536,102 @@ def test_training_is_deterministic(tmp_path):
                        check=True, capture_output=True, env=env, timeout=300)
         digests.add((out / "model.ckpt").read_bytes())
     assert len(digests) == 1
+
+
+@pytest.mark.parametrize("p,l,d,bsz", [(8, 16, 32, 64), (3, 5, 7, 4),
+                                       (2, 16, 48, 9)])
+def test_unit_rows_gathered_from_the_bank_match_direct(p, l, d, bsz):
+    """The norms and unit rows gathered from the prompt bank's are bitwise
+    _unit_rows of the gathered conditioning rows."""
+    r = Rng(80 + d)
+    bank = r.normal((p, l, d))
+    bank[0, 0] = 0.0   # a zero row, whose norm is KEY_NORM_EPS
+    batch = dn.Batch(x_t=np.zeros((bsz, 6)), t=np.ones(bsz),
+                     eps_true=np.zeros((bsz, 6)),
+                     prompt_ids=r.randint(p, bsz),
+                     token_matrix=np.zeros((p, l), dtype=np.int64),
+                     row_src=r.randint(p, (bsz, l)))
+    for work in (None, {}):
+        emb, (norm, unit), _, _ = dn._gather_conditioning(bank, batch, work)
+        want_norm, want_unit = dn._unit_rows(emb)
+        assert np.array_equal(norm, want_norm)
+        assert np.array_equal(unit, want_unit)
+
+
+@pytest.mark.parametrize("n_steps,n_feat", [(1, 4), (7, 6), (100, 32),
+                                            (1000, 32)])
+def test_time_feature_table_rows_match_time_features(n_steps, n_feat):
+    """Rows t - 1 of the table of steps 1..T are bitwise time_features(t)."""
+    table = dn.time_features(np.arange(1, n_steps + 1), n_feat)
+    t = Rng(n_steps).randint(n_steps, 50) + 1
+    assert np.array_equal(table[t - 1],
+                          dn.time_features(t.astype(np.float64), n_feat))
+
+
+def _per_call_batches(world, vocab, sched, enc_cfg, bsz, rng):
+    """Training batches drawn with one Rng call per draw: the reference
+    for training_batches' one-pass draws."""
+    _, tokens = dn.training_prompts(world, vocab, enc_cfg.max_len)
+    n_styles = len(world.style_words)
+    patterns = np.stack([p.ravel() for _, p in world.classes])
+    sem_len = int(np.max(np.sum(tokens != te.PAD, axis=1)))
+    class_pos = dn.class_word_position(world, vocab, tokens)
+    cols = np.arange(enc_cfg.max_len)
+    while True:
+        cls = rng.randint(len(world.classes), bsz)
+        style = tw.draw_style(rng.uniform(bsz))
+        x0 = style[:, None] * patterns[cls]
+        if world.noise_sigma > 0.0:
+            x0 = x0 + world.noise_sigma * rng.normal(x0.shape)
+        x0 = np.clip(x0, tw.CLAMP_LO, tw.CLAMP_HI)
+        nearest = world.nearest_style(style)
+        prompt_ids = cls * n_styles + nearest
+        t = rng.randint(sched.T, bsz) + 1
+        eps = rng.normal(x0.shape)
+        ab = sched.alpha_bars[t - 1][:, None]
+        x_t = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
+        allowed = np.ones((bsz, enc_cfg.max_len), dtype=bool)
+        u = rng.uniform(bsz)
+        allowed[u < dn.P_WORDS_ONLY] = cols < sem_len - 1
+        allowed[(u >= dn.P_WORDS_ONLY)
+                & (u < dn.P_WORDS_ONLY + dn.P_PAD_MASKED)] = cols < sem_len
+        row_src = np.repeat(prompt_ids[:, None], enc_cfg.max_len, axis=1)
+        swap_sel = rng.uniform(bsz) < dn.P_SWAP_AUG
+        donor_ids = rng.randint(len(world.classes), bsz) * n_styles + nearest
+        row_src[swap_sel] = donor_ids[swap_sel, None]
+        row_src[swap_sel, class_pos] = prompt_ids[swap_sel]
+        yield x_t, t, eps, prompt_ids, allowed, row_src
+
+
+@pytest.mark.parametrize("noise_sigma", [None, 0.0])
+@pytest.mark.parametrize("bsz", [1, 7, 64])
+def test_training_batches_match_per_call_draws(noise_sigma, bsz):
+    """training_batches' one-pass draws give, bitwise and step after step,
+    the batches of one Rng call per draw, in a noisy world and in a
+    noise-free one."""
+    world = tw.default_world()
+    if noise_sigma is not None:
+        world = tw.WorldSpec(classes=world.classes,
+                             style_words=world.style_words,
+                             noise_sigma=noise_sigma)
+    vocab = te.default_vocabulary()
+    enc_cfg = te.EncoderConfig()
+    cfg = dn.DenoiserConfig()
+    sched = make_schedule(100, 1e-3, 0.2)
+    got = dn.training_batches(world, vocab, sched, enc_cfg, cfg, bsz,
+                              Rng(90).split(1))
+    ref = _per_call_batches(world, vocab, sched, enc_cfg, bsz,
+                            Rng(90).split(1))
+    kinds = set()
+    for _ in range(12):
+        batch = next(got)
+        x_t, t, eps, prompt_ids, allowed, row_src = next(ref)
+        assert np.array_equal(batch.x_t, x_t)
+        assert np.array_equal(batch.t, t) and batch.t.dtype == np.float64
+        assert np.array_equal(batch.eps_true, eps)
+        assert np.array_equal(batch.prompt_ids, prompt_ids)
+        assert np.array_equal(batch.allowed, allowed)
+        assert np.array_equal(batch.row_src, row_src)
+        assert np.array_equal(batch.tf, dn.time_features(batch.t, cfg.t_feat))
+        kinds.update(allowed.sum(axis=1))
+    assert len(kinds) == 3   # every key-mask kind was drawn

@@ -102,6 +102,10 @@ def test_apply_recipe_mask_modes(pair):
 def test_recipe_labels():
     """Labels name rows 1-based, as the CLI flags do."""
     assert eo.EditRecipe(kind="swap", positions=(4,)).label() == "swap[5]"
+    assert eo.EditRecipe(kind="soft_swap", positions=(4,), weight=0.5).label() \
+        == "soft_swap[5:w=0.5]"
+    assert eo.EditRecipe(kind="soft_swap", positions=(4, 5), weight=0.25) \
+        .label() == "soft_swap[5,6:w=0.25]"
     assert eo.EditRecipe(kind="scale", scale_pos=5, scale=2.0).label() \
         == "scale[6x2.0]"
     assert eo.EditRecipe(kind="mask", mask_range=(1, 3)).label() \

@@ -58,6 +58,8 @@ BATTERY = [
                        "--k", "1"]),
     ("opt-lambda", ["opt-lambda", "--ckpt", CKPT, "--steps", "2"]),
     ("train", ["train", "--steps", "30"]),
+    ("train-batch7", ["train", "--steps", "30", "--batch-size", "7",
+                      "--seed", "5"]),
     # reruns into existing directories
     ("gen-data", ["gen-data", "--n", "5", "--seed", "3"]),
     ("sample-ddim", ["sample", "--ckpt", CKPT, "--n", "2", "--seed", "5"]),
