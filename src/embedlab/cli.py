@@ -137,19 +137,9 @@ def _require_float(cfg: dict, key: str, ok, want: str) -> None:
 
 def _load_bundle(path) -> ModelBundle:
     try:
-        tensors = dn.load_checkpoint(path)
-        enc_params, den_params, enc_cfg, den_cfg, meta = dn.split_checkpoint(tensors)
+        return ModelBundle.load(path)
     except (OSError, ValueError, KeyError) as e:
         raise ConfigError(f"cannot load checkpoint {path!r}: {e}") from e
-    vocab = te.default_vocabulary()
-    if enc_params["tok_emb"].shape[0] != vocab.size:
-        raise ConfigError(f"checkpoint {path!r} embeds "
-                          f"{enc_params['tok_emb'].shape[0]} tokens, the "
-                          f"vocabulary has {vocab.size}")
-    sched = make_schedule(int(meta[0]), meta[1], meta[2])
-    return ModelBundle(world=tw.default_world(), vocab=vocab,
-                       enc_cfg=enc_cfg, den_cfg=den_cfg, sched=sched,
-                       enc_params=enc_params, den_params=den_params)
 
 
 def _parse_positions(text: str, length: int):
@@ -213,10 +203,9 @@ def cmd_train(cfg: dict) -> int:
               f"grad_norm {grad_norm:.3e} steps/s {rate:.1f}", flush=True)
     enc_params, den_params, log = dn.train(world, vocab, sched, enc_cfg,
                                            den_cfg, tcfg, on_log=progress)
-    tensors = dn.checkpoint_tensors(enc_params, den_params, enc_cfg, den_cfg,
-                                    (cfg["T"], cfg["beta-start"], cfg["beta-end"]))
     ckpt = os.path.join(out, "model.ckpt")
-    dn.save_checkpoint(ckpt, tensors)
+    ModelBundle(world, vocab, enc_cfg, den_cfg, sched, enc_params,
+                den_params).save(ckpt)
     lines = ["step,loss\n"] + [f"{step},{loss:.17g}\n" for step, loss in log]
     write_in_place(os.path.join(out, "loss.csv"), lines)
     print(f"final loss {log[-1][1]:.4f}; checkpoint at {ckpt}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import text_encoder as te
-from .diffusion import Schedule, l1_objective
+from .diffusion import Schedule, l1_objective, make_schedule
 from .rng import Rng, box_muller, randints, uniforms
 from .toyworld import (IMAGE_DIM, CLAMP_HI, CLAMP_LO, WorldSpec, draw_style,
                        write_in_place)
@@ -692,7 +692,8 @@ def load_checkpoint(path) -> dict:
 
 def checkpoint_tensors(enc_params: dict, den_params: dict,
                        enc_cfg: te.EncoderConfig, cfg: DenoiserConfig,
-                       sched_meta: tuple) -> dict:
+                       sched: Schedule) -> dict:
+    """The tensors that split_checkpoint turns back into these arguments."""
     tensors = {f"enc.{k}": v for k, v in enc_params.items()}
     tensors.update({f"den.{k}": v for k, v in den_params.items()})
     tensors["meta.enc_cfg"] = np.array(
@@ -701,7 +702,7 @@ def checkpoint_tensors(enc_params: dict, den_params: dict,
     tensors["meta.den_cfg"] = np.array(
         [cfg.x_dim, cfg.d_h, cfg.d_a, cfg.t_feat, cfg.emb_dim, cfg.max_len],
         dtype=np.float64)
-    tensors["meta.schedule"] = np.array(sched_meta, dtype=np.float64)
+    tensors["meta.schedule"] = np.array(sched.spec, dtype=np.float64)
     return tensors
 
 
@@ -717,8 +718,9 @@ def split_checkpoint(tensors: dict):
 
     Every tensor is checked against the configs in meta.*: a missing,
     extra or misshapen tensor raises CheckpointError naming it, as does a
-    non-finite one or an encoder head count that does not divide its width.
-    The parameter dicts hold the tensors themselves, not copies.
+    non-finite one, a head count that does not divide the encoder width or
+    a schedule make_schedule rejects. The parameter dicts hold the tensors
+    themselves, not copies.
     """
     # load_checkpoint's tensors view one buffer: one check clears them all,
     # and only a failed check looks for the tensor to name
@@ -769,5 +771,8 @@ def split_checkpoint(tensors: dict):
                                   f"meta.* give {expected[name]}")
     enc_params = {k[4:]: v for k, v in tensors.items() if k.startswith("enc.")}
     den_params = {k[4:]: v for k, v in tensors.items() if k.startswith("den.")}
-    sched_meta = tuple(tensors["meta.schedule"])
-    return enc_params, den_params, enc_cfg, cfg, sched_meta
+    try:
+        sched = make_schedule(*tensors["meta.schedule"].tolist())
+    except ValueError as e:
+        raise CheckpointError(f"tensor 'meta.schedule': {e}") from None
+    return enc_params, den_params, enc_cfg, cfg, sched

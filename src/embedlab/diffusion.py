@@ -23,6 +23,7 @@ class Schedule:
     alphas: np.ndarray         # alpha_t, index t-1
     alpha_bars: np.ndarray     # running products
     posterior_var: np.ndarray  # beta-tilde_t
+    spec: tuple | None = None  # make_schedule's (T, beta_start, beta_end)
     # sqrt(alpha_bar_t), sqrt(1 - alpha_bar_t) and their ratio
     # sqrt(1 - alpha_bar_t) / sqrt(alpha_bar_t), index t = 0..T
     sqrt_ab: np.ndarray = field(init=False, repr=False)
@@ -51,9 +52,10 @@ class GaussianParams:
 
 
 def make_schedule(T: int, beta_start: float, beta_end: float) -> Schedule:
-    """Linear betas; 0 < beta_start <= beta_end < 1."""
-    if T < 1:
-        raise ValueError("T must be >= 1")
+    """Linear betas over T >= 1 whole steps; 0 < beta_start <= beta_end < 1."""
+    if not (T >= 1 and float(T).is_integer()):
+        raise ValueError(f"T must be a positive integer, got {T}")
+    T = int(T)
     if not (0.0 < beta_start <= beta_end < 1.0):
         raise ValueError(f"bad beta range ({beta_start}, {beta_end})")
     betas = np.linspace(beta_start, beta_end, T)
@@ -66,7 +68,8 @@ def make_schedule(T: int, beta_start: float, beta_end: float) -> Schedule:
             (1.0 - prev) / (1.0 - alpha_bars) * (1.0 - alphas),
             0.0,
         )
-    return Schedule(alphas=alphas, alpha_bars=alpha_bars, posterior_var=post)
+    return Schedule(alphas=alphas, alpha_bars=alpha_bars, posterior_var=post,
+                    spec=(T, beta_start, beta_end))
 
 
 def _check_t(sched: Schedule, t: int) -> None:

@@ -1,4 +1,4 @@
-"""Trained-model bundle and conditional generation helpers."""
+"""The model bundle: making, saving and loading a model, and generating."""
 
 import functools
 from dataclasses import dataclass
@@ -7,9 +7,10 @@ import numpy as np
 
 from . import denoiser as dn
 from . import text_encoder as te
-from .diffusion import Schedule, ddim_invert, ddim_step_vjp, sample
-from .rng import split_normals
-from .toyworld import CLAMP_HI, CLAMP_LO, IMAGE_DIM, WorldSpec
+from .diffusion import (Schedule, ddim_invert, ddim_step_vjp, make_schedule,
+                        sample)
+from .rng import Rng, split_normals
+from .toyworld import CLAMP_HI, CLAMP_LO, IMAGE_DIM, WorldSpec, default_world
 
 
 @dataclass
@@ -21,6 +22,37 @@ class ModelBundle:
     sched: Schedule
     enc_params: dict
     den_params: dict
+
+    @classmethod
+    def untrained(cls, rng: Rng) -> "ModelBundle":
+        """Random weights at the default configs and schedule: the
+        encoder's from rng.split(0), the denoiser's from rng.split(1)."""
+        vocab = te.default_vocabulary()
+        enc_cfg, den_cfg = te.EncoderConfig(), dn.DenoiserConfig()
+        return cls(default_world(), vocab, enc_cfg, den_cfg,
+                   make_schedule(100, 1e-3, 0.2),
+                   te.init_encoder_params(enc_cfg, vocab.size, rng.split(0)),
+                   dn.init_denoiser_params(den_cfg, rng.split(1)))
+
+    @classmethod
+    def load(cls, path) -> "ModelBundle":
+        """The model a checkpoint file holds, in the default world and
+        vocabulary, which the file does not record."""
+        enc_params, den_params, enc_cfg, den_cfg, sched = dn.split_checkpoint(
+            dn.load_checkpoint(path))
+        vocab = te.default_vocabulary()
+        n_tokens = enc_params["tok_emb"].shape[0]
+        if n_tokens != vocab.size:
+            raise dn.CheckpointError(f"tensor 'enc.tok_emb' embeds {n_tokens} "
+                                     f"tokens, the vocabulary has {vocab.size}")
+        return cls(default_world(), vocab, enc_cfg, den_cfg, sched,
+                   enc_params, den_params)
+
+    def save(self, path) -> None:
+        """Write the weights, configs and schedule as a checkpoint file."""
+        dn.save_checkpoint(path, dn.checkpoint_tensors(
+            self.enc_params, self.den_params, self.enc_cfg, self.den_cfg,
+            self.sched))
 
     def embed(self, text):
         """The embedding of one text, or a list of embeddings of a list of

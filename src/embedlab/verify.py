@@ -301,14 +301,7 @@ def check_picard_inversion(rng: Rng) -> CheckResult:
     for t in range(1, sched.T + 1):
         x = df.ddim_invert_step(sched, x, table[t], t)
         err = max(err, float(np.max(np.abs(traj[:, t] - x))))
-    enc_cfg, den_cfg = te.EncoderConfig(), dn.DenoiserConfig()
-    vocab = te.default_vocabulary()
-    model = Rng(99)
-    bundle = ModelBundle(
-        world=tw.default_world(), vocab=vocab, enc_cfg=enc_cfg,
-        den_cfg=den_cfg, sched=sched,
-        enc_params=te.init_encoder_params(enc_cfg, vocab.size, model.split(0)),
-        den_params=dn.init_denoiser_params(den_cfg, model.split(1)))
+    bundle = ModelBundle.untrained(Rng(99))
     predict = bundle.predictor(bundle.embed("a photo of cross dim"))
     traj = df.ddim_invert(sched, predict, np.clip(0.3 * rng.normal((2, 64)),
                                                   tw.CLAMP_LO, tw.CLAMP_HI))
@@ -542,16 +535,10 @@ def check_fd_quadratic(rng: Rng) -> CheckResult:
 def check_lambda_reverse_mode(rng: Rng) -> CheckResult:
     """The exact lambda gradient (one reverse pass through the clamped DDIM
     chain) against central differences at h = 1e-5, on an untrained model."""
-    enc_cfg, den_cfg = te.EncoderConfig(), dn.DenoiserConfig()
-    vocab = te.default_vocabulary()
-    bundle = ModelBundle(
-        world=tw.default_world(), vocab=vocab, enc_cfg=enc_cfg,
-        den_cfg=den_cfg, sched=df.make_schedule(100, 1e-3, 0.2),
-        enc_params=te.init_encoder_params(enc_cfg, vocab.size, rng.split(0)),
-        den_params=dn.init_denoiser_params(den_cfg, rng.split(1)))
+    bundle = ModelBundle.untrained(rng)
     ctx = make_context(bundle, "a photo of hbar bright",
                        "a photo of vbar bright", OptConfig())
-    theta = rng.split(2).normal(enc_cfg.max_len)
+    theta = rng.split(2).normal(bundle.enc_cfg.max_len)
     lam = sigmoid(theta)
     _, grad = surrogate_loss(lam, ctx)
     g = grad() * (lam * (1.0 - lam))

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -6,20 +8,7 @@ from embedlab import text_encoder as te
 from embedlab import toyworld as tw
 from embedlab.diffusion import make_schedule
 from embedlab.pipeline import ModelBundle
-
-SCHED_META = (100, 1e-3, 0.2)
-
-
-def make_bundle(enc_params, den_params) -> ModelBundle:
-    return ModelBundle(
-        world=tw.default_world(),
-        vocab=te.default_vocabulary(),
-        enc_cfg=te.EncoderConfig(),
-        den_cfg=dn.DenoiserConfig(),
-        sched=make_schedule(*SCHED_META),
-        enc_params=enc_params,
-        den_params=den_params,
-    )
+from embedlab.rng import Rng
 
 
 @pytest.fixture(scope="session")
@@ -28,17 +17,14 @@ def trained_bundle():
 
     Training is deterministic, so every session builds the same weights.
     """
-    world = tw.default_world()
-    vocab = te.default_vocabulary()
-    enc_cfg = te.EncoderConfig()
-    den_cfg = dn.DenoiserConfig()
-    sched = make_schedule(*SCHED_META)
-    tcfg = dn.TrainConfig(seed=7)
-    import time
+    world, vocab = tw.default_world(), te.default_vocabulary()
+    enc_cfg, den_cfg = te.EncoderConfig(), dn.DenoiserConfig()
+    sched = make_schedule(100, 1e-3, 0.2)
     start = time.time()
     enc_params, den_params, log = dn.train(world, vocab, sched, enc_cfg,
-                                           den_cfg, tcfg)
-    bundle = make_bundle(enc_params, den_params)
+                                           den_cfg, dn.TrainConfig(seed=7))
+    bundle = ModelBundle(world, vocab, enc_cfg, den_cfg, sched, enc_params,
+                         den_params)
     bundle.train_seconds = time.time() - start
     bundle.final_loss = float(np.mean([l for _, l in log[-5:]]))
     bundle.train_log = log
@@ -48,10 +34,4 @@ def trained_bundle():
 @pytest.fixture(scope="session")
 def untrained_bundle():
     """Random weights; enough for exercising plumbing cheaply."""
-    from embedlab.rng import Rng
-    vocab = te.default_vocabulary()
-    enc_cfg = te.EncoderConfig()
-    den_cfg = dn.DenoiserConfig()
-    rng = Rng(99)
-    return make_bundle(te.init_encoder_params(enc_cfg, vocab.size, rng.split(0)),
-                       dn.init_denoiser_params(den_cfg, rng.split(1)))
+    return ModelBundle.untrained(Rng(99))

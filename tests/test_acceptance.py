@@ -315,11 +315,8 @@ def _run_twice(argv_builder, tmp_path, tag):
 
 
 def test_criterion_12_cli_determinism(tmp_path, untrained_bundle):
-    b = untrained_bundle
-    tensors = dn.checkpoint_tensors(b.enc_params, b.den_params, b.enc_cfg,
-                                    b.den_cfg, (100, 1e-3, 0.2))
     ckpt = tmp_path / "model.ckpt"
-    dn.save_checkpoint(ckpt, tensors)
+    untrained_bundle.save(ckpt)
     same_verify = _run_twice(
         lambda o: ["verify", "--out", o], tmp_path, "v")
     same_edit = _run_twice(

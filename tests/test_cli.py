@@ -17,11 +17,8 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(embedlab.__file__)))
 
 @pytest.fixture()
 def ckpt(tmp_path, untrained_bundle):
-    b = untrained_bundle
-    tensors = dn.checkpoint_tensors(b.enc_params, b.den_params, b.enc_cfg,
-                                    b.den_cfg, (100, 1e-3, 0.2))
     path = tmp_path / "model.ckpt"
-    dn.save_checkpoint(path, tensors)
+    untrained_bundle.save(path)
     return str(path)
 
 
@@ -180,26 +177,21 @@ def test_sample_rejects_truncated_checkpoint(tmp_path):
 
 
 def test_sample_rejects_non_finite_weights(tmp_path, untrained_bundle, capsys):
-    b = untrained_bundle
-    tensors = dn.checkpoint_tensors(b.enc_params, b.den_params, b.enc_cfg,
-                                    b.den_cfg, (100, 1e-3, 0.2))
-    tensors["den.w2"] = tensors["den.w2"].copy()
-    tensors["den.w2"][3, 5] = np.nan
-    path = tmp_path / "nan.ckpt"
-    dn.save_checkpoint(path, tensors)
+    path = _tampered_ckpt(tmp_path, untrained_bundle, "den.w2",
+                          _set((3, 5), np.nan))
     capsys.readouterr()
-    assert cli.main(["sample", "--ckpt", str(path),
+    assert cli.main(["sample", "--ckpt", path,
                      "--out", str(tmp_path / "s")]) == 2
     assert "den.w2" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "s" / "metrics.csv")
 
 
 def _tampered_ckpt(tmp_path, bundle, name, edit):
-    tensors = dn.checkpoint_tensors(bundle.enc_params, bundle.den_params,
-                                    bundle.enc_cfg, bundle.den_cfg,
-                                    (100, 1e-3, 0.2))
-    tensors[name] = edit(tensors[name].copy())
+    """bundle's checkpoint with tensor name replaced by edit(tensor)."""
     path = tmp_path / "tampered.ckpt"
+    bundle.save(path)
+    tensors = dn.load_checkpoint(path)
+    tensors[name] = edit(tensors[name])
     dn.save_checkpoint(path, tensors)
     return str(path)
 
@@ -230,6 +222,21 @@ def test_sample_rejects_zero_head_count(tmp_path, untrained_bundle, capsys):
     assert cli.main(["sample", "--ckpt", path,
                      "--out", str(tmp_path / "s")]) == 2
     assert "meta.enc_cfg" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,edit,message", [
+    ("meta.schedule", _set(0, 2.5), "T must be a positive integer, got 2.5"),
+    ("enc.tok_emb", lambda e: np.vstack([e, e[:1]]),
+     "embeds 13 tokens, the vocabulary has 12"),
+])
+def test_sample_rejects_a_model_it_cannot_run(tmp_path, untrained_bundle,
+                                              capsys, name, edit, message):
+    path = _tampered_ckpt(tmp_path, untrained_bundle, name, edit)
+    assert cli.main(["sample", "--ckpt", path,
+                     "--out", str(tmp_path / "s")]) == 2
+    err = capsys.readouterr().err
+    assert f"'{name}'" in err and message in err
+    assert not os.path.exists(tmp_path / "s" / "manifest.txt")
 
 
 # the x1e306 weights overflow on purpose: the test checks that exit code

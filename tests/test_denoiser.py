@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from embedlab import denoiser as dn
 from embedlab import text_encoder as te
 from embedlab import toyworld as tw
 from embedlab.diffusion import make_schedule
+from embedlab.pipeline import ModelBundle
 from embedlab.rng import Rng
 
 SMALL_CFG = dn.DenoiserConfig(x_dim=6, d_h=5, d_a=4, t_feat=4,
@@ -282,14 +284,10 @@ def test_condition_reverse_matches_finite_differences():
 def test_loss_and_grads_reuses_work_across_batch_sizes():
     """One work dict over batches of 64, 8 and 64 rows gives, bitwise, the
     loss and gradients of fresh calls."""
-    world = tw.default_world()
-    vocab = te.default_vocabulary()
-    enc_cfg = te.EncoderConfig()
-    cfg = dn.DenoiserConfig()
     rng = Rng(60)
-    enc_params = te.init_encoder_params(enc_cfg, vocab.size, rng.split(0))
-    den_params = dn.init_denoiser_params(cfg, rng.split(1))
-    _, tokens = dn.training_prompts(world, vocab, enc_cfg.max_len)
+    b = ModelBundle.untrained(rng)
+    model = (b.enc_params, b.den_params, b.enc_cfg, b.den_cfg)
+    _, tokens = dn.training_prompts(b.world, b.vocab, b.enc_cfg.max_len)
     work = {}
     for i, bsz in enumerate((64, 8, 64)):
         r = rng.split(2 + i)
@@ -301,9 +299,8 @@ def test_loss_and_grads_reuses_work_across_batch_sizes():
                          prompt_ids=r.randint(len(tokens), bsz),
                          token_matrix=tokens, allowed=allowed,
                          row_src=r.randint(len(tokens), (bsz, 16)))
-        got = dn.loss_and_grads(enc_params, den_params, enc_cfg, cfg, batch,
-                                work=work)
-        ref = dn.loss_and_grads(enc_params, den_params, enc_cfg, cfg, batch)
+        got = dn.loss_and_grads(*model, batch, work=work)
+        ref = dn.loss_and_grads(*model, batch)
         assert got[0] == ref[0]
         for g, want in zip(got[1:], ref[1:]):
             for k in want:
@@ -316,7 +313,7 @@ def test_split_checkpoint_checks_shapes_against_meta():
     cfg = dn.DenoiserConfig(d_h=8, d_a=4, t_feat=4, emb_dim=8, max_len=8)
     good = dn.checkpoint_tensors(te.init_encoder_params(enc_cfg, 12, rng),
                                  dn.init_denoiser_params(cfg, rng),
-                                 enc_cfg, cfg, (10, 1e-3, 0.2))
+                                 enc_cfg, cfg, make_schedule(10, 1e-3, 0.2))
     assert dn.split_checkpoint(good)[2:4] == (enc_cfg, cfg)
 
     def tampered(name, value):
@@ -341,6 +338,10 @@ def test_split_checkpoint_checks_shapes_against_meta():
         with pytest.raises(dn.CheckpointError):
             dn.split_checkpoint(tensors)
             pytest.fail(case)
+    for schedule in ([2.5, 1e-3, 0.2], [3.9, 1e-3, 0.2], [0, 1e-3, 0.2],
+                     [10, 0.2, 1e-3]):   # make_schedule rejects each
+        with pytest.raises(dn.CheckpointError, match="'meta.schedule'"):
+            dn.split_checkpoint(tampered("meta.schedule", schedule))
 
 
 def test_all_masked_rejected():
@@ -363,23 +364,31 @@ def test_gradient_gate_every_parameter():
 
 
 def test_checkpoint_roundtrip(tmp_path):
-    rng = Rng(36)
-    enc_cfg = te.EncoderConfig()
-    cfg = dn.DenoiserConfig()
-    enc_params = te.init_encoder_params(enc_cfg, 12, rng)
-    den_params = dn.init_denoiser_params(cfg, rng)
-    tensors = dn.checkpoint_tensors(enc_params, den_params, enc_cfg, cfg,
-                                    (100, 1e-3, 0.2))
+    """A checkpoint holds the tensors, configs and schedule it was saved
+    from, and a bundle loaded and saved again writes the bytes it was
+    loaded from, untrained and after a short training run."""
+    b = ModelBundle.untrained(Rng(36))
+    tensors = dn.checkpoint_tensors(b.enc_params, b.den_params, b.enc_cfg,
+                                    b.den_cfg, b.sched)
     path = tmp_path / "m.ckpt"
-    dn.save_checkpoint(path, tensors)
+    b.save(path)
     loaded = dn.load_checkpoint(path)
     assert set(loaded) == set(tensors)
     for name in tensors:
         assert np.array_equal(loaded[name], tensors[name])
-    e2, d2, ecfg2, cfg2, meta = dn.split_checkpoint(loaded)
-    assert ecfg2 == enc_cfg and cfg2 == cfg and meta == (100.0, 1e-3, 0.2)
-    for k, v in enc_params.items():
-        assert np.array_equal(e2[k], v)
+    _, _, enc_cfg, den_cfg, sched = dn.split_checkpoint(loaded)
+    assert (enc_cfg, den_cfg) == (b.enc_cfg, b.den_cfg)
+    for name, value in vars(b.sched).items():   # spec and every array
+        assert np.array_equal(getattr(sched, name), value), name
+    enc_params, den_params, _ = dn.train(b.world, b.vocab, b.sched, b.enc_cfg,
+                                         b.den_cfg, dn.TrainConfig(steps=5))
+    trained = dataclasses.replace(b, enc_params=enc_params,
+                                  den_params=den_params)
+    for i, bundle in enumerate((b, trained)):
+        first, again = tmp_path / f"{i}.ckpt", tmp_path / f"{i}-again.ckpt"
+        bundle.save(first)
+        ModelBundle.load(first).save(again)
+        assert again.read_bytes() == first.read_bytes(), i
 
 
 def test_checkpoint_saved_over_a_longer_file(tmp_path):
@@ -403,7 +412,7 @@ def test_checkpoint_loads_share_no_memory(tmp_path):
     cfg = dn.DenoiserConfig(d_h=8, d_a=4, t_feat=4, emb_dim=8, max_len=8)
     tensors = dn.checkpoint_tensors(te.init_encoder_params(enc_cfg, 12, rng),
                                     dn.init_denoiser_params(cfg, rng),
-                                    enc_cfg, cfg, (10, 1e-3, 0.2))
+                                    enc_cfg, cfg, make_schedule(10, 1e-3, 0.2))
     path = tmp_path / "m.ckpt"
     dn.save_checkpoint(path, tensors)
     first, second = dn.load_checkpoint(path), dn.load_checkpoint(path)
@@ -514,13 +523,9 @@ def test_training_is_deterministic(tmp_path):
         assert np.array_equal(run1[1][k], run2[1][k])
     assert run1[2] == run2[2]
     # same seed and config produce byte-identical checkpoints
-    paths = []
-    for i, run in enumerate((run1, run2)):
-        tensors = dn.checkpoint_tensors(run[0], run[1], enc_cfg, cfg,
-                                        (10, 1e-3, 0.2))
-        p = tmp_path / f"run{i}.ckpt"
-        dn.save_checkpoint(p, tensors)
-        paths.append(p)
+    paths = [tmp_path / "run0.ckpt", tmp_path / "run1.ckpt"]
+    for path, run in zip(paths, (run1, run2)):
+        ModelBundle(world, vocab, enc_cfg, cfg, sched, *run[:2]).save(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
     # the CLI's full-size training writes the same bytes with one and with
     # two BLAS threads

@@ -170,16 +170,10 @@ def test_regenerate_retraces_inversion(untrained_bundle):
 CHAIN_SCRIPT = """
 import hashlib
 import numpy as np
-from embedlab import denoiser as dn, text_encoder as te, toyworld as tw
-from embedlab.diffusion import make_schedule
+from embedlab import denoiser as dn
 from embedlab.pipeline import ModelBundle, seed_noise
 from embedlab.rng import Rng
-vocab, enc_cfg, den_cfg = te.default_vocabulary(), te.EncoderConfig(), dn.DenoiserConfig()
-rng = Rng(99)
-b = ModelBundle(world=tw.default_world(), vocab=vocab, enc_cfg=enc_cfg,
-                den_cfg=den_cfg, sched=make_schedule(100, 1e-3, 0.2),
-                enc_params=te.init_encoder_params(enc_cfg, vocab.size, rng.split(0)),
-                den_params=dn.init_denoiser_params(den_cfg, rng.split(1)))
+b = ModelBundle.untrained(Rng(99))
 emb = b.embed("a photo of hbar bright")
 x_T = np.tile(np.stack([seed_noise(s) for s in range(10)]), (47, 1))
 allowed = np.ones((470, 16), dtype=bool)

@@ -5,12 +5,15 @@ Usage, from anywhere:
     python tools/output_digests.py > digests.txt
 
 The battery runs on the benchmark's trained checkpoint,
-perfbench/data/trained-seed7.ckpt (read only), and writes into a temporary
-directory that is removed afterwards. Each output prints as one
+perfbench/data/trained-seed7.ckpt (read only), and on the checkpoint its
+own `train` entry writes, so a checkpoint saved and loaded by the same
+checkout is covered too. It writes into a temporary directory that is
+removed afterwards. Each output prints as one
 `sha256  command/path` line, sorted. Run it in two checkouts and diff the
 two listings: every line that differs names an output whose bytes changed.
 Manifests are included; they hold the checkpoint path relative to the
-checkout, so two checkouts on one machine give comparable listings.
+checkout, or to the temporary directory for the battery's own checkpoint,
+so two checkouts on one machine give comparable listings.
 
 The last entries rerun commands into directories that already hold an
 earlier run's files, mostly with smaller outputs, so the listing also
@@ -28,6 +31,9 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CKPT = os.path.join("perfbench", "data", "trained-seed7.ckpt")
+# the battery's own train checkpoint; commands that read it run from the
+# temporary directory
+OWN = os.path.join("train", "model.ckpt")
 SWAP = ["--from", "a photo of hbar bright", "--to", "a photo of vbar bright"]
 
 
@@ -58,6 +64,7 @@ BATTERY = [
                        "--k", "1"]),
     ("opt-lambda", ["opt-lambda", "--ckpt", CKPT, "--steps", "2"]),
     ("train", ["train", "--steps", "30"]),
+    ("sample-own", ["sample", "--ckpt", OWN, "--n", "3"]),
     ("train-batch7", ["train", "--steps", "30", "--batch-size", "7",
                       "--seed", "5"]),
     # reruns into existing directories
@@ -83,11 +90,11 @@ def main() -> int:
     sys.path.insert(0, os.path.join(ROOT, "src"))
     from embedlab import cli
 
-    os.chdir(ROOT)
     tmp = tempfile.mkdtemp(prefix="output-digests-")
     lines = []
     try:
         for tag, argv in BATTERY:
+            os.chdir(tmp if OWN in argv else ROOT)
             with contextlib.redirect_stdout(io.StringIO()):
                 code = cli.main(argv + ["--out", os.path.join(tmp, tag)])
             if code != 0:
