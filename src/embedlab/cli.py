@@ -2,10 +2,10 @@
 
 Subcommands: gen-data, train, sample, edit, mask-sweep, svd-dirs,
 opt-lambda, invert, verify. Configuration comes from flat key=value files
-(`#` comments allowed) with command-line flags taking precedence. The
-EMBEDLAB_OUT environment variable overrides the output directory. Every
+(`#` comments allowed) with command-line flags taking precedence. Every
 run writes a `manifest.txt` with the resolved configuration and its hash,
-so outputs are attributable and reruns are byte-comparable.
+so outputs are attributable and reruns are byte-comparable. The commands
+below write every report file, each CSV through `toyworld.write_csv`.
 
 Exit codes: 0 ok, 1 usage error, 2 configuration error, 3 numeric or
 training failure, 4 verification failure.
@@ -28,16 +28,15 @@ from . import __version__
 from . import denoiser as dn
 from . import text_encoder as te
 from . import toyworld as tw
-from .diffusion import make_schedule
-from .edit_ops import (EditRecipe, apply_recipe, diff_positions, run_edit,
-                       save_edit_report_csv)
+from .diffusion import MAX_T, make_schedule
+from .edit_ops import EditRecipe, apply_recipe, diff_positions, run_edit
 from .linalg import ConvergenceError
-from .optimizer import (OptConfig, OptimizationError, make_context, optimize,
-                        save_trajectory_csv)
+from .optimizer import OptConfig, OptimizationError, make_context, optimize
 from .pipeline import ModelBundle, seed_noise
 from .rng import Rng
-from .semantics import direction_sweep, save_sweep_csv
-from .toyworld import oracle_classify, oracle_style, save_pgm, write_in_place
+from .semantics import direction_sweep
+from .toyworld import (oracle_classify, oracle_style, save_pgm, write_csv,
+                       write_in_place)
 from .verify import format_report, run_all
 
 EXIT_OK = 0
@@ -111,7 +110,7 @@ def config_hash(cfg: dict) -> str:
 
 
 def prepare_out_dir(cfg: dict, command: str) -> str:
-    out = os.environ.get("EMBEDLAB_OUT") or cfg["out"]
+    out = cfg["out"]
     os.makedirs(out, exist_ok=True)
     lines = [f"command={command}", f"version=v{__version__}",
              "python={}.{}.{}".format(*sys.version_info[:3]),
@@ -169,7 +168,9 @@ def cmd_gen_data(cfg: dict) -> int:
         k = rng.randint(len(world.classes))
         style = tw.draw_style(rng.uniform())
         samples.append(tw.render(world, k, style, rng))
-    tw.save_dataset_csv(os.path.join(out, "dataset.csv"), samples)
+    write_csv(os.path.join(out, "dataset.csv"),
+              ["class", "style"] + [f"x0_{i}" for i in range(tw.IMAGE_DIM)],
+              [(s.class_index, s.style_value, *s.x0) for s in samples])
     for i, s in enumerate(samples[:8]):
         save_pgm(os.path.join(out, f"sample_{i}.pgm"), s.x0)
     print(f"wrote {cfg['n']} samples to {out}")
@@ -178,6 +179,8 @@ def cmd_gen_data(cfg: dict) -> int:
 
 def cmd_train(cfg: dict) -> int:
     _require_positive(cfg, "steps", "batch-size", "T")
+    if cfg["T"] > MAX_T:
+        raise ConfigError(f"--T must be at most {MAX_T}, got {cfg['T']}")
     _require_float(cfg, "lr", lambda v: 0.0 < v < math.inf,
                    "finite and positive")
     if not 0.0 < cfg["beta-start"] <= cfg["beta-end"] < 1.0:
@@ -206,8 +209,7 @@ def cmd_train(cfg: dict) -> int:
     ckpt = os.path.join(out, "model.ckpt")
     ModelBundle(world, vocab, enc_cfg, den_cfg, sched, enc_params,
                 den_params).save(ckpt)
-    lines = ["step,loss\n"] + [f"{step},{loss:.17g}\n" for step, loss in log]
-    write_in_place(os.path.join(out, "loss.csv"), lines)
+    write_csv(os.path.join(out, "loss.csv"), ["step", "loss"], log)
     print(f"final loss {log[-1][1]:.4f}; checkpoint at {ckpt}")
     return EXIT_OK
 
@@ -224,10 +226,9 @@ def cmd_sample(cfg: dict) -> int:
     imgs = bundle.generate(emb, seed_noise(seeds), mode=cfg["mode"], rng=rng)
     k, score = oracle_classify(bundle.world, imgs)
     style = oracle_style(bundle.world, imgs, k)
-    lines = ["seed,class,score,style\n"]
-    lines += [f"{seed},{c},{sc:.17g},{st:.17g}\n" for seed, c, sc, st
-              in zip(seeds, k.tolist(), score.tolist(), style.tolist())]
-    write_in_place(os.path.join(out, "metrics.csv"), lines)
+    write_csv(os.path.join(out, "metrics.csv"),
+              ["seed", "class", "score", "style"],
+              zip(seeds, k.tolist(), score.tolist(), style.tolist()))
     for seed, img in zip(seeds, imgs):
         save_pgm(os.path.join(out, f"gen_{seed}.pgm"), img)
     print(f"generated {cfg['n']} images for {cfg['prompt']!r} in {out}")
@@ -279,8 +280,11 @@ def cmd_edit(cfg: dict) -> int:
     out = prepare_out_dir(cfg, "edit")
     outcomes = run_edit(bundle, cfg["from"], cfg["to"], recipe,
                         range(cfg["seeds"]))
-    rows = [(s, recipe.label(), o) for s, o in enumerate(outcomes)]
-    save_edit_report_csv(os.path.join(out, "edits.csv"), rows)
+    write_csv(os.path.join(out, "edits.csv"),
+              ["seed", "recipe", "class_src", "class_star", "style_src",
+               "style_star", "background_l2"],
+              [(s, recipe.label(), o.class_src, o.class_star, o.style_src,
+                o.style_star, o.background_l2) for s, o in enumerate(outcomes)])
     for s, o in list(enumerate(outcomes))[:4]:
         save_pgm(os.path.join(out, f"src_{s}.pgm"), o.i_s)
         save_pgm(os.path.join(out, f"edit_{s}.pgm"), o.i_star)
@@ -324,16 +328,16 @@ def cmd_mask_sweep(cfg: dict) -> int:
     kept = oracle_classify(bundle.world, imgs)[0] == base_class
     by_mask, kept = imgs.reshape(len(masks), n, -1), kept.reshape(len(masks), n)
     z = 1.959963984540054
-    lines = ["mask,class_keep_rate,ci_lo,ci_hi\n"]
+    rows = []
     for label, i in zip(labels, which):
         keep = np.mean(kept[i])
         # Wilson 95% interval for the keep rate
         mid = (keep + z * z / (2 * n)) / (1 + z * z / n)
         hw = (z / (1 + z * z / n)
               * np.sqrt(keep * (1 - keep) / n + z * z / (4 * n * n)))
-        lines.append(f"{label},{float(keep):.17g},{float(mid - hw):.17g},"
-                     f"{float(mid + hw):.17g}\n")
-    write_in_place(os.path.join(out, "mask_sweep.csv"), lines)
+        rows.append((label, keep, mid - hw, mid + hw))
+    write_csv(os.path.join(out, "mask_sweep.csv"),
+              ["mask", "class_keep_rate", "ci_lo", "ci_hi"], rows)
     for label, i in zip(labels, which):
         save_pgm(os.path.join(out, f"grid_{label}.pgm"), by_mask[i, 0])
     print(f"swept {len(families) - 1} masks x {n} seeds; report in {out}")
@@ -353,7 +357,10 @@ def cmd_svd_dirs(cfg: dict) -> int:
     out = prepare_out_dir(cfg, "svd-dirs")
     points = direction_sweep(bundle, cfg["prompt"], cfg["side"], cfg["k"],
                              seed=cfg["seed"])
-    save_sweep_csv(os.path.join(out, "sweep.csv"), cfg["side"], cfg["k"], points)
+    write_csv(os.path.join(out, "sweep.csv"),
+              ["side", "k", "s", "class", "style", "delta_l2"],
+              [(cfg["side"], cfg["k"], p.strength, p.class_index, p.style,
+                p.delta_l2) for p in points])
     for p in points:
         save_pgm(os.path.join(out, f"s_{p.strength:+.1f}.pgm"), p.image)
     print(f"swept {len(points)} strengths along {cfg['side']} direction "
@@ -373,8 +380,10 @@ def cmd_opt_lambda(cfg: dict) -> int:
                           f"({cfg['from']!r}): no position to optimize")
     out = prepare_out_dir(cfg, "opt-lambda")
     params, trajectory = optimize(ctx, ocfg)
-    save_trajectory_csv(os.path.join(out, "trajectory.csv"), trajectory)
     lam = params.lam()
+    write_csv(os.path.join(out, "trajectory.csv"),
+              ["step", "loss"] + [f"lambda_{i}" for i in range(lam.size)],
+              [(step, loss, *lams) for step, loss, lams in trajectory])
     diff = sorted(ctx.diff)
     print(f"final loss {trajectory[-1][1]:.4f}; "
           f"mean lambda at diff positions {np.mean(lam[diff]):.3f}; "
@@ -406,9 +415,9 @@ def cmd_invert(cfg: dict) -> int:
     save_pgm(os.path.join(out, "recon.pgm"), recon)
     save_pgm(os.path.join(out, "edited.pgm"), edited)
     k_edit, _ = oracle_classify(world, edited)
-    write_in_place(os.path.join(out, "invert.csv"),
-                   ["roundtrip_linf,class_src,class_edited\n",
-                    f"{err:.17g},{k},{k_edit}\n"])
+    write_csv(os.path.join(out, "invert.csv"),
+              ["roundtrip_linf", "class_src", "class_edited"],
+              [(err, k, k_edit)])
     print(f"round-trip max error {err:.4f}; edited class "
           f"{world.classes[k_edit][0]}; report in {out}")
     return EXIT_OK

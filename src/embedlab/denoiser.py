@@ -523,8 +523,8 @@ def training_batches(world: WorldSpec, vocab: te.Vocabulary, sched: Schedule,
     int_bounds = [[n_classes], [sched.T], [n_classes]]
 
     # tables by step index t_idx, the step being t_idx + 1
-    sqrt_ab = np.sqrt(sched.alpha_bars)
-    sqrt_1m_ab = np.sqrt(1.0 - sched.alpha_bars)
+    sqrt_ab = sched.sqrt_ab[1:]
+    sqrt_1m_ab = sched.sqrt_1mab[1:]
     t_table = time_features(np.arange(1, sched.T + 1), cfg.t_feat)
     sem_len = int(np.max(np.sum(token_matrix != te.PAD, axis=1)))
     class_pos = class_word_position(world, vocab, token_matrix)

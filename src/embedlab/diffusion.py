@@ -16,6 +16,10 @@ from .rng import Rng
 FP_ITERS = 8
 FP_TOL = 1e-12
 WINDOW = 20
+# the most steps a schedule may have, 100 times the default T = 100. T comes
+# from a flag or a checkpoint, and schedules, chains and training all hold
+# tables of length T, so an unbounded T could ask for any amount of memory
+MAX_T = 10_000
 
 
 @dataclass(frozen=True)
@@ -52,9 +56,12 @@ class GaussianParams:
 
 
 def make_schedule(T: int, beta_start: float, beta_end: float) -> Schedule:
-    """Linear betas over T >= 1 whole steps; 0 < beta_start <= beta_end < 1."""
+    """Linear betas over 1 <= T <= MAX_T whole steps;
+    0 < beta_start <= beta_end < 1."""
     if not (T >= 1 and float(T).is_integer()):
         raise ValueError(f"T must be a positive integer, got {T}")
+    if T > MAX_T:
+        raise ValueError(f"T must be at most {MAX_T}, got {T}")
     T = int(T)
     if not (0.0 < beta_start <= beta_end < 1.0):
         raise ValueError(f"bad beta range ({beta_start}, {beta_end})")

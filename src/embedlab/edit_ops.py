@@ -13,8 +13,7 @@ import numpy as np
 from .denoiser import AttnMask
 from .pipeline import ModelBundle, seed_noise
 from .text_encoder import TextEmbedding, TokenSeq
-from .toyworld import (background_mask, oracle_classify, oracle_style,
-                       write_in_place)
+from .toyworld import background_mask, oracle_classify, oracle_style
 
 
 @dataclass(frozen=True)
@@ -175,13 +174,3 @@ def run_edit(bundle: ModelBundle, source_text: str, target_text: str,
         style_src=style[i], style_star=style[n + i],
         background_l2=float(np.sqrt(np.sum((i_star[i] - i_s[i])[bg] ** 2))),
     ) for i in range(n)]
-
-
-def save_edit_report_csv(path, rows) -> None:
-    """rows: iterables of (seed, recipe_label, EditOutcome)."""
-    lines = ["seed,recipe,class_src,class_star,style_src,style_star,"
-             "background_l2\n"]
-    lines += [f"{seed},{label},{o.class_src},{o.class_star},"
-              f"{o.style_src:.17g},{o.style_star:.17g},{o.background_l2:.17g}\n"
-              for seed, label, o in rows]
-    write_in_place(path, lines)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .edit_ops import diff_positions, soft_mix
 from .pipeline import ModelBundle, seed_noise
-from .toyworld import background_mask, write_in_place
+from .toyworld import background_mask
 
 INIT_LOGIT = np.log(0.95 / 0.05)  # lambda in {0.05, 0.95} at init
 EPS_GUARD = 1e-8
@@ -196,13 +196,3 @@ def optimize(ctx: LambdaContext, cfg: OptConfig):
         # if no halving helped, keep theta: trajectory stays non-increasing
         trajectory.append((step, loss, sigmoid(theta).copy()))
     return LambdaParams(theta=theta), trajectory
-
-
-def save_trajectory_csv(path, trajectory) -> None:
-    n = trajectory[0][2].shape[0]
-    cols = ",".join(f"lambda_{i}" for i in range(n))
-    lines = [f"step,loss,{cols}\n"]
-    for step, loss, lam in trajectory:
-        vals = ",".join(f"{v:.17g}" for v in lam)
-        lines.append(f"{step},{loss:.17g},{vals}\n")
-    write_in_place(path, lines)

@@ -14,7 +14,7 @@ import numpy as np
 from .linalg import svd
 from .pipeline import ModelBundle, seed_noise
 from .text_encoder import TextEmbedding
-from .toyworld import oracle_classify, oracle_style, write_in_place
+from .toyworld import oracle_classify, oracle_style
 
 DEFAULT_STRENGTHS = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 
@@ -77,10 +77,3 @@ def direction_sweep(bundle: ModelBundle, text: str, side: str, k: int,
         delta_l2=float(np.sqrt(np.sum((images[s] - base) ** 2))),
         image=images[s],
     ) for s, c, st in zip(strengths, cls.tolist(), style.tolist())]
-
-
-def save_sweep_csv(path, side: str, k: int, points) -> None:
-    lines = ["side,k,s,class,style,delta_l2\n"]
-    lines += [f"{side},{k},{p.strength:.17g},{p.class_index},"
-              f"{p.style:.17g},{p.delta_l2:.17g}\n" for p in points]
-    write_in_place(path, lines)

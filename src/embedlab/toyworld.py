@@ -184,13 +184,16 @@ def write_in_place(path, chunks) -> None:
         f.truncate()
 
 
-def save_dataset_csv(path, samples) -> None:
-    cols = ",".join(f"x0_{i}" for i in range(IMAGE_DIM))
-    lines = [f"class,style,{cols}\n"]
-    for s in samples:
-        pixels = ",".join(f"{v:.17g}" for v in s.x0)
-        lines.append(f"{s.class_index},{s.style_value:.17g},{pixels}\n")
-    write_in_place(path, lines)
+def write_csv(path, header, rows) -> None:
+    """Write the header's column names, then one line per row of fields.
+
+    A float field (np.float64 included) prints as %.17g, which reads back
+    as the same float; any other field prints as str().
+    """
+    def line(fields):
+        return ",".join(["%.17g" % v if isinstance(v, float) else str(v)
+                         for v in fields]) + "\n"
+    write_in_place(path, [line(header)] + [line(row) for row in rows])
 
 
 def save_pgm(path, x: np.ndarray) -> None:

@@ -35,3 +35,11 @@ def trained_bundle():
 def untrained_bundle():
     """Random weights; enough for exercising plumbing cheaply."""
     return ModelBundle.untrained(Rng(99))
+
+
+@pytest.fixture()
+def ckpt(tmp_path, untrained_bundle):
+    """The untrained model saved as a checkpoint file, for the commands."""
+    path = tmp_path / "model.ckpt"
+    untrained_bundle.save(path)
+    return str(path)

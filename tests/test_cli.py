@@ -11,15 +11,9 @@ import embedlab
 from embedlab import cli
 from embedlab import denoiser as dn
 from embedlab import toyworld as tw
+from embedlab.diffusion import MAX_T
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(embedlab.__file__)))
-
-
-@pytest.fixture()
-def ckpt(tmp_path, untrained_bundle):
-    path = tmp_path / "model.ckpt"
-    untrained_bundle.save(path)
-    return str(path)
 
 
 def _read_all(d):
@@ -63,15 +57,6 @@ def test_config_file_and_flag_precedence(tmp_path):
     manifest = open(os.path.join(d, "manifest.txt")).read()
     assert "n=6" in manifest      # flag beats config file
     assert "seed=3" in manifest   # config file beats default
-
-
-def test_env_var_overrides_out(tmp_path, monkeypatch):
-    target = str(tmp_path / "envout")
-    monkeypatch.setenv("EMBEDLAB_OUT", target)
-    assert cli.main(["gen-data", "--out", str(tmp_path / "ignored"),
-                     "--n", "2"]) == 0
-    assert os.path.exists(os.path.join(target, "dataset.csv"))
-    assert not os.path.exists(os.path.join(tmp_path / "ignored", "dataset.csv"))
 
 
 def test_parser_built_once_without_leaks(tmp_path):
@@ -226,6 +211,7 @@ def test_sample_rejects_zero_head_count(tmp_path, untrained_bundle, capsys):
 
 @pytest.mark.parametrize("name,edit,message", [
     ("meta.schedule", _set(0, 2.5), "T must be a positive integer, got 2.5"),
+    ("meta.schedule", _set(0, 1e15), f"T must be at most {MAX_T}"),
     ("enc.tok_emb", lambda e: np.vstack([e, e[:1]]),
      "embeds 13 tokens, the vocabulary has 12"),
 ])
@@ -449,6 +435,9 @@ def test_train_command_small(tmp_path, capsys):
                     "--batch-size", "0"], "--batch-size", capsys)
     _rejects_count(["train", "--out", str(tmp_path / "t0"), "--T", "0"],
                    "--T", capsys)
+    _rejects_count(["train", "--out", str(tmp_path / "t0"),
+                    "--T", str(MAX_T + 1)], f"--T must be at most {MAX_T}",
+                   capsys)
     for start, end in (("0", "0.2"), ("0.3", "0.2"), ("1e-3", "1"),
                        ("nan", "0.2")):
         _rejects_count(["train", "--out", str(tmp_path / "t0"),

@@ -11,7 +11,7 @@ import embedlab
 from embedlab import denoiser as dn
 from embedlab import text_encoder as te
 from embedlab import toyworld as tw
-from embedlab.diffusion import make_schedule
+from embedlab.diffusion import MAX_T, make_schedule
 from embedlab.pipeline import ModelBundle
 from embedlab.rng import Rng
 
@@ -339,7 +339,8 @@ def test_split_checkpoint_checks_shapes_against_meta():
             dn.split_checkpoint(tensors)
             pytest.fail(case)
     for schedule in ([2.5, 1e-3, 0.2], [3.9, 1e-3, 0.2], [0, 1e-3, 0.2],
-                     [10, 0.2, 1e-3]):   # make_schedule rejects each
+                     [10, 0.2, 1e-3],
+                     [MAX_T + 1, 1e-3, 0.2]):   # make_schedule rejects each
         with pytest.raises(dn.CheckpointError, match="'meta.schedule'"):
             dn.split_checkpoint(tampered("meta.schedule", schedule))
 
@@ -535,7 +536,6 @@ def test_training_is_deterministic(tmp_path):
         out = tmp_path / f"cli{threads}"
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-        env.pop("EMBEDLAB_OUT", None)
         subprocess.run([sys.executable, "-m", "embedlab.cli", "train",
                         "--steps", "30", "--seed", "5", "--out", str(out)],
                        check=True, capture_output=True, env=env, timeout=300)

@@ -29,6 +29,9 @@ def test_schedule_rejects_bad_params():
         df.make_schedule(10, 1e-4, 1.0)
     with pytest.raises(ValueError):
         df.make_schedule(10, 0.0, 0.02)
+    with pytest.raises(ValueError, match=f"at most {df.MAX_T}"):
+        df.make_schedule(df.MAX_T + 1, 1e-4, 0.02)
+    assert df.make_schedule(df.MAX_T, 1e-4, 0.02).T == df.MAX_T
 
 
 def test_chain_composition_matches_marginal(sched):

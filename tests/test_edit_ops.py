@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from embedlab import cli
 from embedlab import edit_ops as eo
 from embedlab import text_encoder as te
 from embedlab.rng import Rng
@@ -137,14 +138,21 @@ def test_run_edit_shared_seed_pairing(untrained_bundle):
                    for a, b in zip(sources[0], s))
 
 
-def test_edit_report_csv_roundtrip(tmp_path, untrained_bundle):
-    [o] = eo.run_edit(untrained_bundle, "a photo of hbar bright",
-                      "a photo of vbar bright",
-                      eo.EditRecipe(kind="swap", positions=(4,)), seeds=[0])
-    path = tmp_path / "edits.csv"
-    eo.save_edit_report_csv(path, [(0, "swap[4]", o)])
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("seed,recipe,")
-    fields = lines[1].split(",")
-    assert fields[0] == "0" and fields[1] == "swap[4]"
-    assert float(fields[6]) == o.background_l2
+def test_edit_report_csv_roundtrip(tmp_path, ckpt, untrained_bundle):
+    """The edit command's edits.csv holds each seed's outcome, exactly."""
+    src, dst = "a photo of hbar bright", "a photo of vbar bright"
+    assert cli.main(["edit", "--ckpt", ckpt, "--out", str(tmp_path),
+                     "--recipe", "swap", "--positions", "5",
+                     "--from", src, "--to", dst, "--seeds", "2"]) == 0
+    recipe = eo.EditRecipe(kind="swap", positions=(4,))
+    outcomes = eo.run_edit(untrained_bundle, src, dst, recipe, range(2))
+    lines = (tmp_path / "edits.csv").read_text().splitlines()
+    assert lines[0] == ("seed,recipe,class_src,class_star,style_src,"
+                        "style_star,background_l2")
+    assert len(lines) == 3
+    for line, (s, o) in zip(lines[1:], enumerate(outcomes)):
+        f = line.split(",")
+        assert f[:4] == [str(s), recipe.label(), str(o.class_src),
+                         str(o.class_star)]
+        assert [float(v) for v in f[4:]] == [o.style_src, o.style_star,
+                                             o.background_l2]

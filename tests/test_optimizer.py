@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from embedlab import cli
 from embedlab import optimizer as op
 from embedlab import text_encoder as te
 from embedlab.rng import Rng
@@ -164,15 +165,20 @@ def test_surrogate_loss_recomputation_oracle():
     assert np.max(np.abs(op.fd_gradient(theta, ctx, h) - per_coord)) < 1e-12
 
 
-def test_trajectory_csv_roundtrip(tmp_path):
-    ctx = _make_ctx()
-    _, traj = op.optimize(ctx, op.OptConfig(steps=3))
-    path = tmp_path / "traj.csv"
-    op.save_trajectory_csv(path, traj)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "step,loss," + ",".join(f"lambda_{i}" for i in range(6))
+def test_trajectory_csv_roundtrip(tmp_path, ckpt, untrained_bundle):
+    """opt-lambda's trajectory.csv holds every step of the run, exactly."""
+    assert cli.main(["opt-lambda", "--ckpt", ckpt, "--out", str(tmp_path),
+                     "--steps", "3"]) == 0
+    ocfg = op.OptConfig(steps=3, seed=0, gamma=1.0)
+    ctx = op.make_context(untrained_bundle, "a photo of hbar bright",
+                          "a photo of vbar bright", ocfg)
+    _, traj = op.optimize(ctx, ocfg)
+    lines = (tmp_path / "trajectory.csv").read_text().splitlines()
+    n = traj[0][2].size
+    assert lines[0] == "step,loss," + ",".join(f"lambda_{i}" for i in range(n))
     assert len(lines) == 5
-    last = lines[-1].split(",")
-    assert int(last[0]) == 3
-    assert float(last[1]) == traj[-1][1]
-    assert np.allclose([float(v) for v in last[2:]], traj[-1][2])
+    for line, (step, loss, lam) in zip(lines[1:], traj):
+        f = line.split(",")
+        assert int(f[0]) == step
+        assert float(f[1]) == loss
+        assert np.array_equal([float(v) for v in f[2:]], lam)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from embedlab import cli
 from embedlab import semantics as sm
 from embedlab import text_encoder as te
 from embedlab.linalg import svd
@@ -102,14 +103,17 @@ def test_direction_sweep_reuses_base_bitwise(untrained_bundle):
     assert np.array_equal(points[0].image, base)
 
 
-def test_sweep_csv_roundtrip(tmp_path, untrained_bundle):
+def test_sweep_csv_roundtrip(tmp_path, ckpt, untrained_bundle):
+    """svd-dirs' sweep.csv holds every point of the sweep, exactly."""
+    assert cli.main(["svd-dirs", "--ckpt", ckpt, "--out", str(tmp_path),
+                     "--side", "right", "--k", "0"]) == 0
     points = sm.direction_sweep(untrained_bundle, "a photo of hbar bright",
-                                "right", 0, strengths=(0.0, 1.0), seed=0)
-    path = tmp_path / "sweep.csv"
-    sm.save_sweep_csv(path, "right", 0, points)
-    lines = path.read_text().splitlines()
+                                "right", 0, seed=0)
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
     assert lines[0] == "side,k,s,class,style,delta_l2"
-    assert len(lines) == 3
-    f = lines[2].split(",")
-    assert float(f[2]) == 1.0
-    assert float(f[5]) == points[1].delta_l2
+    assert len(lines) == 1 + len(points)
+    for line, p in zip(lines[1:], points):
+        f = line.split(",")
+        assert f[:2] == ["right", "0"] and int(f[3]) == p.class_index
+        assert ([float(f[2]), float(f[4]), float(f[5])]
+                == [p.strength, p.style, p.delta_l2])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from embedlab import cli
 from embedlab import toyworld as tw
 from embedlab.rng import Rng
 
@@ -186,17 +187,22 @@ def test_background_mask_excludes_both_supports(world):
     assert np.all(bg | union)
 
 
-def test_dataset_csv_roundtrip(tmp_path, world):
-    rng = Rng(14)
-    samples = [tw.render(world, k, 0.8, rng) for k in range(3)]
-    path = tmp_path / "d.csv"
-    tw.save_dataset_csv(path, samples)
-    raw = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert raw.shape == (3, 2 + tw.IMAGE_DIM)
-    for i, s in enumerate(samples):
-        assert raw[i, 0] == s.class_index
-        assert raw[i, 1] == s.style_value
-        assert np.array_equal(raw[i, 2:], s.x0)
+def test_write_csv_fields_read_back_exactly(tmp_path):
+    row = (0.1, 1 / 3, 1e-300, -2.5e300, np.float64(2.0) / 3, 7, "swap[5]")
+    header = ["z", "a", "tiny", "huge", "f64", "int", "label"]
+    path = tmp_path / "r.csv"
+    path.write_text("x" * 500)   # rewritten, not appended to
+    tw.write_csv(path, header, [row, row[::-1]])
+    lines = path.read_text().splitlines()
+    assert lines[0] == ",".join(header)
+    assert len(lines) == 3
+    fields = lines[1].split(",")
+    assert [float(f) for f in fields[:5]] == list(row[:5])
+    # floats, np.float64 too, print as %.17g, not as their shortest repr
+    assert fields[0] == "0.10000000000000001"
+    assert fields[4] == "0.66666666666666663"
+    assert int(fields[5]) == 7 and fields[6] == "swap[5]"
+    assert lines[2].split(",") == fields[::-1]
 
 
 def test_pgm_format(tmp_path, world):
@@ -207,3 +213,21 @@ def test_pgm_format(tmp_path, world):
     assert len(lines) == 11
     vals = [int(v) for row in lines[3:] for v in row.split()]
     assert min(vals) == 0 and max(vals) == 255
+
+
+def test_dataset_csv_roundtrip(tmp_path, world):
+    """gen-data's dataset.csv holds the samples its seed draws, exactly."""
+    assert cli.main(["gen-data", "--out", str(tmp_path), "--n", "3"]) == 0
+    path = tmp_path / "dataset.csv"
+    header = path.read_text().splitlines()[0]
+    assert header == ",".join(["class", "style"]
+                              + [f"x0_{i}" for i in range(tw.IMAGE_DIM)])
+    raw = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert raw.shape == (3, 2 + tw.IMAGE_DIM)
+    rng = Rng(0).split(0)
+    for row in raw:
+        k = rng.randint(len(world.classes))
+        s = tw.render(world, k, tw.draw_style(rng.uniform()), rng)
+        assert row[0] == s.class_index
+        assert row[1] == s.style_value
+        assert np.array_equal(row[2:], s.x0)
