@@ -28,8 +28,9 @@ from . import __version__
 from . import denoiser as dn
 from . import text_encoder as te
 from . import toyworld as tw
-from .diffusion import MAX_T, make_schedule
-from .edit_ops import EditRecipe, apply_recipe, diff_positions, run_edit
+from .diffusion import make_schedule
+from .edit_ops import (diff_positions, mix_scale, mix_style, mix_swap,
+                       run_edit, soft_swap, zero_rows)
 from .linalg import ConvergenceError
 from .optimizer import OptConfig, OptimizationError, make_context, optimize
 from .pipeline import ModelBundle, seed_noise
@@ -156,6 +157,14 @@ def _parse_positions(text: str, length: int):
     return tuple(p - 1 for p in pos)
 
 
+def _hide_rows(length: int, lo: int, hi: int) -> np.ndarray:
+    """Attention-allowed rows of a length-row embedding: all but lo..hi,
+    inclusive and 0-based."""
+    allowed = np.ones(length, dtype=bool)
+    allowed[lo:hi + 1] = False
+    return allowed
+
+
 # ------------------------------------------------------------- commands
 
 def cmd_gen_data(cfg: dict) -> int:
@@ -178,21 +187,18 @@ def cmd_gen_data(cfg: dict) -> int:
 
 
 def cmd_train(cfg: dict) -> int:
-    _require_positive(cfg, "steps", "batch-size", "T")
-    if cfg["T"] > MAX_T:
-        raise ConfigError(f"--T must be at most {MAX_T}, got {cfg['T']}")
+    _require_positive(cfg, "steps", "batch-size")
     _require_float(cfg, "lr", lambda v: 0.0 < v < math.inf,
                    "finite and positive")
-    if not 0.0 < cfg["beta-start"] <= cfg["beta-end"] < 1.0:
-        raise ConfigError(f"--beta-start and --beta-end need 0 < beta-start "
-                          f"<= beta-end < 1, got {cfg['beta-start']} and "
-                          f"{cfg['beta-end']}")
+    try:
+        sched = make_schedule(cfg["T"], cfg["beta-start"], cfg["beta-end"])
+    except ValueError as e:
+        raise ConfigError(f"--T, --beta-start and --beta-end: {e}") from None
     out = prepare_out_dir(cfg, "train")
     world = tw.default_world()
     vocab = te.default_vocabulary()
     enc_cfg = te.EncoderConfig()
     den_cfg = dn.DenoiserConfig()
-    sched = make_schedule(cfg["T"], cfg["beta-start"], cfg["beta-end"])
     tcfg = dn.TrainConfig(steps=cfg["steps"], batch_size=cfg["batch-size"],
                           lr=cfg["lr"], seed=cfg["seed"])
     last_step, last_time = 0, time.perf_counter()
@@ -235,61 +241,80 @@ def cmd_sample(cfg: dict) -> int:
     return EXIT_OK
 
 
-def _build_recipe(cfg: dict, bundle: ModelBundle) -> EditRecipe:
+def _build_recipe(cfg: dict, bundle: ModelBundle):
+    """The edit that the recipe flags name, as (label, edit).
+
+    The label names rows 1-based, as the flags do. edit maps the (source,
+    target) embeddings to (edited embedding, AttnMask or None).
+    """
     kind = cfg["recipe"]
-    t_s = bundle.tokens(cfg["from"])
-    t_t = bundle.tokens(cfg["to"])
     length = bundle.enc_cfg.max_len
     if kind in ("swap", "soft_swap"):
         if cfg["positions"]:
-            positions = _parse_positions(cfg["positions"], length)
+            pos = _parse_positions(cfg["positions"], length)
         else:
-            positions = tuple(sorted(diff_positions(t_s, t_t)))
-        if kind == "soft_swap":
-            _require_float(cfg, "weight", lambda v: 0.0 <= v <= 1.0,
-                           "in [0, 1]")
-        return EditRecipe(kind=kind, positions=positions, weight=cfg["weight"])
+            pos = tuple(sorted(diff_positions(bundle.tokens(cfg["from"]),
+                                              bundle.tokens(cfg["to"]))))
+        rows = ",".join(str(p + 1) for p in pos)
+        if kind == "swap":
+            return (f"swap[{rows}]",
+                    lambda e_s, e_t: (mix_swap(e_s, e_t, pos), None))
+        _require_float(cfg, "weight", lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+        w = cfg["weight"]
+        return (f"soft_swap[{rows}:w={w}]",
+                lambda e_s, e_t: (soft_swap(e_s, e_t, pos, w), None))
     if kind == "scale":
-        pos = cfg["scale-pos"]
+        pos, c = cfg["scale-pos"], cfg["scale"]
         if pos < 1:
             raise ConfigError("--scale-pos is 1-based; the smallest is 1")
         if pos > length:
             raise ConfigError(f"--scale-pos {pos} past the embedding's "
                               f"{length} rows")
         _require_float(cfg, "scale", math.isfinite, "finite")
-        return EditRecipe(kind="scale", scale_pos=pos - 1, scale=cfg["scale"])
+        return (f"scale[{pos}x{c}]",
+                lambda e_s, e_t: (mix_scale(e_s, pos - 1, c), None))
     if kind == "style":
-        return EditRecipe(kind="style")
+        return "style", lambda e_s, e_t: (mix_style(e_s, e_t), None)
     if kind == "mask":
-        i, j = cfg["mask-from"], cfg["mask-to"]
+        i, j, mode = cfg["mask-from"], cfg["mask-to"], cfg["mask-mode"]
         if i < 1 or j < i:
             raise ConfigError("--mask-from and --mask-to are 1-based and "
                               "need from <= to")
         if j > length:
             raise ConfigError(f"--mask-to {j} past the embedding's "
                               f"{length} rows")
-        return EditRecipe(kind="mask", mask_range=(i - 1, j - 1),
-                          mask_mode=cfg["mask-mode"])
+        label = f"mask[{i}-{j}:{mode}]"
+        if mode == "zero":
+            return label, lambda e_s, e_t: (zero_rows(e_s, i - 1, j - 1), None)
+        if mode != "exclude":
+            raise ConfigError(f"--mask-mode must be exclude or zero, "
+                              f"got {mode!r}")
+        if i == 1 and j == length:
+            raise ConfigError(f"--mask-from {i} and --mask-to {j} hide every "
+                              f"row from attention")
+        mask = dn.AttnMask(_hide_rows(length, i - 1, j - 1))
+        return label, lambda e_s, e_t: (e_s, mask)
     raise ConfigError(f"unknown recipe {kind!r}")
 
 
 def cmd_edit(cfg: dict) -> int:
     _require_positive(cfg, "seeds")
     bundle = _load_bundle(cfg["ckpt"])
-    recipe = _build_recipe(cfg, bundle)
-    out = prepare_out_dir(cfg, "edit")
-    outcomes = run_edit(bundle, cfg["from"], cfg["to"], recipe,
+    label, edit = _build_recipe(cfg, bundle)
+    # run_edit writes nothing, so each of its errors exits before the manifest
+    outcomes = run_edit(bundle, cfg["from"], cfg["to"], edit,
                         range(cfg["seeds"]))
+    out = prepare_out_dir(cfg, "edit")
     write_csv(os.path.join(out, "edits.csv"),
               ["seed", "recipe", "class_src", "class_star", "style_src",
                "style_star", "background_l2"],
-              [(s, recipe.label(), o.class_src, o.class_star, o.style_src,
+              [(s, label, o.class_src, o.class_star, o.style_src,
                 o.style_star, o.background_l2) for s, o in enumerate(outcomes)])
     for s, o in list(enumerate(outcomes))[:4]:
         save_pgm(os.path.join(out, f"src_{s}.pgm"), o.i_s)
         save_pgm(os.path.join(out, f"edit_{s}.pgm"), o.i_star)
     conv = np.mean([o.class_star != o.class_src for o in outcomes])
-    print(f"{recipe.label()}: class changed on {conv:.0%} of "
+    print(f"{label}: class changed on {conv:.0%} of "
           f"{cfg['seeds']} seeds; report in {out}")
     return EXIT_OK
 
@@ -302,12 +327,7 @@ def cmd_mask_sweep(cfg: dict) -> int:
     length = emb.data.shape[0]
     base_class = bundle.class_of_text(cfg["prompt"])
     out = prepare_out_dir(cfg, "mask-sweep")
-
-    def hide(lo, hi):
-        allowed = np.ones(length, dtype=bool)
-        allowed[lo:hi + 1] = False
-        return allowed
-
+    hide = functools.partial(_hide_rows, length)
     families = [("none", np.ones(length, dtype=bool))]
     families += [(f"single_M{i + 1}", hide(i, i)) for i in range(length)]
     families += [(f"prefix_M1-{j + 1}", hide(0, j)) for j in range(length - 1)]
@@ -404,12 +424,9 @@ def cmd_invert(cfg: dict) -> int:
     recon = bundle.regenerate(emb, x_T)
     err = float(np.max(np.abs(recon - sample.x0)))
 
-    t_s = bundle.tokens(sample.prompt)
-    t_t = bundle.tokens(cfg["to"])
-    recipe = EditRecipe(kind="swap",
-                        positions=tuple(sorted(diff_positions(t_s, t_t))))
-    e_star, mask = apply_recipe(recipe, emb, to)
-    edited = bundle.generate(e_star, x_T, mask=mask)
+    diff = diff_positions(bundle.tokens(sample.prompt),
+                          bundle.tokens(cfg["to"]))
+    edited = bundle.generate(mix_swap(emb, to, sorted(diff)), x_T)
 
     save_pgm(os.path.join(out, "real.pgm"), sample.x0)
     save_pgm(os.path.join(out, "recon.pgm"), recon)

@@ -17,31 +17,6 @@ from .toyworld import background_mask, oracle_classify, oracle_style
 
 
 @dataclass(frozen=True)
-class EditRecipe:
-    kind: str                       # swap | soft_swap | scale | style | mask
-    positions: tuple = ()           # swap / soft_swap: 0-based rows
-    weight: float = 0.5             # soft_swap: weight on the source row
-    scale_pos: int = 0              # scale: 0-based row
-    scale: float = 1.0              # scale
-    mask_range: tuple = (0, 0)      # mask: inclusive 0-based (i, j)
-    mask_mode: str = "exclude"      # exclude keys from attention, or "zero" rows
-
-    def label(self) -> str:
-        """Report label; it names rows 1-based, as the CLI flags do."""
-        rows = ",".join(str(p + 1) for p in self.positions)
-        if self.kind == "swap":
-            return f"swap[{rows}]"
-        if self.kind == "soft_swap":
-            return f"soft_swap[{rows}:w={self.weight}]"
-        if self.kind == "scale":
-            return f"scale[{self.scale_pos + 1}x{self.scale}]"
-        if self.kind == "mask":
-            i, j = self.mask_range
-            return f"mask[{i + 1}-{j + 1}:{self.mask_mode}]"
-        return self.kind
-
-
-@dataclass(frozen=True)
 class EditOutcome:
     i_s: np.ndarray
     i_star: np.ndarray
@@ -108,6 +83,15 @@ def mix_style(e_s: TextEmbedding, e_t: TextEmbedding) -> TextEmbedding:
     return TextEmbedding(data=out, semantic_len=e_s.semantic_len)
 
 
+def zero_rows(e: TextEmbedding, i: int, j: int) -> TextEmbedding:
+    """Rows i..j, inclusive, set to zero."""
+    if not 0 <= i <= j < e.data.shape[0]:
+        raise ValueError(f"rows {i}..{j} out of range")
+    out = e.data.copy()
+    out[i:j + 1] = 0.0
+    return TextEmbedding(data=out, semantic_len=e.semantic_len)
+
+
 def soft_mix(e_s: TextEmbedding, e_t: TextEmbedding, lam) -> TextEmbedding:
     _check_shapes(e_s, e_t)
     lam = np.asarray(lam, dtype=np.float64)
@@ -119,42 +103,20 @@ def soft_mix(e_s: TextEmbedding, e_t: TextEmbedding, lam) -> TextEmbedding:
     return TextEmbedding(data=out, semantic_len=e_s.semantic_len)
 
 
-def apply_recipe(recipe: EditRecipe, e_s: TextEmbedding, e_t: TextEmbedding):
-    """Resolve a recipe to (edited embedding, attention mask or None)."""
-    if recipe.kind == "swap":
-        return mix_swap(e_s, e_t, recipe.positions), None
-    if recipe.kind == "soft_swap":
-        return soft_swap(e_s, e_t, recipe.positions, recipe.weight), None
-    if recipe.kind == "scale":
-        return mix_scale(e_s, recipe.scale_pos, recipe.scale), None
-    if recipe.kind == "style":
-        return mix_style(e_s, e_t), None
-    if recipe.kind == "mask":
-        i, j = recipe.mask_range
-        length = e_s.data.shape[0]
-        if not (0 <= i <= j < length):
-            raise ValueError(f"mask range {recipe.mask_range} out of bounds")
-        if recipe.mask_mode == "exclude":
-            allowed = np.ones(length, dtype=bool)
-            allowed[i:j + 1] = False
-            return e_s, AttnMask(allowed)
-        if recipe.mask_mode == "zero":
-            out = e_s.data.copy()
-            out[i:j + 1] = 0.0
-            return TextEmbedding(out, e_s.semantic_len), None
-        raise ValueError(f"unknown mask mode {recipe.mask_mode!r}")
-    raise ValueError(f"unknown recipe kind {recipe.kind!r}")
-
-
 def run_edit(bundle: ModelBundle, source_text: str, target_text: str,
-             recipe: EditRecipe, seeds) -> list:
+             edit, seeds) -> list:
     """One EditOutcome per seed: source and edit share x_T, then are scored.
 
-    The source and the edit run as the two blocks of one chain, so an edit
-    that changes nothing reproduces the source bitwise.
+    edit maps the (source, target) embeddings to the edited embedding and
+    an AttnMask or None. The source and the edit run as the two blocks of
+    one chain, so an edit that changes nothing reproduces the source
+    bitwise.
     """
     e_s, e_t = bundle.embed([source_text, target_text])
-    e_star, mask = apply_recipe(recipe, e_s, e_t)
+    # a prompt without a class word fails here, before the chain runs
+    bg = background_mask(bundle.world, bundle.class_of_text(source_text),
+                         bundle.class_of_text(target_text))
+    e_star, mask = edit(e_s, e_t)
     x_T = seed_noise(seeds)
     n = len(x_T)
     if mask is not None:
@@ -165,8 +127,6 @@ def run_edit(bundle: ModelBundle, source_text: str, target_text: str,
     images = bundle.generate(np.stack([e_s.data, e_star.data]),
                              np.concatenate([x_T, x_T]), mask=mask)
     i_s, i_star = images[:n], images[n:]
-    bg = background_mask(bundle.world, bundle.class_of_text(source_text),
-                         bundle.class_of_text(target_text))
     k, _ = oracle_classify(bundle.world, images)
     cls, style = k.tolist(), oracle_style(bundle.world, images, k).tolist()
     return [EditOutcome(

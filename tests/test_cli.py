@@ -288,6 +288,20 @@ def test_edit_positions_one_based(tmp_path, ckpt, capsys):
     _rejects_count(["edit", "--ckpt", ckpt, "--out", str(tmp_path / "e"),
                     "--recipe", "mask", "--mask-from", "17",
                     "--mask-to", "17"], "--mask-to 17", capsys)
+    _rejects_count(["edit", "--ckpt", ckpt, "--out", str(tmp_path / "e"),
+                    "--recipe", "mask", "--mask-from", "2", "--mask-to", "3",
+                    "--mask-mode", "foo"], "--mask-mode", capsys)
+    # an exclude mask over every row leaves nothing to attend to
+    _rejects_count(["edit", "--ckpt", ckpt, "--out", str(tmp_path / "e"),
+                    "--recipe", "mask", "--mask-from", "1", "--mask-to", "16"],
+                   "--mask-from 1", capsys)
+    # prompts without a class word
+    _rejects_count(["edit", "--ckpt", ckpt, "--out", str(tmp_path / "e"),
+                    "--from", "a photo of bright"],
+                   "no class word in 'a photo of bright'", capsys)
+    _rejects_count(["edit", "--ckpt", ckpt, "--out", str(tmp_path / "e"),
+                    "--recipe", "style", "--to", "a photo"],
+                   "no class word in 'a photo'", capsys)
     assert not os.path.exists(tmp_path / "e")
     # the last row is still in range, and the reports name it as the flags do
     for flags, label in ((["--recipe", "scale", "--scale-pos", "16"],
@@ -436,8 +450,9 @@ def test_train_command_small(tmp_path, capsys):
     _rejects_count(["train", "--out", str(tmp_path / "t0"), "--T", "0"],
                    "--T", capsys)
     _rejects_count(["train", "--out", str(tmp_path / "t0"),
-                    "--T", str(MAX_T + 1)], f"--T must be at most {MAX_T}",
-                   capsys)
+                    "--T", str(MAX_T + 1)],
+                   f"--T, --beta-start and --beta-end: T must be at most "
+                   f"{MAX_T}", capsys)
     for start, end in (("0", "0.2"), ("0.3", "0.2"), ("1e-3", "1"),
                        ("nan", "0.2")):
         _rejects_count(["train", "--out", str(tmp_path / "t0"),

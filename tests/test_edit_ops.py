@@ -79,49 +79,73 @@ def test_diff_positions():
         eo.diff_positions(t_s, te.tokenize(vocab, "a photo of vbar dim", 12))
 
 
-def test_apply_recipe_mask_modes(pair):
-    e_s, e_t = pair
-    out, mask = eo.apply_recipe(
-        eo.EditRecipe(kind="mask", mask_range=(2, 4), mask_mode="exclude"),
-        e_s, e_t)
+def _recipe(bundle, **flags):
+    """cli._build_recipe's (label, edit) for the edit defaults plus flags,
+    each flag spelled as its option with '_' for '-'."""
+    cfg = {key: default for key, (default, _) in
+           cli.COMMANDS["edit"][1].items()}
+    cfg.update({key.replace("_", "-"): v for key, v in flags.items()})
+    return cli._build_recipe(cfg, bundle)
+
+
+def test_mask_recipe_modes(untrained_bundle):
+    """The mask recipe hides rows from attention or zeroes them, and
+    zero_rows zeroes exactly rows i..j."""
+    rng = Rng(41)
+    e_s = te.TextEmbedding(data=rng.normal((16, 5)), semantic_len=5)
+    e_t = te.TextEmbedding(data=rng.normal((16, 5)), semantic_len=5)
+    _, edit = _recipe(untrained_bundle, recipe="mask", mask_from=3, mask_to=5)
+    out, mask = edit(e_s, e_t)
     assert out is e_s
-    assert np.array_equal(mask.allowed,
-                          [True, True, False, False, False, True, True, True])
-    out, mask = eo.apply_recipe(
-        eo.EditRecipe(kind="mask", mask_range=(2, 4), mask_mode="zero"),
-        e_s, e_t)
+    assert np.array_equal(mask.allowed, [True, True] + [False] * 3
+                          + [True] * 11)
+    _, edit = _recipe(untrained_bundle, recipe="mask", mask_from=3, mask_to=5,
+                      mask_mode="zero")
+    out, mask = edit(e_s, e_t)
     assert mask is None
+    assert np.array_equal(out.data, eo.zero_rows(e_s, 2, 4).data)
     assert np.all(out.data[2:5] == 0.0)
-    assert np.array_equal(out.data[:2], e_s.data[:2])
-    with pytest.raises(ValueError):
-        eo.apply_recipe(eo.EditRecipe(kind="mask", mask_range=(4, 2)),
-                        e_s, e_t)
-    with pytest.raises(ValueError):
-        eo.apply_recipe(eo.EditRecipe(kind="nope"), e_s, e_t)
+    assert np.array_equal(np.delete(out.data, [2, 3, 4], axis=0),
+                          np.delete(e_s.data, [2, 3, 4], axis=0))
+    for i, j in ((4, 2), (-1, 2), (3, 16)):
+        with pytest.raises(ValueError):
+            eo.zero_rows(e_s, i, j)
+    with pytest.raises(cli.ConfigError):
+        _recipe(untrained_bundle, recipe="nope")
 
 
-def test_recipe_labels():
-    """Labels name rows 1-based, as the CLI flags do."""
-    assert eo.EditRecipe(kind="swap", positions=(4,)).label() == "swap[5]"
-    assert eo.EditRecipe(kind="soft_swap", positions=(4,), weight=0.5).label() \
-        == "soft_swap[5:w=0.5]"
-    assert eo.EditRecipe(kind="soft_swap", positions=(4, 5), weight=0.25) \
-        .label() == "soft_swap[5,6:w=0.25]"
-    assert eo.EditRecipe(kind="scale", scale_pos=5, scale=2.0).label() \
-        == "scale[6x2.0]"
-    assert eo.EditRecipe(kind="mask", mask_range=(1, 3)).label() \
-        == "mask[2-4:exclude]"
+def test_recipe_labels(untrained_bundle):
+    """Labels name rows 1-based, as the CLI flags do, in the flags' order."""
+    for flags, label in (
+            ({"recipe": "swap", "positions": "5"}, "swap[5]"),
+            ({"recipe": "soft_swap", "positions": "5"}, "soft_swap[5:w=0.5]"),
+            ({"recipe": "soft_swap", "positions": "5,6", "weight": 0.25},
+             "soft_swap[5,6:w=0.25]"),
+            ({"recipe": "soft_swap", "positions": "6,5", "weight": 0.75},
+             "soft_swap[6,5:w=0.75]"),
+            ({"recipe": "scale", "scale_pos": 6, "scale": 2.0},
+             "scale[6x2.0]"),
+            ({"recipe": "style"}, "style"),
+            ({"recipe": "mask", "mask_from": 2, "mask_to": 4},
+             "mask[2-4:exclude]"),
+            ({"recipe": "mask", "mask_from": 2, "mask_to": 4,
+              "mask_mode": "zero"}, "mask[2-4:zero]")):
+        assert _recipe(untrained_bundle, **flags)[0] == label
+    # without --positions, a swap takes the rows where the prompts differ
+    assert _recipe(untrained_bundle, recipe="swap")[0] == "swap[5]"
 
 
 def test_run_edit_shared_seed_pairing(untrained_bundle):
-    """Identity recipes with a shared x_T reproduce the source bitwise, and
+    """Identity edits with a shared x_T reproduce the source bitwise, and
     a masked edit leaves its source block unmasked."""
     src, dst = "a photo of hbar bright", "a photo of vbar bright"
+    _, masked_edit = _recipe(untrained_bundle, recipe="mask", mask_from=3,
+                             mask_to=6)
     for seeds in ([7], [3, 0, 5]):
         sources = []
-        for recipe in (eo.EditRecipe(kind="swap", positions=()),
-                       eo.EditRecipe(kind="scale", scale_pos=5, scale=1.0)):
-            outcomes = eo.run_edit(untrained_bundle, src, dst, recipe,
+        for edit in (lambda e_s, e_t: (eo.mix_swap(e_s, e_t, ()), None),
+                     lambda e_s, e_t: (eo.mix_scale(e_s, 5, 1.0), None)):
+            outcomes = eo.run_edit(untrained_bundle, src, dst, edit,
                                    seeds=seeds)
             assert len(outcomes) == len(seeds)
             for outcome in outcomes:
@@ -130,8 +154,7 @@ def test_run_edit_shared_seed_pairing(untrained_bundle):
                 assert outcome.class_src == outcome.class_star
                 assert outcome.style_src == outcome.style_star
             sources.append([o.i_s for o in outcomes])
-        masked = eo.run_edit(untrained_bundle, src, dst,
-                             eo.EditRecipe(kind="mask", mask_range=(2, 5)),
+        masked = eo.run_edit(untrained_bundle, src, dst, masked_edit,
                              seeds=seeds)
         sources.append([o.i_s for o in masked])
         assert all(np.array_equal(a, b) for s in sources[1:]
@@ -144,15 +167,15 @@ def test_edit_report_csv_roundtrip(tmp_path, ckpt, untrained_bundle):
     assert cli.main(["edit", "--ckpt", ckpt, "--out", str(tmp_path),
                      "--recipe", "swap", "--positions", "5",
                      "--from", src, "--to", dst, "--seeds", "2"]) == 0
-    recipe = eo.EditRecipe(kind="swap", positions=(4,))
-    outcomes = eo.run_edit(untrained_bundle, src, dst, recipe, range(2))
+    label, edit = _recipe(untrained_bundle, recipe="swap", positions="5",
+                          **{"from": src, "to": dst})
+    outcomes = eo.run_edit(untrained_bundle, src, dst, edit, range(2))
     lines = (tmp_path / "edits.csv").read_text().splitlines()
     assert lines[0] == ("seed,recipe,class_src,class_star,style_src,"
                         "style_star,background_l2")
     assert len(lines) == 3
     for line, (s, o) in zip(lines[1:], enumerate(outcomes)):
         f = line.split(",")
-        assert f[:4] == [str(s), recipe.label(), str(o.class_src),
-                         str(o.class_star)]
+        assert f[:4] == [str(s), label, str(o.class_src), str(o.class_star)]
         assert [float(v) for v in f[4:]] == [o.style_src, o.style_star,
                                              o.background_l2]

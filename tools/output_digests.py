@@ -49,6 +49,9 @@ BATTERY = [
     ("mask-sweep", ["mask-sweep", "--ckpt", CKPT, "--seeds", "4"]),
     ("edit-swap", edit("--recipe", "swap", *SWAP)),
     ("edit-soft_swap", edit("--recipe", "soft_swap", "--weight", "0.25", *SWAP)),
+    # rows named in descending order: the label keeps the flags' order
+    ("edit-soft_swap-rows", edit("--recipe", "soft_swap", "--positions", "6,5",
+                                 "--weight", "0.75")),
     ("edit-scale", edit("--recipe", "scale", "--scale-pos", "6",
                         "--scale", "1.5")),
     ("edit-style", edit("--recipe", "style", "--from", "a photo of diag dim",
