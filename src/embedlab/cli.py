@@ -154,6 +154,8 @@ def _parse_positions(text: str, length: int):
     if any(p > length for p in pos):
         raise ConfigError(f"--positions {text!r} past the embedding's "
                           f"{length} rows")
+    if not pos or len(set(pos)) < len(pos):
+        raise ConfigError(f"--positions {text!r} names no row or repeats one")
     return tuple(p - 1 for p in pos)
 
 
@@ -255,6 +257,9 @@ def _build_recipe(cfg: dict, bundle: ModelBundle):
         else:
             pos = tuple(sorted(diff_positions(bundle.tokens(cfg["from"]),
                                               bundle.tokens(cfg["to"]))))
+            if not pos:
+                raise ConfigError(f"--from and --to have the same tokens "
+                                  f"({cfg['from']!r}): no position to swap")
         rows = ",".join(str(p + 1) for p in pos)
         if kind == "swap":
             return (f"swap[{rows}]",

@@ -235,16 +235,15 @@ def attend_reverse(params, cond: dict, h, w, m, deps, dh2, ds):
     return params["w_in"] @ dh
 
 
-def forward_batch(params, cfg: DenoiserConfig, x, t, emb, allowed,
+def forward_batch(params, cfg: DenoiserConfig, x, tf, emb, allowed,
                   need_tape: bool = False, work: dict | None = None, *,
-                  unit, tf=None):
+                  unit):
     """Batched forward pass with per-row conditioning, as training runs it.
 
-    x: (B, x_dim), t: (B,), emb: (B, L, D), allowed: (B, L) bool, unit:
-    the (norms, unit rows) pair _unit_rows(emb) gives, which
-    _gather_conditioning gathers from the prompt bank's. work as for
-    attend(). tf, time_features(t, cfg.t_feat), is made here unless the
-    caller has it (training gathers it from a table).
+    x: (B, x_dim), tf: (B, t_feat), time_features of each row's step, emb:
+    (B, L, D), allowed: (B, L) bool, unit: the (norms, unit rows) pair
+    _unit_rows(emb) gives, which _gather_conditioning gathers from the
+    prompt bank's. work as for attend().
     """
     x = np.asarray(x, dtype=np.float64)
     allowed = np.asarray(allowed, dtype=bool)
@@ -252,8 +251,6 @@ def forward_batch(params, cfg: DenoiserConfig, x, t, emb, allowed,
         raise ValueError("attention mask with no allowed position")
     emb = np.asarray(emb, dtype=np.float64)
     emb_norm, emb_n = unit
-    if tf is None:
-        tf = time_features(t, cfg.t_feat)
     out = attend(params, cfg, x, tf @ params["w_t"],
                  {"emb": emb, "emb_norm": emb_norm, "emb_n": emb_n},
                  ~allowed, need_tape, work)
@@ -321,52 +318,41 @@ def backward_batch(params, cfg: DenoiserConfig, tape, deps,
 
 @dataclass
 class Batch:
-    x_t: np.ndarray          # (B, x_dim)
-    t: np.ndarray            # (B,)
-    eps_true: np.ndarray     # (B, x_dim)
-    prompt_ids: np.ndarray   # (B,) index into token_matrix
+    """One training step's inputs: every array loss_and_grads reads."""
+    x_t: np.ndarray           # (B, x_dim) noised images
+    eps_true: np.ndarray      # (B, x_dim) the noise that made them
     token_matrix: np.ndarray  # (P, L) token ids of the distinct prompts
-    allowed: np.ndarray | None = None  # (B, L) attention-key mask
-    # conditioning construction: row l of sample b comes from encoded prompt
-    # row_src[b, l] (defaults to prompt_ids[b] for every row)
-    row_src: np.ndarray | None = None    # (B, L) int
-    tf: np.ndarray | None = None  # (B, t_feat) time_features(t), if known
+    allowed: np.ndarray       # (B, L) bool attention-key mask
+    # conditioning row l of sample b is row l of encoded prompt row_src[b, l]
+    row_src: np.ndarray       # (B, L) int
+    tf: np.ndarray            # (B, t_feat) time_features of each step
 
 
-def _gather_conditioning(emb_all: np.ndarray, batch: Batch,
+def _gather_conditioning(emb_all: np.ndarray, row_src: np.ndarray,
                          work: dict | None = None):
     """Assemble per-sample conditioning from the encoded prompt bank.
 
-    Returns the (B, L, D) conditioning; its (norms, unit rows) pair, as
-    _unit_rows gives it, gathered from the bank's; the (B, L) key mask;
-    and the (B, L) source of each conditioning row as an index into
-    emb_all flattened to (P * L, D). The gathered arrays are written into
-    work when given (see attend()).
+    Returns the (B, L, D) conditioning whose row l of sample b is row l of
+    emb_all[row_src[b, l]]; its (norms, unit rows) pair, as _unit_rows
+    gives it, gathered from the bank's; and the (B, L) source of each
+    conditioning row as an index into emb_all flattened to (P * L, D). The
+    gathered arrays are written into work when given (see attend()).
     """
-    b = batch.x_t.shape[0]
     p, l, d = emb_all.shape
-    if batch.row_src is None:
-        row_src = np.broadcast_to(batch.prompt_ids[:, None], (b, l))
-    else:
-        row_src = batch.row_src
     index = row_src * l + np.arange(l)
     if index.min() < 0 or index.max() >= p * l:
         raise IndexError(f"conditioning rows outside the {p} encoded prompts")
     # mode "clip" (the indices are checked above): "raise" would copy out
     emb = np.take(emb_all.reshape(p * l, d), index, axis=0, mode="clip",
-                  out=te.work_array(work, "emb", (b, l, d)))
+                  out=te.work_array(work, "emb", index.shape + (d,)))
     # the gathered rows are copies of the bank's P * L rows, and a row's
     # norm and unit row do not depend on the array it sits in
     bank_norm, bank_n = _unit_rows(emb_all)
     emb_n = np.take(bank_n.reshape(p * l, d), index, axis=0, mode="clip",
-                    out=te.work_array(work, "emb_n", (b, l, d)))
+                    out=te.work_array(work, "emb_n", index.shape + (d,)))
     emb_norm = np.take(bank_norm.ravel(), index, mode="clip",
-                       out=te.work_array(work, "emb_norm", (b, l)))
-    if batch.allowed is None:
-        allowed = np.ones((b, l), dtype=bool)
-    else:
-        allowed = batch.allowed
-    return emb, (emb_norm, emb_n), allowed, index
+                       out=te.work_array(work, "emb_norm", index.shape))
+    return emb, (emb_norm, emb_n), index
 
 
 def loss_and_grads(enc_params, den_params, enc_cfg: te.EncoderConfig,
@@ -383,10 +369,10 @@ def loss_and_grads(enc_params, den_params, enc_cfg: te.EncoderConfig,
     emb_all, enc_tape = te.encode_batch(
         enc_params, enc_cfg, batch.token_matrix,
         causal=True, need_tape=True, work=work)
-    emb, unit, allowed, index = _gather_conditioning(emb_all, batch, work)
-    eps_pred, tape = forward_batch(den_params, cfg, batch.x_t, batch.t,
-                                   emb, allowed, need_tape=True, work=work,
-                                   unit=unit, tf=batch.tf)
+    emb, unit, index = _gather_conditioning(emb_all, batch.row_src, work)
+    eps_pred, tape = forward_batch(den_params, cfg, batch.x_t, batch.tf, emb,
+                                   batch.allowed, need_tape=True, work=work,
+                                   unit=unit)
     loss = l1_objective(batch.eps_true, eps_pred)
     diff = eps_pred - batch.eps_true
     deps = np.sign(diff) / diff.size
@@ -490,14 +476,13 @@ def training_batches(world: WorldSpec, vocab: te.Vocabulary, sched: Schedule,
                      bsz: int, rng: Rng):
     """Endless training batches of bsz samples, drawn from rng.
 
-    Each step draws, in stream order, the class of each sample
-    (randint(C, B)), its style (uniform(B)), in a noisy world its pixel
-    noise (normal(B * x_dim)), its step (randint(T, B)), its target noise
-    (normal(B * x_dim)), its key mask (uniform(B)), whether it is swap
-    augmented (uniform(B)) and its donor class (randint(C, B)). The step's
-    words come from one pass over the stream and are cut into those calls'
-    segments, with the same bits as the calls themselves; one Box-Muller
-    call serves both normal blocks.
+    Each step cuts one raw() pass over the stream into these segments, in
+    stream order: the class of each sample (randint(C, B)), its style
+    (uniform(B)), in a noisy world its pixel noise (normal(B * x_dim)),
+    its step (randint(T, B)), its target noise (normal(B * x_dim)), its
+    key mask (uniform(B)), whether it is swap augmented (uniform(B)) and
+    its donor class (randint(C, B)). Each segment is converted where it
+    is used, with the same bits as those calls give.
     """
     _, token_matrix = training_prompts(world, vocab, enc_cfg.max_len)
     n_classes = len(world.classes)
@@ -506,21 +491,10 @@ def training_batches(world: WorldSpec, vocab: te.Vocabulary, sched: Schedule,
     noisy = world.noise_sigma > 0.0
     n_px = bsz * patterns.shape[1]
     normal_words = 2 * ((n_px + 1) // 2)
-    # the stream's segments in draw order, then the word order a step
-    # gathers them in: normal blocks (one row each), randint rows, uniform
-    # rows
-    sizes = {"cls": bsz, "style": bsz}
-    if noisy:
-        sizes["noise"] = normal_words
-    sizes.update(t=bsz, eps=normal_words, keys=bsz, swap=bsz, donor=bsz)
-    starts = dict(zip(sizes, np.cumsum([0] + list(sizes.values()))))
-    gathered = (["noise"] if noisy else []) + ["eps", "cls", "t", "donor",
-                                               "style", "keys", "swap"]
-    order = np.concatenate([np.arange(starts[k], starts[k] + sizes[k])
-                            for k in gathered])
-    n_normal = 2 if noisy else 1
-    int_words = slice(n_normal * normal_words, n_normal * normal_words + 3 * bsz)
-    int_bounds = [[n_classes], [sched.T], [n_classes]]
+    # the step's segments; a noise-free world's noise segment is empty
+    ends = np.cumsum([bsz, bsz, normal_words if noisy else 0, bsz,
+                      normal_words, bsz, bsz, bsz]).tolist()
+    segments = [slice(a, b) for a, b in zip([0, *ends], ends)]
 
     # tables by step index t_idx, the step being t_idx + 1
     sqrt_ab = sched.sqrt_ab[1:]
@@ -537,34 +511,33 @@ def training_batches(world: WorldSpec, vocab: te.Vocabulary, sched: Schedule,
     kind_bounds = np.array([P_WORDS_ONLY, P_WORDS_ONLY + P_PAD_MASKED])
 
     while True:
-        words = rng.raw(order.size)[order]
-        z = box_muller(uniforms(words[:int_words.start].reshape(n_normal, -1)),
-                       n_px)
-        cls, t_idx, donor_cls = randints(words[int_words].reshape(3, bsz),
-                                         int_bounds)
-        u_style, u_keys, u_swap = uniforms(words[int_words.stop:].reshape(3, bsz))
-
-        style = draw_style(u_style)
+        words = rng.raw(ends[-1])
+        (w_cls, w_style, w_noise, w_t, w_eps, w_keys, w_swap,
+         w_donor) = (words[s] for s in segments)
+        cls = randints(w_cls, n_classes)
+        style = draw_style(uniforms(w_style))
         x0 = style[:, None] * patterns[cls]
         if noisy:
-            x0 += world.noise_sigma * z[0].reshape(x0.shape)
+            x0 += world.noise_sigma * box_muller(uniforms(w_noise),
+                                                 n_px).reshape(x0.shape)
         np.clip(x0, CLAMP_LO, CLAMP_HI, out=x0)
         # prompt index: class block + nearest style word
         nearest = world.nearest_style(style)
         prompt_ids = cls * n_styles + nearest
-        eps = z[-1].reshape(x0.shape)
+        t_idx = randints(w_t, sched.T)
+        eps = box_muller(uniforms(w_eps), n_px).reshape(x0.shape)
         x_t = sqrt_ab[t_idx][:, None] * x0
         x_t += sqrt_1m_ab[t_idx][:, None] * eps
-        allowed = key_masks[np.searchsorted(kind_bounds, u_keys, side="right")]
+        allowed = key_masks[np.searchsorted(kind_bounds, uniforms(w_keys),
+                                            side="right")]
         # compositional augmentation: condition on a donor prompt of a random
         # class with the true prompt's class-word row swapped in
-        donor_ids = donor_cls * n_styles + nearest
+        donor_ids = randints(w_donor, n_classes) * n_styles + nearest
         row_src = np.empty((bsz, enc_cfg.max_len), dtype=np.int64)
-        row_src[...] = np.where(u_swap < P_SWAP_AUG, donor_ids,
+        row_src[...] = np.where(uniforms(w_swap) < P_SWAP_AUG, donor_ids,
                                 prompt_ids)[:, None]
         row_src[:, class_pos] = prompt_ids
-        yield Batch(x_t=x_t, t=(t_idx + 1).astype(np.float64), eps_true=eps,
-                    prompt_ids=prompt_ids, token_matrix=token_matrix,
+        yield Batch(x_t=x_t, eps_true=eps, token_matrix=token_matrix,
                     allowed=allowed, row_src=row_src, tf=t_table[t_idx])
 
 

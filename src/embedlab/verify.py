@@ -436,9 +436,10 @@ def check_denoiser_gradient_sample(rng: Rng) -> CheckResult:
     tok = np.asarray([te.tokenize(vocab, "a photo of hbar dim", 8).ids,
                       te.tokenize(vocab, "a photo of vbar bright", 8).ids])
     data = rng.split(2)
-    batch = dn.Batch(x_t=data.normal((3, 6)), t=np.array([3.0, 9.0, 1.0]),
-                     eps_true=data.normal((3, 6)),
-                     prompt_ids=np.array([0, 1, 0]), token_matrix=tok)
+    batch = dn.Batch(x_t=data.normal((3, 6)), eps_true=data.normal((3, 6)),
+                     token_matrix=tok, allowed=np.ones((3, 8), dtype=bool),
+                     row_src=np.repeat([[0], [1], [0]], 8, axis=1),
+                     tf=dn.time_features(np.array([3.0, 9.0, 1.0]), 4))
     _, enc_g, den_g = dn.loss_and_grads(enc_params, den_params, enc_cfg, cfg, batch)
     h = 1e-5
     worst = 0.0

@@ -24,12 +24,15 @@ def _fixed_batch(vocab, enc_cfg):
         te.tokenize(vocab, "a photo of vbar bright", enc_cfg.max_len).ids,
         te.tokenize(vocab, "cross dim", enc_cfg.max_len).ids,
     ])
+    # every row of a sample from one prompt, every key allowed
     return dn.Batch(
         x_t=rng.normal((4, dn.DenoiserConfig().x_dim)),
-        t=np.array([3.0, 42.0, 97.0, 1.0]),
         eps_true=rng.normal((4, dn.DenoiserConfig().x_dim)),
-        prompt_ids=np.array([0, 1, 2, 0]),
         token_matrix=tok,
+        allowed=np.ones((4, enc_cfg.max_len), dtype=bool),
+        row_src=np.repeat([[0], [1], [2], [0]], enc_cfg.max_len, axis=1),
+        tf=dn.time_features(np.array([3.0, 42.0, 97.0, 1.0]),
+                            dn.DenoiserConfig().t_feat),
     )
 
 
@@ -45,10 +48,10 @@ def run_gate():
                                                 enc_cfg, cfg, batch)
     h = 1e-5
     tok = batch.token_matrix
-    pids = batch.prompt_ids
+    pids = batch.row_src[:, 0]
     bsz = batch.x_t.shape[0]
     length = enc_cfg.max_len
-    tf = dn.time_features(batch.t, cfg.t_feat)
+    tf = batch.tf
     att_scale = 1.0 / np.sqrt(cfg.d_a)
 
     def lean_eps(emb, emb_n):

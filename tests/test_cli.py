@@ -279,6 +279,14 @@ def test_edit_positions_one_based(tmp_path, ckpt, capsys):
     _rejects_count(["edit", "--ckpt", ckpt, "--out", str(tmp_path / "e"),
                     "--recipe", "soft_swap", "--positions", "17"],
                    "--positions", capsys)
+    # an empty position set, and a repeated position
+    _rejects_count(["edit", "--ckpt", ckpt, "--out", str(tmp_path / "e"),
+                    "--to", "a photo of hbar bright"], "--from and --to", capsys)
+    _rejects_count(["edit", "--ckpt", ckpt, "--out", str(tmp_path / "e"),
+                    "--recipe", "soft_swap", "--positions", ","],
+                   "--positions", capsys)
+    _rejects_count(["edit", "--ckpt", ckpt, "--out", str(tmp_path / "e"),
+                    "--positions", "5,5"], "--positions '5,5'", capsys)
     _rejects_count(["edit", "--ckpt", ckpt, "--out", str(tmp_path / "e"),
                     "--recipe", "scale", "--scale-pos", "99"],
                    "--scale-pos 99", capsys)

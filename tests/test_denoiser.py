@@ -107,12 +107,13 @@ def test_zero_residual_gives_zero_gradients():
     den_params = dn.init_denoiser_params(cfg, Rng(41))
     rng = Rng(42)
     tok = np.asarray([te.tokenize(vocab, "a photo of hbar dim", 8).ids])
-    batch = dn.Batch(x_t=rng.normal((2, 6)), t=np.array([3.0, 9.0]),
-                     eps_true=np.zeros((2, 6)),
-                     prompt_ids=np.array([0, 0]), token_matrix=tok)
-    emb = te.encode_batch(enc_params, enc_cfg, tok)[batch.prompt_ids]
-    batch.eps_true = dn.forward_batch(den_params, cfg, batch.x_t, batch.t,
-                                      emb, np.ones((2, 8), dtype=bool),
+    batch = dn.Batch(x_t=rng.normal((2, 6)), eps_true=np.zeros((2, 6)),
+                     token_matrix=tok, allowed=np.ones((2, 8), dtype=bool),
+                     row_src=np.zeros((2, 8), dtype=np.int64),
+                     tf=dn.time_features(np.array([3.0, 9.0]), cfg.t_feat))
+    emb = te.encode_batch(enc_params, enc_cfg, tok)[[0, 0]]
+    batch.eps_true = dn.forward_batch(den_params, cfg, batch.x_t, batch.tf,
+                                      emb, batch.allowed,
                                       unit=dn._unit_rows(emb))
     loss, enc_g, den_g = dn.loss_and_grads(enc_params, den_params,
                                            enc_cfg, cfg, batch)
@@ -131,14 +132,15 @@ def test_duplicated_batch_keeps_mean_gradients():
     rng = Rng(45)
     tok = np.asarray([te.tokenize(vocab, "a photo of vbar bright", 8).ids])
     x_t = rng.normal((2, 6))
-    t = np.array([5.0, 11.0])
+    tf = dn.time_features(np.array([5.0, 11.0]), cfg.t_feat)
     eps = rng.normal((2, 6))
-    pid = np.array([0, 0])
-    single = dn.Batch(x_t=x_t, t=t, eps_true=eps, prompt_ids=pid,
-                      token_matrix=tok)
-    double = dn.Batch(x_t=np.tile(x_t, (2, 1)), t=np.tile(t, 2),
-                      eps_true=np.tile(eps, (2, 1)),
-                      prompt_ids=np.tile(pid, 2), token_matrix=tok)
+    allowed = np.ones((2, 8), dtype=bool)
+    row_src = np.zeros((2, 8), dtype=np.int64)
+    single = dn.Batch(x_t=x_t, eps_true=eps, token_matrix=tok,
+                      allowed=allowed, row_src=row_src, tf=tf)
+    double = dn.Batch(x_t=np.tile(x_t, (2, 1)), eps_true=np.tile(eps, (2, 1)),
+                      token_matrix=tok, allowed=np.tile(allowed, (2, 1)),
+                      row_src=np.tile(row_src, (2, 1)), tf=np.tile(tf, (2, 1)))
     l1, eg1, dg1 = dn.loss_and_grads(enc_params, den_params, enc_cfg,
                                      cfg, single)
     l2, eg2, dg2 = dn.loss_and_grads(enc_params, den_params, enc_cfg,
@@ -165,7 +167,8 @@ def test_row_scale_scales_value_contribution_linearly():
     # the (here inactive-ReLU-free) tail only if no ReLU flips; instead just
     # assert attention weights are identical by reconstructing them
     for e in (emb, scaled):
-        _, tape = dn.forward_batch(params, SMALL_CFG, x[None], np.array([3.0]),
+        _, tape = dn.forward_batch(params, SMALL_CFG, x[None],
+                                   dn.time_features(np.array([3.0]), 4),
                                    e[None], np.ones((1, 4), dtype=bool),
                                    need_tape=True, unit=dn._unit_rows(e[None]))
         if e is emb:
@@ -205,7 +208,7 @@ def test_shared_conditioning_matches_per_row(batch):
             got = dn.attend(params, cfg, x, t_proj, cond,
                             None if allowed is None else ~allowed)
             ref = dn.forward_batch(
-                params, cfg, x, t, rows,
+                params, cfg, x, dn.time_features(t, 4), rows,
                 np.broadcast_to(True if allowed is None else allowed, (batch, 7)),
                 unit=dn._unit_rows(rows))
             assert np.max(np.abs(got - ref)) < 1e-12
@@ -293,12 +296,11 @@ def test_loss_and_grads_reuses_work_across_batch_sizes():
         r = rng.split(2 + i)
         allowed = r.uniform((bsz, 16)) < 0.7
         allowed[:, 0] = True
-        batch = dn.Batch(x_t=r.normal((bsz, 64)),
-                         t=(r.randint(100, bsz) + 1).astype(np.float64),
-                         eps_true=r.normal((bsz, 64)),
-                         prompt_ids=r.randint(len(tokens), bsz),
+        x_t = r.normal((bsz, 64))
+        tf = dn.time_features(r.randint(100, bsz) + 1, b.den_cfg.t_feat)
+        batch = dn.Batch(x_t=x_t, eps_true=r.normal((bsz, 64)),
                          token_matrix=tokens, allowed=allowed,
-                         row_src=r.randint(len(tokens), (bsz, 16)))
+                         row_src=r.randint(len(tokens), (bsz, 16)), tf=tf)
         got = dn.loss_and_grads(*model, batch, work=work)
         ref = dn.loss_and_grads(*model, batch)
         assert got[0] == ref[0]
@@ -551,13 +553,9 @@ def test_unit_rows_gathered_from_the_bank_match_direct(p, l, d, bsz):
     r = Rng(80 + d)
     bank = r.normal((p, l, d))
     bank[0, 0] = 0.0   # a zero row, whose norm is KEY_NORM_EPS
-    batch = dn.Batch(x_t=np.zeros((bsz, 6)), t=np.ones(bsz),
-                     eps_true=np.zeros((bsz, 6)),
-                     prompt_ids=r.randint(p, bsz),
-                     token_matrix=np.zeros((p, l), dtype=np.int64),
-                     row_src=r.randint(p, (bsz, l)))
+    row_src = r.randint(p, (bsz, l))
     for work in (None, {}):
-        emb, (norm, unit), _, _ = dn._gather_conditioning(bank, batch, work)
+        emb, (norm, unit), _ = dn._gather_conditioning(bank, row_src, work)
         want_norm, want_unit = dn._unit_rows(emb)
         assert np.array_equal(norm, want_norm)
         assert np.array_equal(unit, want_unit)
@@ -623,20 +621,62 @@ def test_training_batches_match_per_call_draws(noise_sigma, bsz):
     enc_cfg = te.EncoderConfig()
     cfg = dn.DenoiserConfig()
     sched = make_schedule(100, 1e-3, 0.2)
-    got = dn.training_batches(world, vocab, sched, enc_cfg, cfg, bsz,
-                              Rng(90).split(1))
-    ref = _per_call_batches(world, vocab, sched, enc_cfg, bsz,
-                            Rng(90).split(1))
+    stream, ref_stream = Rng(90).split(1), Rng(90).split(1)
+    got = dn.training_batches(world, vocab, sched, enc_cfg, cfg, bsz, stream)
+    ref = _per_call_batches(world, vocab, sched, enc_cfg, bsz, ref_stream)
+    class_pos = dn.class_word_position(
+        world, vocab, dn.training_prompts(world, vocab, enc_cfg.max_len)[1])
     kinds = set()
     for _ in range(12):
         batch = next(got)
         x_t, t, eps, prompt_ids, allowed, row_src = next(ref)
         assert np.array_equal(batch.x_t, x_t)
-        assert np.array_equal(batch.t, t) and batch.t.dtype == np.float64
+        assert np.array_equal(batch.tf, dn.time_features(t, cfg.t_feat))
         assert np.array_equal(batch.eps_true, eps)
-        assert np.array_equal(batch.prompt_ids, prompt_ids)
         assert np.array_equal(batch.allowed, allowed)
         assert np.array_equal(batch.row_src, row_src)
-        assert np.array_equal(batch.tf, dn.time_features(batch.t, cfg.t_feat))
+        assert np.array_equal(batch.row_src[:, class_pos], prompt_ids)
         kinds.update(allowed.sum(axis=1))
+    # both took the same number of words from the stream
+    assert stream.raw(1) == ref_stream.raw(1)
     assert len(kinds) == 3   # every key-mask kind was drawn
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_training_batch_gradients_match_finite_differences(seed):
+    """loss_and_grads on a batch of training's own form, with every
+    key-mask kind and swapped conditioning rows, against central
+    differences of every parameter, under verify's 1e-4 relative rule."""
+    world = tw.default_world()
+    vocab = te.default_vocabulary()
+    enc_cfg = te.EncoderConfig(max_len=8, dim=8, n_blocks=1, n_heads=2)
+    cfg = dn.DenoiserConfig(x_dim=64, d_h=8, d_a=4, t_feat=4, emb_dim=8,
+                            max_len=8)
+    batch = next(dn.training_batches(world, vocab, make_schedule(100, 1e-3, 0.2),
+                                     enc_cfg, cfg, 16, Rng(seed).split(1)))
+    assert len(set(batch.allowed.sum(axis=1))) == 3
+    assert (batch.row_src != batch.row_src[:, :1]).any()   # a swapped row
+    # weights large enough that the attention gradients clear the 5e-7 floor
+    r = Rng(seed).split(2)
+    enc_params = {k: 0.5 * r.normal(shape) for k, shape
+                  in te.encoder_param_shapes(enc_cfg, vocab.size).items()}
+    den_params = {k: 0.5 * r.normal(shape)
+                  for k, shape in dn.denoiser_param_shapes(cfg).items()}
+    model = (enc_params, den_params, enc_cfg, cfg)
+    _, enc_g, den_g = dn.loss_and_grads(*model, batch)
+    h = 1e-5
+    worst = 0.0
+    for params, grads in ((enc_params, enc_g), (den_params, den_g)):
+        for name, arr in params.items():
+            flat, gflat = arr.ravel(), grads[name].ravel()
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + h
+                lp = dn.loss_and_grads(*model, batch)[0]
+                flat[i] = orig - h
+                lm = dn.loss_and_grads(*model, batch)[0]
+                flat[i] = orig
+                fd = (lp - lm) / (2 * h)
+                err = abs(gflat[i] - fd) / (max(abs(gflat[i]), abs(fd)) + 5e-7)
+                worst = max(worst, err)
+    assert worst < 1e-4, worst
