@@ -31,7 +31,6 @@ from . import toyworld as tw
 from .diffusion import make_schedule
 from .edit_ops import (diff_positions, mix_scale, mix_style, mix_swap,
                        run_edit, soft_swap, zero_rows)
-from .linalg import ConvergenceError
 from .optimizer import OptConfig, OptimizationError, make_context, optimize
 from .pipeline import ModelBundle, seed_noise
 from .rng import Rng
@@ -562,13 +561,14 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (ConfigError, ValueError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (dn.TrainingError, OptimizationError, ConvergenceError,
+    # LinAlgError subclasses ValueError, so it is caught first
+    except (dn.TrainingError, OptimizationError, np.linalg.LinAlgError,
             FloatingPointError, ZeroDivisionError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
+    except (ConfigError, ValueError) as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -90,8 +90,14 @@ def check_gram_power_iteration(rng: Rng) -> CheckResult:
         w = g @ v
         lam = float(np.sqrt(w @ w))
         v = w / lam
-    err = abs(la.svd(a).sigma[0] ** 2 - lam) / lam
-    return _result("linalg.gram_power_iteration", err < 1e-9, f"rel_err={err:.3e}")
+    # the top eigenpair of a^T a is sigma_0^2 and, up to sign, the first
+    # right singular vector
+    f = la.svd(a)
+    err = abs(f.sigma[0] ** 2 - lam) / lam
+    vec_err = float(min(np.linalg.norm(f.vt[0] - v),
+                        np.linalg.norm(f.vt[0] + v)))
+    return _result("linalg.gram_power_iteration", err < 1e-9 and vec_err < 1e-6,
+                   f"rel_err={err:.3e} vec_err={vec_err:.3e}")
 
 
 def check_pca_covariance(rng: Rng) -> CheckResult:
@@ -617,15 +623,19 @@ ALL_CHECKS = (
 )
 
 
-def run_all(seed: int = 0):
-    """Run every check with an independent RNG stream per check.
+def run_check(fn, seed: int = 0) -> CheckResult:
+    """Run one check on its own RNG stream.
 
     A check's stream is keyed by the CRC-32 of its function's name, so
     adding, removing or reordering checks leaves every other check's draws
     as they were.
     """
-    root = Rng(seed)
-    return [fn(root.split(zlib.crc32(fn.__name__.encode()))) for fn in ALL_CHECKS]
+    return fn(Rng(seed).split(zlib.crc32(fn.__name__.encode())))
+
+
+def run_all(seed: int = 0):
+    """Run every check, each on the stream `run_check` gives it."""
+    return [run_check(fn, seed) for fn in ALL_CHECKS]
 
 
 def format_report(results) -> str:

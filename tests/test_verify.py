@@ -1,10 +1,12 @@
-from embedlab.verify import format_report, run_all
+import pytest
+
+from embedlab.verify import ALL_CHECKS, format_report, run_all, run_check
 
 
-def test_all_checks_pass():
-    results = run_all(seed=0)
-    failures = [r.name for r in results if not r.passed]
-    assert not failures, f"failed checks: {failures}"
+@pytest.mark.parametrize("check", ALL_CHECKS, ids=lambda fn: fn.__name__)
+def test_check_passes(check):
+    result = run_check(check, seed=0)
+    assert result.passed, f"{result.name}: {result.detail}"
 
 
 def test_report_deterministic():
