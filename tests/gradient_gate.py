@@ -1,4 +1,4 @@
-"""Finite-difference gradient gate shared by unit and acceptance tests.
+"""Finite-difference gradient gate behind acceptance criterion 4.
 
 Checks every trainable parameter of the full-size encoder + denoiser
 against central finite differences (h=1e-5, 1e-4 relative with a 5e-7

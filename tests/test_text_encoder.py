@@ -83,35 +83,6 @@ def test_bos_row_constancy(vocab):
     assert np.array_equal(rows[0], rows[2])
 
 
-def test_encoder_gradients_match_finite_differences(vocab):
-    cfg = te.EncoderConfig(max_len=6, dim=8, n_blocks=1, n_heads=2)
-    params = te.init_encoder_params(cfg, vocab.size, Rng(60))
-    ids = np.asarray([te.tokenize(vocab, "hbar dim", cfg.max_len).ids,
-                      te.tokenize(vocab, "a photo of vbar", cfg.max_len).ids])
-    target = Rng(61).normal((2, cfg.max_len, cfg.dim))
-
-    def loss_of(p):
-        out = te.encode_batch(p, cfg, ids)
-        return 0.5 * float(np.sum((out - target) ** 2))
-
-    out, tape = te.encode_batch(params, cfg, ids, need_tape=True)
-    grads = te.encode_backward(params, cfg, tape, out - target)
-    h = 1e-5
-    pick = Rng(62)
-    for name, arr in params.items():
-        for _ in range(4):
-            idx = np.unravel_index(pick.randint(arr.size), arr.shape)
-            orig = arr[idx]
-            arr[idx] = orig + h
-            lp = loss_of(params)
-            arr[idx] = orig - h
-            lm = loss_of(params)
-            arr[idx] = orig
-            fd = (lp - lm) / (2 * h)
-            an = grads[name][idx]
-            assert abs(an - fd) <= 1e-4 * max(abs(an), abs(fd)) + 1e-7, name
-
-
 def _layer_norm_textbook(x, g, b):
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
