@@ -31,7 +31,7 @@ from . import toyworld as tw
 from .diffusion import make_schedule
 from .edit_ops import (diff_positions, mix_scale, mix_style, mix_swap,
                        run_edit, soft_swap, zero_rows)
-from .optimizer import OptConfig, OptimizationError, make_context, optimize
+from .optimizer import OptConfig, make_context, optimize
 from .pipeline import ModelBundle, seed_noise
 from .rng import Rng
 from .semantics import direction_sweep
@@ -277,7 +277,8 @@ def _build_recipe(cfg: dict, bundle: ModelBundle):
         return (f"scale[{pos}x{c}]",
                 lambda e_s, e_t: (mix_scale(e_s, pos - 1, c), None))
     if kind == "style":
-        return "style", lambda e_s, e_t: (mix_style(e_s, e_t), None)
+        cut = bundle.tokens(cfg["from"]).semantic_len
+        return "style", lambda e_s, e_t: (mix_style(e_s, e_t, cut), None)
     if kind == "mask":
         i, j, mode = cfg["mask-from"], cfg["mask-to"], cfg["mask-mode"]
         if i < 1 or j < i:
@@ -327,7 +328,7 @@ def cmd_mask_sweep(cfg: dict) -> int:
     _require_positive(cfg, "seeds")
     bundle = _load_bundle(cfg["ckpt"])
     emb = bundle.embed(cfg["prompt"])
-    length = emb.data.shape[0]
+    length = emb.shape[0]
     base_class = bundle.class_of_text(cfg["prompt"])
     out = prepare_out_dir(cfg, "mask-sweep")
     hide = functools.partial(_hide_rows, length)
@@ -563,8 +564,7 @@ def main(argv=None) -> int:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
     # LinAlgError subclasses ValueError, so it is caught first
-    except (dn.TrainingError, OptimizationError, np.linalg.LinAlgError,
-            FloatingPointError, ZeroDivisionError) as e:
+    except (ArithmeticError, np.linalg.LinAlgError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ConfigError, ValueError) as e:

@@ -22,10 +22,6 @@ from .toyworld import (IMAGE_DIM, CLAMP_HI, CLAMP_LO, WorldSpec, draw_style,
                        write_in_place)
 
 
-class TrainingError(RuntimeError):
-    """Loss became non-finite during training."""
-
-
 class CheckpointError(ValueError):
     """A checkpoint file is malformed or holds non-finite weights."""
 
@@ -578,7 +574,7 @@ def train(world: WorldSpec, vocab: te.Vocabulary, sched: Schedule,
         loss, _, _ = loss_and_grads(enc_params, den_params, enc_cfg, cfg,
                                     next(batches), enc_g, den_g, work)
         if not np.isfinite(loss):
-            raise TrainingError(f"non-finite loss at step {step}")
+            raise FloatingPointError(f"train: non-finite loss at step {step}")
         if train_cfg.lr_final is None:
             lr = train_cfg.lr
         else:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .denoiser import AttnMask
 from .pipeline import ModelBundle, seed_noise
-from .text_encoder import TextEmbedding, TokenSeq
+from .text_encoder import TokenSeq
 from .toyworld import background_mask, oracle_classify, oracle_style
 
 
@@ -33,74 +33,73 @@ def diff_positions(t_s: TokenSeq, t_t: TokenSeq) -> set:
     return {i for i, (a, b) in enumerate(zip(t_s.ids, t_t.ids)) if a != b}
 
 
-def _check_shapes(e_s: TextEmbedding, e_t: TextEmbedding) -> None:
-    if e_s.data.shape != e_t.data.shape:
+def _check_shapes(e_s: np.ndarray, e_t: np.ndarray) -> None:
+    if e_s.shape != e_t.shape:
         raise ValueError("embedding shapes differ")
 
 
-def _check_positions(e: TextEmbedding, positions) -> None:
-    length = e.data.shape[0]
+def _check_positions(e: np.ndarray, positions) -> None:
+    length = e.shape[0]
     bad = [i for i in positions if not 0 <= i < length]
     if bad:
         raise ValueError(f"positions {bad} out of range 0..{length - 1}")
 
 
-def mix_swap(e_s: TextEmbedding, e_t: TextEmbedding, positions) -> TextEmbedding:
+def mix_swap(e_s: np.ndarray, e_t: np.ndarray, positions) -> np.ndarray:
     _check_shapes(e_s, e_t)
     _check_positions(e_s, positions)
-    out = e_s.data.copy()
+    out = e_s.copy()
     for i in positions:
-        out[i] = e_t.data[i]
-    return TextEmbedding(data=out, semantic_len=e_s.semantic_len)
+        out[i] = e_t[i]
+    return out
 
 
-def soft_swap(e_s: TextEmbedding, e_t: TextEmbedding, positions,
-              w: float) -> TextEmbedding:
+def soft_swap(e_s: np.ndarray, e_t: np.ndarray, positions,
+              w: float) -> np.ndarray:
     _check_shapes(e_s, e_t)
     if not 0.0 <= w <= 1.0:
         raise ValueError(f"weight {w} outside [0, 1]")
     _check_positions(e_s, positions)
-    out = e_s.data.copy()
+    out = e_s.copy()
     for i in positions:
-        out[i] = w * e_s.data[i] + (1.0 - w) * e_t.data[i]
-    return TextEmbedding(data=out, semantic_len=e_s.semantic_len)
+        out[i] = w * e_s[i] + (1.0 - w) * e_t[i]
+    return out
 
 
-def mix_scale(e: TextEmbedding, j: int, c: float) -> TextEmbedding:
-    if not 0 <= j < e.data.shape[0]:
+def mix_scale(e: np.ndarray, j: int, c: float) -> np.ndarray:
+    if not 0 <= j < e.shape[0]:
         raise ValueError(f"position {j} out of range")
-    out = e.data.copy()
+    out = e.copy()
     out[j] = c * out[j]
-    return TextEmbedding(data=out, semantic_len=e.semantic_len)
+    return out
 
 
-def mix_style(e_s: TextEmbedding, e_t: TextEmbedding) -> TextEmbedding:
-    """Semantic rows (BOS..EOS) from the source, padding rows from the
-    target."""
+def mix_style(e_s: np.ndarray, e_t: np.ndarray, cut: int) -> np.ndarray:
+    """Semantic rows from the source, padding rows from the target; cut is
+    the source's semantic length (its BOS..EOS rows)."""
     _check_shapes(e_s, e_t)
-    cut = e_s.semantic_len
-    out = np.concatenate([e_s.data[:cut], e_t.data[cut:]], axis=0)
-    return TextEmbedding(data=out, semantic_len=e_s.semantic_len)
+    if not 0 <= cut <= e_s.shape[0]:
+        raise ValueError(f"cut {cut} out of range")
+    return np.concatenate([e_s[:cut], e_t[cut:]], axis=0)
 
 
-def zero_rows(e: TextEmbedding, i: int, j: int) -> TextEmbedding:
+def zero_rows(e: np.ndarray, i: int, j: int) -> np.ndarray:
     """Rows i..j, inclusive, set to zero."""
-    if not 0 <= i <= j < e.data.shape[0]:
+    if not 0 <= i <= j < e.shape[0]:
         raise ValueError(f"rows {i}..{j} out of range")
-    out = e.data.copy()
+    out = e.copy()
     out[i:j + 1] = 0.0
-    return TextEmbedding(data=out, semantic_len=e.semantic_len)
+    return out
 
 
-def soft_mix(e_s: TextEmbedding, e_t: TextEmbedding, lam) -> TextEmbedding:
+def soft_mix(e_s: np.ndarray, e_t: np.ndarray, lam) -> np.ndarray:
     _check_shapes(e_s, e_t)
     lam = np.asarray(lam, dtype=np.float64)
-    if lam.shape != (e_s.data.shape[0],):
-        raise ValueError(f"lambda must have length {e_s.data.shape[0]}")
+    if lam.shape != (e_s.shape[0],):
+        raise ValueError(f"lambda must have length {e_s.shape[0]}")
     if np.any(lam < 0.0) or np.any(lam > 1.0):
         raise ValueError("lambda entries must lie in [0, 1]")
-    out = lam[:, None] * e_s.data + (1.0 - lam)[:, None] * e_t.data
-    return TextEmbedding(data=out, semantic_len=e_s.semantic_len)
+    return lam[:, None] * e_s + (1.0 - lam)[:, None] * e_t
 
 
 def run_edit(bundle: ModelBundle, source_text: str, target_text: str,
@@ -124,7 +123,7 @@ def run_edit(bundle: ModelBundle, source_text: str, target_text: str,
         allowed = np.ones((2 * n, mask.allowed.shape[-1]), dtype=bool)
         allowed[n:] = mask.allowed
         mask = AttnMask(allowed)
-    images = bundle.generate(np.stack([e_s.data, e_star.data]),
+    images = bundle.generate(np.stack([e_s, e_star]),
                              np.concatenate([x_T, x_T]), mask=mask)
     i_s, i_star = images[:n], images[n:]
     k, _ = oracle_classify(bundle.world, images)

@@ -25,10 +25,6 @@ LR = 0.5
 MAX_HALVINGS = 5
 
 
-class OptimizationError(RuntimeError):
-    """Loss became non-finite during lambda optimization."""
-
-
 def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
@@ -55,8 +51,8 @@ class OptConfig:
 @dataclass
 class LambdaContext:
     bundle: ModelBundle
-    e_s: object
-    e_t: object
+    e_s: np.ndarray  # (L, D)
+    e_t: np.ndarray
     diff: set
     x_T: np.ndarray
     i_s: np.ndarray
@@ -119,7 +115,7 @@ def _loss_grad(d: np.ndarray, ctx: LambdaContext) -> np.ndarray:
 
 def surrogate_losses(lams: np.ndarray, ctx: LambdaContext) -> np.ndarray:
     """One loss per row of lams (N, L), from one chain of N images."""
-    e_star = np.stack([soft_mix(ctx.e_s, ctx.e_t, lam).data for lam in lams])
+    e_star = np.stack([soft_mix(ctx.e_s, ctx.e_t, lam) for lam in lams])
     i_star = ctx.bundle.generate(e_star, np.tile(ctx.x_T, (len(lams), 1)))
     return _losses(i_star - ctx.i_s, ctx)
 
@@ -136,7 +132,7 @@ def surrogate_loss(lam: np.ndarray, ctx: LambdaContext):
 
     def grad() -> np.ndarray:
         demb = vjp(_loss_grad(d, ctx))
-        return np.sum(demb * (ctx.e_s.data - ctx.e_t.data), axis=1)
+        return np.sum(demb * (ctx.e_s - ctx.e_t), axis=1)
     return float(_losses(d[None], ctx)[0]), grad
 
 
@@ -174,11 +170,11 @@ def optimize(ctx: LambdaContext, cfg: OptConfig):
     Each evaluated candidate keeps its chain's tape, so the accepted one's
     gradient costs one reverse pass.
     """
-    length = ctx.e_s.data.shape[0]
+    length = ctx.e_s.shape[0]
     theta = init_theta(length, ctx.diff)
     loss, grad = surrogate_loss(sigmoid(theta), ctx)
     if not np.isfinite(loss):
-        raise OptimizationError("non-finite loss at initialization")
+        raise FloatingPointError("optimize: non-finite loss at initialization")
     trajectory = [(0, loss, sigmoid(theta).copy())]
     for step in range(1, cfg.steps + 1):
         lam = sigmoid(theta)
@@ -188,7 +184,8 @@ def optimize(ctx: LambdaContext, cfg: OptConfig):
             cand = theta - lr * g
             cand_loss, cand_grad = surrogate_loss(sigmoid(cand), ctx)
             if not np.isfinite(cand_loss):
-                raise OptimizationError(f"non-finite loss at step {step}")
+                raise FloatingPointError(
+                    f"optimize: non-finite loss at step {step}")
             if cand_loss <= loss:
                 theta, loss, grad = cand, cand_loss, cand_grad
                 break

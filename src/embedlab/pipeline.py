@@ -54,20 +54,17 @@ class ModelBundle:
             self.enc_params, self.den_params, self.enc_cfg, self.den_cfg,
             self.sched))
 
-    def embed(self, text):
-        """The embedding of one text, or a list of embeddings of a list of
-        texts, from one encode_batch call.
+    def embed(self, text) -> np.ndarray:
+        """The (L, D) embedding of one text, or the (N, L, D) embeddings of
+        a list of N texts, from one encode_batch call.
 
         A text's rows do not depend on the others in the batch, so each
         embedding is bitwise the one its text gives alone.
         """
         texts = [text] if isinstance(text, str) else list(text)
-        tokens = [self.tokens(t) for t in texts]
         data = te.encode_batch(self.enc_params, self.enc_cfg,
-                               [t.ids for t in tokens])
-        embs = [te.TextEmbedding(data=d, semantic_len=t.semantic_len)
-                for d, t in zip(data, tokens)]
-        return embs[0] if isinstance(text, str) else embs
+                               [self.tokens(t).ids for t in texts])
+        return data[0] if isinstance(text, str) else data
 
     def tokens(self, text: str) -> te.TokenSeq:
         return te.tokenize(self.vocab, text, self.enc_cfg.max_len)
@@ -86,7 +83,7 @@ class ModelBundle:
                   tape: dict | None = None):
         """Noise predictor for one chain, with the conditioning made once.
 
-        emb: one embedding (TextEmbedding or (L, D)) or a stack of G (G, L, D).
+        emb: one embedding (L, D) or a stack of G (G, L, D).
         The chain's B rows belong to the G embeddings in G equal contiguous
         blocks: one shared embedding is G = 1, one per row is G = B.
         mask: (L,) for every row or (B, L) with one row each.
@@ -101,9 +98,8 @@ class ModelBundle:
         denoiser.attend_reverse: the conditioning under "cond", and step
         t's h, w and m at row T - t of (T, d_h), (T, L) and (T, d_h) arrays.
         """
-        data = emb.data if isinstance(emb, te.TextEmbedding) else emb
         params, cfg, T = self.den_params, self.den_cfg, self.sched.T
-        cond = dn.condition(params, cfg, data)
+        cond = dn.condition(params, cfg, emb)
         blocked = None if mask is None else ~mask.allowed
         t_proj = self.t_proj
         work = {}
@@ -147,13 +143,12 @@ class ModelBundle:
         for a loss L with dL/dimage = g, by one reverse pass through the
         chain's tape (any number of calls).
         """
-        data = emb.data if isinstance(emb, te.TextEmbedding) else emb
         sched, params = self.sched, self.den_params
-        if np.shape(x_T) != (self.den_cfg.x_dim,) or np.ndim(data) != 2:
+        if np.shape(x_T) != (self.den_cfg.x_dim,) or np.ndim(emb) != 2:
             raise ValueError("generate_vjp takes one embedding and one noise")
         tape = {}
         keep = np.empty((sched.T,) + np.shape(x_T), dtype=bool)
-        x0 = sample(sched, self.predictor(data, tape=tape), x_T,
+        x0 = sample(sched, self.predictor(emb, tape=tape), x_T,
                     clip_x0=(CLAMP_LO, CLAMP_HI), keep=keep)
         h, w, m, cond = tape["h"], tape["w"], tape["m"], tape["cond"]
 
@@ -166,7 +161,7 @@ class ModelBundle:
                 gx, geps = ddim_step_vjp(sched, gx, t, keep[i])
                 gx += dn.attend_reverse(params, cond, h[i], w[i], m[i], geps,
                                         dh2[i], ds[i])
-            return dn.condition_reverse(params, self.den_cfg, data,
+            return dn.condition_reverse(params, self.den_cfg, emb,
                                         h.T @ ds, w.T @ dh2)
         return _finite("generate", x0), vjp
 

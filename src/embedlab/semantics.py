@@ -13,26 +13,25 @@ import numpy as np
 
 from .linalg import svd
 from .pipeline import ModelBundle, seed_noise
-from .text_encoder import TextEmbedding
 from .toyworld import oracle_classify, oracle_style
 
 DEFAULT_STRENGTHS = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 
 
-def compress(e: TextEmbedding, side: str, k: int) -> np.ndarray:
+def compress(e: np.ndarray, side: str, k: int) -> np.ndarray:
     """e@v_k (length L) for the right side, u_k@e (length D) for the left."""
-    l, d = e.data.shape
+    l, d = e.shape
     if not 0 <= k < min(l, d):
         raise ValueError(f"singular index {k} out of range")
-    f = svd(e.data)
+    f = svd(e)
     if side == "right":
-        return e.data @ f.vt[k, :]
+        return e @ f.vt[k, :]
     if side == "left":
-        return f.u[:, k] @ e.data
+        return f.u[:, k] @ e
     raise ValueError(f"unknown side {side!r}")
 
 
-def direction(e: TextEmbedding, side: str, k: int) -> np.ndarray:
+def direction(e: np.ndarray, side: str, k: int) -> np.ndarray:
     """compress(e, side, k) shaped to broadcast over e: (L, 1) for the
     right side, (1, D) for the left."""
     c = compress(e, side, k)
@@ -56,7 +55,7 @@ def direction_sweep(bundle: ModelBundle, text: str, side: str, k: int,
     right-vector shift is sigma_k * |s|, comparable across k.
     """
     e = bundle.embed(text)
-    d = e.data.shape[1]
+    d = e.shape[1]
     x_T = seed_noise(seed)
     base = bundle.generate(e, x_T)
     # one factorization per sweep; the shifted images run as one chain
@@ -64,7 +63,7 @@ def direction_sweep(bundle: ModelBundle, text: str, side: str, k: int,
     moved = [s for s in strengths if s != 0.0]
     images = {0.0: base}
     if moved:
-        shifted = np.stack([e.data + s / np.sqrt(d) * c for s in moved])
+        shifted = np.stack([e + s / np.sqrt(d) * c for s in moved])
         images.update(zip(moved, bundle.generate(
             shifted, np.tile(x_T, (len(moved), 1)))))
     imgs = np.stack([images[s] for s in strengths])

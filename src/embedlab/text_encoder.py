@@ -78,12 +78,6 @@ class EncoderConfig:
     n_heads: int = 2
 
 
-@dataclass(frozen=True)
-class TextEmbedding:
-    data: np.ndarray  # L x D
-    semantic_len: int
-
-
 def work_array(work: dict | None, name: str, shape: tuple,
                dtype=np.float64) -> np.ndarray:
     """work[name], (re)made when missing or shaped otherwise; a new array
@@ -341,7 +335,7 @@ def encode_backward(params, cfg: EncoderConfig, tape, dout,
 
 
 def encode(params, cfg: EncoderConfig, tokens: TokenSeq,
-           causal: bool = True) -> TextEmbedding:
+           causal: bool = True) -> np.ndarray:
+    """The (L, D) embedding of one token sequence."""
     ids = np.asarray([tokens.ids], dtype=np.int64)
-    out = encode_batch(params, cfg, ids, causal=causal)
-    return TextEmbedding(data=out[0], semantic_len=tokens.semantic_len)
+    return encode_batch(params, cfg, ids, causal=causal)[0]

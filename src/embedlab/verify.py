@@ -332,10 +332,10 @@ def check_encoder_causal_prefix(rng: Rng) -> CheckResult:
         e1 = te.encode(params, cfg, t1, causal=True)
         e2 = te.encode(params, cfg, t2, causal=True)
         # first differing token is position 4; prefix rows must match exactly
-        if not np.array_equal(e1.data[:4], e2.data[:4]):
+        if not np.array_equal(e1[:4], e2[:4]):
             return _result("encoder.causal_prefix", False,
                            f"prefix rows differ at trial {trial}")
-        if np.array_equal(e1.data[4:], e2.data[4:]):
+        if np.array_equal(e1[4:], e2[4:]):
             return _result("encoder.causal_prefix", False,
                            f"suffix rows identical at trial {trial}")
     return _result("encoder.causal_prefix", True, "10 random draws exact")
@@ -350,7 +350,7 @@ def check_encoder_pad_witness(rng: Rng) -> CheckResult:
     e1 = te.encode(params, cfg, t1, causal=True)
     e2 = te.encode(params, cfg, t2, causal=True)
     sem = t1.semantic_len
-    dist = np.linalg.norm(e1.data[sem:] - e2.data[sem:], axis=1)
+    dist = np.linalg.norm(e1[sem:] - e2[sem:], axis=1)
     return _result("encoder.pad_information_witness", float(dist.max()) > 1e-6,
                    f"max_pad_row_l2={float(dist.max()):.3e}")
 
@@ -364,7 +364,7 @@ def check_encoder_noncausal_row0(rng: Rng) -> CheckResult:
         t2 = te.tokenize(vocab, "a photo of hbar bright", cfg.max_len)
         e1 = te.encode(params, cfg, t1, causal=False)
         e2 = te.encode(params, cfg, t2, causal=False)
-        if np.array_equal(e1.data[0], e2.data[0]):
+        if np.array_equal(e1[0], e2[0]):
             return _result("encoder.noncausal_row0", False,
                            f"row 0 unchanged at trial {trial}")
     return _result("encoder.noncausal_row0", True, "row 0 moved in 20/20 draws")
@@ -376,7 +376,7 @@ def check_encoder_bos_constancy(rng: Rng) -> CheckResult:
     params = te.init_encoder_params(cfg, vocab.size, rng)
     prompts = ["a photo of hbar dim", "a photo of cross bright", "diag dim"]
     rows = [te.encode(params, cfg, te.tokenize(vocab, p, cfg.max_len),
-                      causal=True).data[0] for p in prompts]
+                      causal=True)[0] for p in prompts]
     ok = all(np.array_equal(rows[0], r) for r in rows[1:])
     return _result("encoder.bos_row_constancy", ok,
                    "BOS row bitwise-identical across prompts" if ok
@@ -478,22 +478,20 @@ def check_denoiser_gradients(rng: Rng) -> CheckResult:
 # ------------------------------------------------------------- edit ops
 
 def check_edit_identities(rng: Rng) -> CheckResult:
-    data_s = rng.normal((6, 4))
-    data_t = rng.normal((6, 4))
-    e_s = te.TextEmbedding(data=data_s, semantic_len=4)
-    e_t = te.TextEmbedding(data=data_t, semantic_len=4)
+    e_s = rng.normal((6, 4))
+    e_t = rng.normal((6, 4))
     checks = [
-        np.array_equal(eo.mix_swap(e_s, e_t, ()).data, data_s),
-        np.array_equal(eo.soft_swap(e_s, e_t, (2,), 1.0).data, data_s),
-        np.array_equal(eo.mix_scale(e_s, 3, 1.0).data, data_s),
-        np.array_equal(eo.soft_mix(e_s, e_t, np.ones(6)).data, data_s),
-        np.array_equal(eo.soft_mix(e_s, e_t, np.zeros(6)).data, data_t),
+        np.array_equal(eo.mix_swap(e_s, e_t, ()), e_s),
+        np.array_equal(eo.soft_swap(e_s, e_t, (2,), 1.0), e_s),
+        np.array_equal(eo.mix_scale(e_s, 3, 1.0), e_s),
+        np.array_equal(eo.soft_mix(e_s, e_t, np.ones(6)), e_s),
+        np.array_equal(eo.soft_mix(e_s, e_t, np.zeros(6)), e_t),
     ]
     # lambda indicator equals hard swap
     lam = np.ones(6)
     lam[[1, 4]] = 0.0
-    checks.append(np.array_equal(eo.soft_mix(e_s, e_t, lam).data,
-                                 eo.mix_swap(e_s, e_t, (1, 4)).data))
+    checks.append(np.array_equal(eo.soft_mix(e_s, e_t, lam),
+                                 eo.mix_swap(e_s, e_t, (1, 4))))
     ok = all(checks)
     return _result("edit_ops.bitwise_identities", ok,
                    f"{sum(checks)}/{len(checks)} identities exact")
@@ -566,12 +564,12 @@ class RecordingBundle:
     """Stands in for a ModelBundle in direction_sweep: embeds every text as
     emb, records what each generate() call is given and returns zeros."""
 
-    def __init__(self, emb: te.TextEmbedding):
+    def __init__(self, emb: np.ndarray):
         self.world = tw.default_world()
         self.emb = emb
         self.generated = []
 
-    def embed(self, text: str) -> te.TextEmbedding:
+    def embed(self, text: str) -> np.ndarray:
         return self.emb
 
     def generate(self, emb, x_T: np.ndarray) -> np.ndarray:
@@ -588,7 +586,7 @@ def check_sweep_shift_norm(rng: Rng) -> CheckResult:
     strengths = (-2.0, 0.37, 1.0)
     worst = 0.0
     for k in range(3):
-        bundle = RecordingBundle(te.TextEmbedding(data=data, semantic_len=4))
+        bundle = RecordingBundle(data)
         sm.direction_sweep(bundle, "", "right", k, strengths)
         for s, shifted in zip(strengths, bundle.generated[1]):
             delta = float(np.linalg.norm(shifted - data))

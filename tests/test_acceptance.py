@@ -100,8 +100,8 @@ def test_criterion_3_encoder_mask_suite():
             tt = te.tokenize(vocab, t, cfg.max_len)
             first = next(i for i in range(cfg.max_len)
                          if ts.ids[i] != tt.ids[i])
-            es = te.encode(params, cfg, ts).data
-            et = te.encode(params, cfg, tt).data
+            es = te.encode(params, cfg, ts)
+            et = te.encode(params, cfg, tt)
             if not np.array_equal(es[:first], et[:first]):
                 causal_ok = False
     # padding-information witness: PAD keys are never masked, so the PAD
@@ -109,8 +109,8 @@ def test_criterion_3_encoder_mask_suite():
     params = te.init_encoder_params(cfg, vocab.size, Rng(299))
     ts = te.tokenize(vocab, "a photo of hbar dim", cfg.max_len)
     tt = te.tokenize(vocab, "a photo of vbar dim", cfg.max_len)
-    es = te.encode(params, cfg, ts).data
-    et = te.encode(params, cfg, tt).data
+    es = te.encode(params, cfg, ts)
+    et = te.encode(params, cfg, tt)
     pad_gap = float(np.max(np.abs(es[ts.semantic_len:]
                                   - et[tt.semantic_len:])))
     # BOS-row constancy: under the causal mask row 0 sees only BOS
@@ -152,35 +152,33 @@ def test_criterion_6_edit_op_identities():
     rng = Rng(400)
     L, D = 16, 32
     sem = 7
-    e_s = te.TextEmbedding(data=rng.normal((L, D)), semantic_len=sem)
-    e_t = te.TextEmbedding(data=rng.normal((L, D)), semantic_len=sem)
+    e_s = rng.normal((L, D))
+    e_t = rng.normal((L, D))
     checks = []
-    checks.append(np.array_equal(mix_swap(e_s, e_t, set()).data, e_s.data))
-    checks.append(np.array_equal(mix_swap(e_s, e_t, range(L)).data, e_t.data))
-    one = mix_swap(e_s, e_t, {4}).data
-    checks.append(np.array_equal(one[4], e_t.data[4])
+    checks.append(np.array_equal(mix_swap(e_s, e_t, set()), e_s))
+    checks.append(np.array_equal(mix_swap(e_s, e_t, range(L)), e_t))
+    one = mix_swap(e_s, e_t, {4})
+    checks.append(np.array_equal(one[4], e_t[4])
                   and np.array_equal(np.delete(one, 4, 0),
-                                     np.delete(e_s.data, 4, 0)))
-    checks.append(np.array_equal(soft_swap(e_s, e_t, {4}, 1.0).data, e_s.data))
-    checks.append(np.array_equal(soft_swap(e_s, e_t, {4}, 0.0).data,
-                                 mix_swap(e_s, e_t, {4}).data))
-    checks.append(np.array_equal(mix_scale(e_s, 5, 1.0).data, e_s.data))
-    z = mix_scale(e_s, 5, 0.0).data
+                                     np.delete(e_s, 4, 0)))
+    checks.append(np.array_equal(soft_swap(e_s, e_t, {4}, 1.0), e_s))
+    checks.append(np.array_equal(soft_swap(e_s, e_t, {4}, 0.0),
+                                 mix_swap(e_s, e_t, {4})))
+    checks.append(np.array_equal(mix_scale(e_s, 5, 1.0), e_s))
+    z = mix_scale(e_s, 5, 0.0)
     checks.append(np.all(z[5] == 0.0)
                   and np.array_equal(np.delete(z, 5, 0),
-                                     np.delete(e_s.data, 5, 0)))
-    checks.append(np.array_equal(mix_style(e_s, e_s).data, e_s.data))
-    st = mix_style(e_s, e_t).data
-    checks.append(np.array_equal(st[sem - 1], e_s.data[sem - 1])
-                  and np.array_equal(st[sem], e_t.data[sem]))
-    checks.append(np.array_equal(soft_mix(e_s, e_t, np.ones(L)).data,
-                                 e_s.data))
-    checks.append(np.array_equal(soft_mix(e_s, e_t, np.zeros(L)).data,
-                                 e_t.data))
+                                     np.delete(e_s, 5, 0)))
+    checks.append(np.array_equal(mix_style(e_s, e_s, sem), e_s))
+    st = mix_style(e_s, e_t, sem)
+    checks.append(np.array_equal(st[sem - 1], e_s[sem - 1])
+                  and np.array_equal(st[sem], e_t[sem]))
+    checks.append(np.array_equal(soft_mix(e_s, e_t, np.ones(L)), e_s))
+    checks.append(np.array_equal(soft_mix(e_s, e_t, np.zeros(L)), e_t))
     lam = np.ones(L)
     lam[[4, 9]] = 0.0
-    checks.append(np.array_equal(soft_mix(e_s, e_t, lam).data,
-                                 mix_swap(e_s, e_t, {4, 9}).data))
+    checks.append(np.array_equal(soft_mix(e_s, e_t, lam),
+                                 mix_swap(e_s, e_t, {4, 9})))
     ok = all(checks)
     _report(6, ok, f"{sum(checks)}/{len(checks)} bitwise edit-op identities")
 
@@ -290,7 +288,7 @@ def test_criterion_11_inversion_round_trip(trained_bundle):
         samples.append(tw.render(b.world, k, sv, rng.split(2000 + i)))
     # one inversion and one regeneration, each sample with its own prompt
     # embedding (G = 100)
-    embs = np.stack([b.embed(s.prompt).data for s in samples])
+    embs = np.stack([b.embed(s.prompt) for s in samples])
     x0 = np.stack([s.x0 for s in samples])
     rec = b.regenerate(embs, b.invert(embs, x0))
     errs = np.max(np.abs(rec - x0), axis=1)

@@ -242,6 +242,16 @@ def test_non_finite_chain_output_exits_3(tmp_path, untrained_bundle, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+# lr 1e300 overflows the weights on purpose: the test checks that exit code
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_training_loss_exits_3(tmp_path, capsys):
+    assert cli.main(["train", "--steps", "4", "--lr", "1e300",
+                     "--out", str(tmp_path / "t")]) == 3
+    err = capsys.readouterr().err
+    assert "numeric failure: train: non-finite loss at step" in err
+    assert not os.path.exists(tmp_path / "t" / "model.ckpt")
+
+
 def test_sample_rejects_unknown_word(tmp_path, ckpt):
     assert cli.main(["sample", "--ckpt", ckpt, "--out", str(tmp_path / "s"),
                      "--prompt", "a photo of cat"]) == 2
@@ -310,6 +320,10 @@ def test_edit_positions_one_based(tmp_path, ckpt, capsys):
     _rejects_count(["edit", "--ckpt", ckpt, "--out", str(tmp_path / "e"),
                     "--recipe", "style", "--to", "a photo"],
                    "no class word in 'a photo'", capsys)
+    # the style recipe tokenizes --from for its cut
+    _rejects_count(["edit", "--ckpt", ckpt, "--out", str(tmp_path / "e"),
+                    "--recipe", "style", "--from", "a photo of cat dim"],
+                   "unknown word 'cat'", capsys)
     assert not os.path.exists(tmp_path / "e")
     # the last row is still in range, and the reports name it as the flags do
     for flags, label in ((["--recipe", "scale", "--scale-pos", "16"],

@@ -10,18 +10,18 @@ from embedlab.rng import Rng
 @pytest.fixture()
 def pair():
     rng = Rng(40)
-    e_s = te.TextEmbedding(data=rng.normal((8, 5)), semantic_len=5)
-    e_t = te.TextEmbedding(data=rng.normal((8, 5)), semantic_len=5)
+    e_s = rng.normal((8, 5))
+    e_t = rng.normal((8, 5))
     return e_s, e_t
 
 
 def test_swap_identity_and_boundaries(pair):
     e_s, e_t = pair
-    assert np.array_equal(eo.mix_swap(e_s, e_t, ()).data, e_s.data)
+    assert np.array_equal(eo.mix_swap(e_s, e_t, ()), e_s)
     out = eo.mix_swap(e_s, e_t, (0, 7))  # first and last rows
-    assert np.array_equal(out.data[0], e_t.data[0])
-    assert np.array_equal(out.data[7], e_t.data[7])
-    assert np.array_equal(out.data[1:7], e_s.data[1:7])
+    assert np.array_equal(out[0], e_t[0])
+    assert np.array_equal(out[7], e_t[7])
+    assert np.array_equal(out[1:7], e_s[1:7])
     for bad in ((8,), (2, -1)):
         with pytest.raises(ValueError):
             eo.mix_swap(e_s, e_t, bad)
@@ -29,9 +29,9 @@ def test_swap_identity_and_boundaries(pair):
 
 def test_soft_swap_endpoints_and_range(pair):
     e_s, e_t = pair
-    assert np.array_equal(eo.soft_swap(e_s, e_t, (3,), 1.0).data, e_s.data)
-    assert np.array_equal(eo.soft_swap(e_s, e_t, (3,), 0.0).data,
-                          eo.mix_swap(e_s, e_t, (3,)).data)
+    assert np.array_equal(eo.soft_swap(e_s, e_t, (3,), 1.0), e_s)
+    assert np.array_equal(eo.soft_swap(e_s, e_t, (3,), 0.0),
+                          eo.mix_swap(e_s, e_t, (3,)))
     with pytest.raises(ValueError):
         eo.soft_swap(e_s, e_t, (3,), 1.5)
     with pytest.raises(ValueError):
@@ -40,30 +40,33 @@ def test_soft_swap_endpoints_and_range(pair):
 
 def test_scale_identity_and_effect(pair):
     e_s, _ = pair
-    assert np.array_equal(eo.mix_scale(e_s, 2, 1.0).data, e_s.data)
+    assert np.array_equal(eo.mix_scale(e_s, 2, 1.0), e_s)
     out = eo.mix_scale(e_s, 2, 2.0)
-    assert np.array_equal(out.data[2], 2.0 * e_s.data[2])
-    assert np.array_equal(np.delete(out.data, 2, axis=0),
-                          np.delete(e_s.data, 2, axis=0))
+    assert np.array_equal(out[2], 2.0 * e_s[2])
+    assert np.array_equal(np.delete(out, 2, axis=0),
+                          np.delete(e_s, 2, axis=0))
     with pytest.raises(ValueError):
         eo.mix_scale(e_s, 99, 1.0)
 
 
 def test_style_swap_boundaries(pair):
     e_s, e_t = pair
-    inc = eo.mix_style(e_s, e_t)
-    assert np.array_equal(inc.data[:5], e_s.data[:5])
-    assert np.array_equal(inc.data[5:], e_t.data[5:])
+    inc = eo.mix_style(e_s, e_t, 5)
+    assert np.array_equal(inc[:5], e_s[:5])
+    assert np.array_equal(inc[5:], e_t[5:])
+    for bad in (-1, 9):
+        with pytest.raises(ValueError):
+            eo.mix_style(e_s, e_t, bad)
 
 
 def test_soft_mix_identities(pair):
     e_s, e_t = pair
-    assert np.array_equal(eo.soft_mix(e_s, e_t, np.ones(8)).data, e_s.data)
-    assert np.array_equal(eo.soft_mix(e_s, e_t, np.zeros(8)).data, e_t.data)
+    assert np.array_equal(eo.soft_mix(e_s, e_t, np.ones(8)), e_s)
+    assert np.array_equal(eo.soft_mix(e_s, e_t, np.zeros(8)), e_t)
     lam = np.ones(8)
     lam[[2, 5]] = 0.0
-    assert np.array_equal(eo.soft_mix(e_s, e_t, lam).data,
-                          eo.mix_swap(e_s, e_t, (2, 5)).data)
+    assert np.array_equal(eo.soft_mix(e_s, e_t, lam),
+                          eo.mix_swap(e_s, e_t, (2, 5)))
     with pytest.raises(ValueError):
         eo.soft_mix(e_s, e_t, np.full(8, 1.5))
     with pytest.raises(ValueError):
@@ -92,8 +95,8 @@ def test_mask_recipe_modes(untrained_bundle):
     """The mask recipe hides rows from attention or zeroes them, and
     zero_rows zeroes exactly rows i..j."""
     rng = Rng(41)
-    e_s = te.TextEmbedding(data=rng.normal((16, 5)), semantic_len=5)
-    e_t = te.TextEmbedding(data=rng.normal((16, 5)), semantic_len=5)
+    e_s = rng.normal((16, 5))
+    e_t = rng.normal((16, 5))
     _, edit = _recipe(untrained_bundle, recipe="mask", mask_from=3, mask_to=5)
     out, mask = edit(e_s, e_t)
     assert out is e_s
@@ -103,10 +106,10 @@ def test_mask_recipe_modes(untrained_bundle):
                       mask_mode="zero")
     out, mask = edit(e_s, e_t)
     assert mask is None
-    assert np.array_equal(out.data, eo.zero_rows(e_s, 2, 4).data)
-    assert np.all(out.data[2:5] == 0.0)
-    assert np.array_equal(np.delete(out.data, [2, 3, 4], axis=0),
-                          np.delete(e_s.data, [2, 3, 4], axis=0))
+    assert np.array_equal(out, eo.zero_rows(e_s, 2, 4))
+    assert np.all(out[2:5] == 0.0)
+    assert np.array_equal(np.delete(out, [2, 3, 4], axis=0),
+                          np.delete(e_s, [2, 3, 4], axis=0))
     for i, j in ((4, 2), (-1, 2), (3, 16)):
         with pytest.raises(ValueError):
             eo.zero_rows(e_s, i, j)

@@ -45,8 +45,8 @@ def test_causal_prefix_property(vocab):
                        te.tokenize(vocab, "a photo of hbar dim", CFG.max_len))
         e2 = te.encode(params, CFG,
                        te.tokenize(vocab, "a photo of vbar dim", CFG.max_len))
-        assert np.array_equal(e1.data[:4], e2.data[:4])
-        assert not np.array_equal(e1.data[4:], e2.data[4:])
+        assert np.array_equal(e1[:4], e2[:4])
+        assert not np.array_equal(e1[4:], e2[4:])
 
 
 def test_padding_information_witness(vocab):
@@ -57,7 +57,7 @@ def test_padding_information_witness(vocab):
     e1 = te.encode(params, CFG, t1, causal=True)
     e2 = te.encode(params, CFG, t2, causal=True)
     sem = t1.semantic_len
-    dist = np.linalg.norm(e1.data[sem:] - e2.data[sem:], axis=1)
+    dist = np.linalg.norm(e1[sem:] - e2[sem:], axis=1)
     assert dist.max() > 1e-6
 
 
@@ -70,14 +70,14 @@ def test_noncausal_breaks_prefix_protection(vocab):
         e2 = te.encode(params, CFG,
                        te.tokenize(vocab, "a photo of hbar bright", CFG.max_len),
                        causal=False)
-        assert not np.array_equal(e1.data[0], e2.data[0])
+        assert not np.array_equal(e1[0], e2[0])
 
 
 def test_bos_row_constancy(vocab):
     params = te.init_encoder_params(CFG, vocab.size, Rng(52))
     prompts = ["a photo of hbar dim", "a photo of cross bright", "diag dim"]
     rows = [te.encode(params, CFG,
-                      te.tokenize(vocab, p, CFG.max_len)).data[0]
+                      te.tokenize(vocab, p, CFG.max_len))[0]
             for p in prompts]
     assert np.array_equal(rows[0], rows[1])
     assert np.array_equal(rows[0], rows[2])

@@ -11,15 +11,6 @@ def world():
     return tw.default_world()
 
 
-def test_pattern_correlations_below_half(world):
-    pats = [p.ravel() for _, p in world.classes]
-    for i in range(len(pats)):
-        for j in range(i + 1, len(pats)):
-            corr = abs(pats[i] @ pats[j]) / (np.linalg.norm(pats[i])
-                                             * np.linalg.norm(pats[j]))
-            assert corr < 0.5
-
-
 def test_render_clamped_and_prompted(world):
     s = tw.render(world, 0, 0.9, Rng(0))
     assert s.x0.shape == (tw.IMAGE_DIM,)

@@ -70,6 +70,8 @@ BATTERY = [
     ("sample-own", ["sample", "--ckpt", OWN, "--n", "3"]),
     ("train-batch7", ["train", "--steps", "30", "--batch-size", "7",
                       "--seed", "5"]),
+    # every check's report line, so a renamed or reworded check shows
+    ("verify", ["verify"]),
     # reruns into existing directories
     ("gen-data", ["gen-data", "--n", "5", "--seed", "3"]),
     ("sample-ddim", ["sample", "--ckpt", CKPT, "--n", "2", "--seed", "5"]),
