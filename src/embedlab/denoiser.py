@@ -363,8 +363,7 @@ def loss_and_grads(enc_params, den_params, enc_cfg: te.EncoderConfig,
     (see attend()); the results never alias it.
     """
     emb_all, enc_tape = te.encode_batch(
-        enc_params, enc_cfg, batch.token_matrix,
-        causal=True, need_tape=True, work=work)
+        enc_params, enc_cfg, batch.token_matrix, need_tape=True, work=work)
     emb, unit, index = _gather_conditioning(emb_all, batch.row_src, work)
     eps_pred, tape = forward_batch(den_params, cfg, batch.x_t, batch.tf, emb,
                                    batch.allowed, need_tape=True, work=work,
@@ -383,6 +382,10 @@ def loss_and_grads(enc_params, den_params, enc_cfg: te.EncoderConfig,
 
 # Adam moment decays and denominator guard
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# the learning rate decays from TrainConfig.lr to LR_FINAL on a cosine
+LR_FINAL = 5e-5
+# train logs every LOG_EVERY-th step and the last
+LOG_EVERY = 100
 # conditioning-dropout augmentation. The causal encoder copies the whole
 # prompt's meaning into the EOS summary row, and a denoiser trained only
 # on full contexts learns to read that one row, which makes single-row
@@ -405,9 +408,7 @@ class TrainConfig:
     steps: int = 25000
     batch_size: int = 64
     lr: float = 1e-3
-    lr_final: float | None = 5e-5  # cosine decay target; None = constant lr
     seed: int = 0
-    log_every: int = 100
 
 
 def training_prompts(world: WorldSpec, vocab: te.Vocabulary, max_len: int):
@@ -575,13 +576,10 @@ def train(world: WorldSpec, vocab: te.Vocabulary, sched: Schedule,
                                     next(batches), enc_g, den_g, work)
         if not np.isfinite(loss):
             raise FloatingPointError(f"train: non-finite loss at step {step}")
-        if train_cfg.lr_final is None:
-            lr = train_cfg.lr
-        else:
-            frac = (step - 1) / max(train_cfg.steps - 1, 1)
-            lr = (train_cfg.lr_final + 0.5 * (train_cfg.lr - train_cfg.lr_final)
-                  * (1.0 + np.cos(np.pi * frac)))
-        logged = step % train_cfg.log_every == 0 or step == train_cfg.steps
+        frac = (step - 1) / max(train_cfg.steps - 1, 1)
+        lr = (LR_FINAL + 0.5 * (train_cfg.lr - LR_FINAL)
+              * (1.0 + np.cos(np.pi * frac)))
+        logged = step % LOG_EVERY == 0 or step == train_cfg.steps
         if logged:
             # before adam_update overwrites grad
             grad_norm = float(np.linalg.norm(grad))

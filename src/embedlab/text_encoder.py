@@ -3,7 +3,7 @@
 Pre-norm residual blocks, multi-head scaled dot-product self-attention,
 ReLU feed-forward, final layer norm. Attention is causal, as in CLIP, and
 PAD positions are never masked, so PAD rows absorb information from the
-semantic tokens (the non-causal form exists only for an oracle check).
+semantic tokens.
 Forward and backward passes are written out by hand so the encoder
 can be trained jointly with the denoiser without an autodiff framework.
 """
@@ -78,8 +78,7 @@ class EncoderConfig:
     n_heads: int = 2
 
 
-def work_array(work: dict | None, name: str, shape: tuple,
-               dtype=np.float64) -> np.ndarray:
+def work_array(work: dict | None, name: str, shape: tuple) -> np.ndarray:
     """work[name], (re)made when missing or shaped otherwise; a new array
     when work is None.
 
@@ -89,10 +88,10 @@ def work_array(work: dict | None, name: str, shape: tuple,
     next call that is given the same dict.
     """
     if work is None:
-        return np.empty(shape, dtype)
+        return np.empty(shape)
     arr = work.get(name)
     if arr is None or arr.shape != shape:
-        arr = work[name] = np.empty(shape, dtype)
+        arr = work[name] = np.empty(shape)
     return arr
 
 
@@ -164,13 +163,11 @@ def _layer_norm_backward(dy, cache, dg, db):
     return dxhat
 
 
-def _attention_allowed(ids: np.ndarray, causal: bool) -> np.ndarray:
-    """Boolean (B, L, L): may query position i attend to key position j."""
+def _attention_allowed(ids: np.ndarray) -> np.ndarray:
+    """Boolean (B, L, L): may query position i attend to key position j,
+    that is, j <= i."""
     b, l = ids.shape
-    allowed = np.ones((b, l, l), dtype=bool)
-    if causal:
-        allowed &= np.tril(np.ones((l, l), dtype=bool))[None, :, :]
-    return allowed
+    return np.repeat(np.tril(np.ones((l, l), dtype=bool))[None], b, axis=0)
 
 
 def _rows_matmul(x, w, out=None):
@@ -229,18 +226,17 @@ def block_forward(params, cfg: EncoderConfig, i: int, x: np.ndarray,
 
 
 def encode_batch(params, cfg: EncoderConfig, ids: np.ndarray,
-                 causal: bool = True, need_tape: bool = False,
-                 work: dict | None = None):
+                 need_tape: bool = False, work: dict | None = None):
     """Encode a (B, L) id batch to (B, L, D); optionally keep a backprop tape.
 
     work as for block_forward; it keeps the attention mask too, which
-    depends only on the batch shape and causal.
+    depends only on the batch shape.
     """
     ids = np.asarray(ids, dtype=np.int64)
-    mask_key = ("enc.allowed", ids.shape, causal)
+    mask_key = ("enc.allowed", ids.shape)
     allowed = None if work is None else work.get(mask_key)
     if allowed is None:
-        allowed = _attention_allowed(ids, causal)
+        allowed = _attention_allowed(ids)
         if work is not None:
             work[mask_key] = allowed
 
@@ -334,8 +330,7 @@ def encode_backward(params, cfg: EncoderConfig, tape, dout,
     return grads
 
 
-def encode(params, cfg: EncoderConfig, tokens: TokenSeq,
-           causal: bool = True) -> np.ndarray:
+def encode(params, cfg: EncoderConfig, tokens: TokenSeq) -> np.ndarray:
     """The (L, D) embedding of one token sequence."""
     ids = np.asarray([tokens.ids], dtype=np.int64)
-    return encode_batch(params, cfg, ids, causal=causal)[0]
+    return encode_batch(params, cfg, ids)[0]

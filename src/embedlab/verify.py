@@ -329,8 +329,8 @@ def check_encoder_causal_prefix(rng: Rng) -> CheckResult:
         params = te.init_encoder_params(cfg, vocab.size, rng.split(trial))
         t1 = te.tokenize(vocab, "a photo of hbar dim", cfg.max_len)
         t2 = te.tokenize(vocab, "a photo of vbar dim", cfg.max_len)
-        e1 = te.encode(params, cfg, t1, causal=True)
-        e2 = te.encode(params, cfg, t2, causal=True)
+        e1 = te.encode(params, cfg, t1)
+        e2 = te.encode(params, cfg, t2)
         # first differing token is position 4; prefix rows must match exactly
         if not np.array_equal(e1[:4], e2[:4]):
             return _result("encoder.causal_prefix", False,
@@ -347,27 +347,12 @@ def check_encoder_pad_witness(rng: Rng) -> CheckResult:
     params = te.init_encoder_params(cfg, vocab.size, rng)
     t1 = te.tokenize(vocab, "a photo of hbar dim", cfg.max_len)
     t2 = te.tokenize(vocab, "a photo of vbar dim", cfg.max_len)
-    e1 = te.encode(params, cfg, t1, causal=True)
-    e2 = te.encode(params, cfg, t2, causal=True)
+    e1 = te.encode(params, cfg, t1)
+    e2 = te.encode(params, cfg, t2)
     sem = t1.semantic_len
     dist = np.linalg.norm(e1[sem:] - e2[sem:], axis=1)
     return _result("encoder.pad_information_witness", float(dist.max()) > 1e-6,
                    f"max_pad_row_l2={float(dist.max()):.3e}")
-
-
-def check_encoder_noncausal_row0(rng: Rng) -> CheckResult:
-    vocab = te.default_vocabulary()
-    cfg = te.EncoderConfig()
-    for trial in range(20):
-        params = te.init_encoder_params(cfg, vocab.size, rng.split(100 + trial))
-        t1 = te.tokenize(vocab, "a photo of hbar dim", cfg.max_len)
-        t2 = te.tokenize(vocab, "a photo of hbar bright", cfg.max_len)
-        e1 = te.encode(params, cfg, t1, causal=False)
-        e2 = te.encode(params, cfg, t2, causal=False)
-        if np.array_equal(e1[0], e2[0]):
-            return _result("encoder.noncausal_row0", False,
-                           f"row 0 unchanged at trial {trial}")
-    return _result("encoder.noncausal_row0", True, "row 0 moved in 20/20 draws")
 
 
 def check_encoder_bos_constancy(rng: Rng) -> CheckResult:
@@ -375,8 +360,8 @@ def check_encoder_bos_constancy(rng: Rng) -> CheckResult:
     cfg = te.EncoderConfig()
     params = te.init_encoder_params(cfg, vocab.size, rng)
     prompts = ["a photo of hbar dim", "a photo of cross bright", "diag dim"]
-    rows = [te.encode(params, cfg, te.tokenize(vocab, p, cfg.max_len),
-                      causal=True)[0] for p in prompts]
+    rows = [te.encode(params, cfg, te.tokenize(vocab, p, cfg.max_len))[0]
+            for p in prompts]
     ok = all(np.array_equal(rows[0], r) for r in rows[1:])
     return _result("encoder.bos_row_constancy", ok,
                    "BOS row bitwise-identical across prompts" if ok
@@ -614,7 +599,6 @@ ALL_CHECKS = (
     check_picard_inversion,
     check_encoder_causal_prefix,
     check_encoder_pad_witness,
-    check_encoder_noncausal_row0,
     check_encoder_bos_constancy,
     check_denoiser_forward_oracle,
     check_denoiser_gradients,

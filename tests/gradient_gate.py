@@ -76,7 +76,7 @@ def run_gate():
         pred = lean_eps(emb, emb / n[..., None])
         return float(np.mean(np.abs(pred - batch.eps_true)))
 
-    allowed_enc = te._attention_allowed(tok, causal=True)
+    allowed_enc = te._attention_allowed(tok)
     nh = enc_cfg.n_heads
     dh = enc_cfg.dim // nh
     enc_scale = 1.0 / np.sqrt(dh)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import re
@@ -12,6 +13,7 @@ from embedlab import cli
 from embedlab import denoiser as dn
 from embedlab import toyworld as tw
 from embedlab.diffusion import MAX_T
+from embedlab.optimizer import OptConfig
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(embedlab.__file__)))
 
@@ -493,6 +495,46 @@ def test_train_rejects_bad_lr(tmp_path, capsys):
         _rejects_count(["train", "--out", str(d), "--steps", "1",
                         "--lr", lr], "--lr", capsys)
         assert not os.path.exists(d)
+
+
+class _Built(Exception):
+    """Stops a command once it has built its config."""
+
+
+def test_every_config_field_comes_from_a_flag(tmp_path, ckpt, monkeypatch):
+    """With every flag of train and opt-lambda off its default, no field of
+    the TrainConfig or OptConfig the command builds keeps its default."""
+    flags = {
+        "train": {"out": str(tmp_path / "t"), "seed": "11", "steps": "3",
+                  "batch-size": "5", "lr": "2e-3", "T": "20",
+                  "beta-start": "2e-3", "beta-end": "0.1"},
+        "opt-lambda": {"out": str(tmp_path / "o"), "ckpt": ckpt,
+                       "from": "a photo of cross dim",
+                       "to": "a photo of diag dim", "steps": "3",
+                       "seed": "5", "gamma": "0.5"},
+    }
+    # the call that receives each command's config
+    calls = {"train": (dn, "train", dn.TrainConfig),
+             "opt-lambda": (cli, "optimize", OptConfig)}
+    for command, values in flags.items():
+        options = cli.COMMANDS[command][1]
+        assert set(values) == set(options)
+        for key, value in values.items():
+            assert type(options[key][0])(value) != options[key][0], key
+        module, name, cfg_type = calls[command]
+        built = []
+
+        def record(*args, **kwargs):
+            built.extend(a for a in args if isinstance(a, cfg_type))
+            raise _Built
+        monkeypatch.setattr(module, name, record)
+        argv = [command] + [a for k, v in values.items() for a in (f"--{k}", v)]
+        with pytest.raises(_Built):
+            cli.main(argv)
+        cfg, = built
+        for field in dataclasses.fields(cfg):
+            assert getattr(cfg, field.name) != field.default, \
+                (command, field.name)
 
 
 def test_train_bytes_pinned(tmp_path):

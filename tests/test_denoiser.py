@@ -2,7 +2,6 @@ import dataclasses
 import os
 import subprocess
 import sys
-import time
 
 import numpy as np
 import pytest
@@ -462,8 +461,7 @@ def test_training_smoke_reduces_loss():
     sched = make_schedule(20, 1e-3, 0.2)
     enc_cfg = te.EncoderConfig(max_len=8, dim=8, n_blocks=1, n_heads=2)
     cfg = dn.DenoiserConfig(d_h=16, d_a=8, t_feat=8, emb_dim=8, max_len=8)
-    tcfg = dn.TrainConfig(steps=600, batch_size=16, seed=1, log_every=50,
-                          lr=3e-3, lr_final=None)
+    tcfg = dn.TrainConfig(steps=600, batch_size=16, seed=1, lr=3e-3)
     _, _, log = dn.train(world, vocab, sched, enc_cfg, cfg, tcfg)
     first = np.mean([l for _, l in log[:2]])
     last = np.mean([l for _, l in log[-3:]])
@@ -477,7 +475,7 @@ def test_training_is_deterministic(tmp_path):
     sched = make_schedule(10, 1e-3, 0.2)
     enc_cfg = te.EncoderConfig(max_len=8, dim=8, n_blocks=1, n_heads=2)
     cfg = dn.DenoiserConfig(d_h=8, d_a=4, t_feat=4, emb_dim=8, max_len=8)
-    tcfg = dn.TrainConfig(steps=30, batch_size=8, seed=3, log_every=10)
+    tcfg = dn.TrainConfig(steps=30, batch_size=8, seed=3)
     run1 = dn.train(world, vocab, sched, enc_cfg, cfg, tcfg)
     run2 = dn.train(world, vocab, sched, enc_cfg, cfg, tcfg)
     for k in run1[0]:

@@ -1,7 +1,6 @@
 import hashlib
 
 import numpy as np
-import pytest
 
 from embedlab.rng import Rng, split_normals
 

@@ -37,52 +37,6 @@ def test_vocabulary_rejects_duplicates():
         te.Vocabulary(("a", "a"))
 
 
-def test_causal_prefix_property(vocab):
-    """Rows before the first differing token are bitwise equal."""
-    for trial in range(10):
-        params = te.init_encoder_params(CFG, vocab.size, Rng(trial))
-        e1 = te.encode(params, CFG,
-                       te.tokenize(vocab, "a photo of hbar dim", CFG.max_len))
-        e2 = te.encode(params, CFG,
-                       te.tokenize(vocab, "a photo of vbar dim", CFG.max_len))
-        assert np.array_equal(e1[:4], e2[:4])
-        assert not np.array_equal(e1[4:], e2[4:])
-
-
-def test_padding_information_witness(vocab):
-    """PAD rows are never masked, so they soak up the semantic change."""
-    params = te.init_encoder_params(CFG, vocab.size, Rng(50))
-    t1 = te.tokenize(vocab, "a photo of hbar dim", CFG.max_len)
-    t2 = te.tokenize(vocab, "a photo of vbar dim", CFG.max_len)
-    e1 = te.encode(params, CFG, t1, causal=True)
-    e2 = te.encode(params, CFG, t2, causal=True)
-    sem = t1.semantic_len
-    dist = np.linalg.norm(e1[sem:] - e2[sem:], axis=1)
-    assert dist.max() > 1e-6
-
-
-def test_noncausal_breaks_prefix_protection(vocab):
-    for trial in range(20):
-        params = te.init_encoder_params(CFG, vocab.size, Rng(100 + trial))
-        e1 = te.encode(params, CFG,
-                       te.tokenize(vocab, "a photo of hbar dim", CFG.max_len),
-                       causal=False)
-        e2 = te.encode(params, CFG,
-                       te.tokenize(vocab, "a photo of hbar bright", CFG.max_len),
-                       causal=False)
-        assert not np.array_equal(e1[0], e2[0])
-
-
-def test_bos_row_constancy(vocab):
-    params = te.init_encoder_params(CFG, vocab.size, Rng(52))
-    prompts = ["a photo of hbar dim", "a photo of cross bright", "diag dim"]
-    rows = [te.encode(params, CFG,
-                      te.tokenize(vocab, p, CFG.max_len))[0]
-            for p in prompts]
-    assert np.array_equal(rows[0], rows[1])
-    assert np.array_equal(rows[0], rows[2])
-
-
 def _layer_norm_textbook(x, g, b):
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu

@@ -51,17 +51,6 @@ def test_render_rejects_bad_args(world):
         tw.render(world, 0, 1.5, Rng(0))
 
 
-def test_render_mean_monte_carlo(world):
-    # fixed stream; the 3-sigma bound is applied per cell across 64 cells
-    rng = Rng(12)
-    n = 10_000
-    acc = np.zeros(tw.IMAGE_DIM)
-    for _ in range(n):
-        acc += tw.render(world, 0, 0.7, rng).x0
-    expect = 0.7 * world.pattern(0).ravel()
-    assert np.max(np.abs(acc / n - expect)) < 3.0 * world.noise_sigma / np.sqrt(n)
-
-
 def test_classify_monte_carlo(world):
     rng = Rng(12)
     hits = 0
@@ -157,13 +146,6 @@ def test_write_in_place_leaves_exactly_the_new_bytes(tmp_path):
     assert (tmp_path / "new.txt").read_bytes() == b"a"
     assert ((tmp_path / "new.txt").stat().st_mode
             == (tmp_path / "ref.txt").stat().st_mode)
-
-
-def test_style_estimator_monte_carlo(world):
-    rng = Rng(13)
-    vals = [tw.oracle_style(world, tw.render(world, 0, 0.7, rng).x0, 0)
-            for _ in range(10_000)]
-    assert abs(np.mean(vals) - 0.7) < 0.01
 
 
 def test_style_estimator_noise_free_exact(world):
