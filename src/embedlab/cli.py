@@ -1,8 +1,7 @@
 """Command-line experiment runner.
 
 Subcommands: gen-data, train, sample, edit, mask-sweep, svd-dirs,
-opt-lambda, invert, verify. Configuration comes from flat key=value files
-(`#` comments allowed) with command-line flags taking precedence. Every
+opt-lambda, invert, verify. Each is configured by its flags alone. Every
 run writes a `manifest.txt` with the resolved configuration and its hash,
 so outputs are attributable and reruns are byte-comparable. The commands
 below write every report file, each CSV through `toyworld.write_csv`.
@@ -58,48 +57,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(message)
-
-
-def load_config_file(path) -> dict:
-    """Flat key=value lines; `#` starts a comment; blank lines ignored."""
-    out = {}
-    try:
-        with open(path, encoding="utf-8") as f:
-            for lineno, raw in enumerate(f, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key=value")
-                key, value = line.split("=", 1)
-                out[key.strip()] = value.strip()
-    except OSError as e:
-        raise ConfigError(f"cannot read config file: {e}") from e
-    return out
-
-
-def resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge built-in defaults, config file values, and CLI flags.
-
-    Flags parsed as None mean "not given"; config file keys must all be
-    known for this command, and each value must parse as its default's type.
-    """
-    cfg = dict(defaults)
-    if args.config:
-        for key, value in load_config_file(args.config).items():
-            if key not in defaults:
-                raise ConfigError(f"unknown config key {key!r}")
-            kind = type(defaults[key])
-            try:
-                cfg[key] = kind(value)
-            except ValueError:
-                raise ConfigError(f"{args.config}: {key}={value!r} is not "
-                                  f"a valid {kind.__name__}") from None
-    for key in defaults:
-        flag = getattr(args, key.replace("-", "_"), None)
-        if flag is not None:
-            cfg[key] = flag
-    return cfg
 
 
 def config_hash(cfg: dict) -> str:
@@ -458,7 +415,7 @@ def cmd_verify(cfg: dict) -> int:
 # --------------------------------------------------------------- parser
 
 # Each command's function and options: key -> (default, help). The flag
-# --key and the config-file key parse as type(default).
+# --key parses as type(default).
 COMMANDS = {
     "gen-data": (cmd_gen_data, {
         "out": ("runs/gen-data", "output directory"),
@@ -547,10 +504,8 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (fn, options) in COMMANDS.items():
         p = sub.add_parser(name)
-        p.set_defaults(fn=fn, defaults={k: d for k, (d, _) in options.items()})
-        p.add_argument("--config", help="key=value config file")
         for key, (default, hlp) in options.items():
-            p.add_argument(f"--{key}", type=type(default), default=None,
+            p.add_argument(f"--{key}", type=type(default), default=default,
                            help=hlp, dest=key.replace("-", "_"))
     return parser
 
@@ -559,7 +514,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(resolve_config(args, args.defaults))
+        fn, options = COMMANDS[args.command]
+        return fn({k: getattr(args, k.replace("-", "_")) for k in options})
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE

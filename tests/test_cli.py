@@ -50,24 +50,13 @@ def test_gen_data_deterministic_and_parsable(tmp_path, capsys):
     _rejects_count(["gen-data", "--out", d1, "--n", "0"], "--n", capsys)
 
 
-def test_config_file_and_flag_precedence(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("n=4  # comment\nseed=3\n")
-    d = str(tmp_path / "out")
-    assert cli.main(["gen-data", "--config", str(cfg), "--out", d,
-                     "--n", "6"]) == 0
-    manifest = open(os.path.join(d, "manifest.txt")).read()
-    assert "n=6" in manifest      # flag beats config file
-    assert "seed=3" in manifest   # config file beats default
-
-
 def test_parser_built_once_without_leaks(tmp_path):
     """main() reuses one parser; each call parses only its own arguments."""
     assert cli.build_parser() is cli.build_parser()
     d1, d2 = str(tmp_path / "a"), str(tmp_path / "b")
     assert cli.main(["gen-data", "--out", d1, "--n", "3", "--seed", "4"]) == 0
     args = cli.build_parser().parse_args(["edit", "--seeds", "2"])
-    assert args.seeds == 2 and args.recipe is None
+    assert args.seeds == 2 and args.recipe == "swap"
     assert not hasattr(args, "n")
     assert cli.main(["gen-data", "--out", d2]) == 0
     manifest = open(os.path.join(d2, "manifest.txt")).read().splitlines()
@@ -79,26 +68,16 @@ def test_exit_codes(tmp_path):
     assert cli.main(["gen-data", "--n", "x"]) == 1
     assert cli.main(["sample", "--ckpt", "/does/not/exist",
                      "--out", str(tmp_path / "s")]) == 2
-    assert cli.main(["edit", "--config", "/does/not/exist.cfg"]) == 2
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("unknown_key=1\n")
-    assert cli.main(["verify", "--config", str(bad),
-                     "--out", str(tmp_path / "v")]) == 2
-    noeq = tmp_path / "noeq.cfg"
-    noeq.write_text("just a line\n")
-    assert cli.main(["verify", "--config", str(noeq),
-                     "--out", str(tmp_path / "v")]) == 2
 
 
-def test_config_value_of_wrong_type_names_file_and_key(tmp_path, capsys):
-    cfg = tmp_path / "edit.cfg"
-    cfg.write_text("seeds=1.5\n")
-    _rejects_count(["edit", "--config", str(cfg),
-                    "--out", str(tmp_path / "e")], f"{cfg}: seeds=", capsys)
-    cfg.write_text("weight=half\n")
-    _rejects_count(["edit", "--config", str(cfg),
-                    "--out", str(tmp_path / "e")], f"{cfg}: weight=", capsys)
-    assert not os.path.exists(tmp_path / "e")
+def test_no_command_reads_a_config_file(tmp_path, capsys):
+    """Flags are the only way to configure a command: --config is a usage
+    error that exits before any output directory is made."""
+    for name in cli.COMMANDS:
+        out = tmp_path / name
+        assert cli.main([name, "--config", "x", "--out", str(out)]) == 1
+        assert "--config" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
 
 def _manifest(argv):
