@@ -496,14 +496,16 @@ COMMANDS = {
 @functools.lru_cache(maxsize=1)
 def build_parser() -> _Parser:
     """The CLI parser, built once per process: every parse starts from a
-    fresh namespace, so one parser serves every call of main()."""
-    parser = _Parser(prog="embedlab",
+    fresh namespace, so one parser serves every call of main(). Flags are
+    matched in full only, so a run script cannot come to depend on a prefix
+    that a later flag makes ambiguous."""
+    parser = _Parser(prog="embedlab", allow_abbrev=False,
                      description="Toy diffusion text-embedding editing lab")
     parser.add_argument("--version", action="version",
                         version=f"embedlab v{__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (fn, options) in COMMANDS.items():
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)
         for key, (default, hlp) in options.items():
             p.add_argument(f"--{key}", type=type(default), default=default,
                            help=hlp, dest=key.replace("-", "_"))

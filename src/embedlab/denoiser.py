@@ -255,15 +255,6 @@ def forward_batch(params, cfg: DenoiserConfig, x, tf, emb, allowed,
     return out
 
 
-def predict_eps(params, cfg: DenoiserConfig, x_t, t: int,
-                emb, mask: AttnMask | None = None) -> np.ndarray:
-    """Noise prediction as the sampler makes it; emb as for condition()."""
-    return attend(params, cfg, np.asarray(x_t, dtype=np.float64),
-                  time_features(t, cfg.t_feat) @ params["w_t"],
-                  condition(params, cfg, emb),
-                  None if mask is None else ~mask.allowed)
-
-
 def backward_batch(params, cfg: DenoiserConfig, tape, deps,
                    grads: dict | None = None, work: dict | None = None):
     """Gradients w.r.t. denoiser params and the per-row embeddings (B, L, D).

@@ -84,13 +84,6 @@ def _check_t(sched: Schedule, t: int) -> None:
         raise ValueError(f"step {t} outside 1..{sched.T}")
 
 
-def marginal_params(sched: Schedule, x0: np.ndarray, t: int) -> GaussianParams:
-    """Closed-form q(x_t | x_0)."""
-    _check_t(sched, t)
-    ab = sched.alpha_bar(t)
-    return GaussianParams(mean=np.sqrt(ab) * np.asarray(x0), variance=1.0 - ab)
-
-
 def posterior_params(sched: Schedule, x_t, x0, t: int) -> GaussianParams:
     """q(x_{t-1} | x_t, x_0)."""
     _check_t(sched, t)
@@ -180,19 +173,9 @@ def ddim_step_vjp(sched: Schedule, g, t: int, keep=None) -> tuple:
     return gx, geps
 
 
-def ddim_invert_step(sched: Schedule, x_prev, eps_hat, t: int) -> np.ndarray:
-    """Algebraic inverse of ddim_step for the same eps_hat."""
-    _check_t(sched, t)
-    eps_hat = np.asarray(eps_hat)
-    x = np.asarray(x_prev) - sched.sqrt_1mab[t - 1] * eps_hat
-    x /= sched.sqrt_ab[t - 1]
-    x *= sched.sqrt_ab[t]
-    x += sched.sqrt_1mab[t] * eps_hat
-    return x
-
-
 def ddim_invert_steps(sched: Schedule, x_lo, eps_hat, lo: int) -> np.ndarray:
-    """ddim_invert_step composed over steps lo + 1, ..., lo + n in closed form.
+    """The inverse of ddim_step for given noise estimates, composed over steps
+    lo + 1, ..., lo + n in closed form.
 
     x_lo (..., x_dim) is the state at step lo and eps_hat (..., n, x_dim)
     each step's noise estimate in step order; returns x_{lo+1}, ..., x_{lo+n}
@@ -262,7 +245,8 @@ def ddim_invert(sched: Schedule, predict_eps, x0: np.ndarray) -> np.ndarray:
     (B, T + 1, x_dim) for B.
 
     The sampling step maps x_t -> x_{t-1} using eps(x_t, t), so its inverse
-    is implicit in x_t: x_t = ddim_invert_step(x_{t-1}, eps(x_t, t), t).
+    is implicit in x_t: x_t is the state whose ddim_step with eps(x_t, t)
+    gives x_{t-1}.
     Picard sweeps over time solve these equations a window of up to WINDOW
     unsolved steps lo + 1..hi at a time. Each sweep predicts the noise at
     every window step's current x_t in one predict_eps call, then recomputes

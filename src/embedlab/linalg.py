@@ -1,11 +1,10 @@
-"""Dense real linear algebra: SVD and PCA via the SVD.
+"""Dense real linear algebra: the SVD with canonical signs.
 
 The SVD is numpy's LAPACK one (`np.linalg.svd`, full matrices); a LAPACK
 failure raises `np.linalg.LinAlgError`, which the CLI reports as a numeric
-failure. `svd-dirs` runs it on an embedding; PCA reads the same factors (the
-acceptance suite checks the two against each other). Singular-vector signs
-are canonicalized so that results are reproducible: in every right
-singular vector the entry of largest magnitude is made non-negative.
+failure. `svd-dirs` runs it on an embedding. Singular-vector signs are
+canonicalized so that results are reproducible: in every right singular
+vector the entry of largest magnitude is made non-negative.
 """
 
 from dataclasses import dataclass
@@ -46,28 +45,3 @@ def svd(a) -> SvdFactors:
             if j < k:
                 u[:, j] = -u[:, j]
     return SvdFactors(u=u, sigma=sigma, vt=vt)
-
-
-@dataclass(frozen=True)
-class PcaResult:
-    components: np.ndarray  # principal directions as columns
-    variances: np.ndarray   # descending; all ~0 flags a degenerate input
-
-
-def pca(a, centered: bool) -> PcaResult:
-    """PCA via SVD. Uncentered mode works on a directly (Gram-matrix view)."""
-    a = as_matrix(a)
-    if centered:
-        if a.shape[0] < 2:
-            raise ValueError("centered PCA needs at least 2 rows")
-        x = a - a.mean(axis=0, keepdims=True)
-        denom = a.shape[0] - 1
-    else:
-        x = a
-        denom = 1
-    f = svd(x)
-    n = a.shape[1]
-    variances = np.zeros(n)
-    variances[: f.sigma.shape[0]] = f.sigma**2 / denom
-    return PcaResult(components=f.vt.T.copy(), variances=variances)
-

@@ -5,8 +5,8 @@ lambda is parameterized as sigmoid(theta), so it stays strictly inside
 between the image change and the class-pattern change) with a background
 preservation term. Gradients are exact: one reverse pass through the
 clamped DDIM chain that gave the loss (ModelBundle.generate_vjp), then
-through soft_mix and the sigmoid. Central finite differences on theta
-(fd_gradient) remain as the oracle that checks them.
+through soft_mix and the sigmoid. `verify` checks them against central
+finite differences on theta.
 """
 
 from dataclasses import dataclass
@@ -84,7 +84,7 @@ def make_context(bundle: ModelBundle, source_text: str, target_text: str,
     )
 
 
-def _losses(d: np.ndarray, ctx: LambdaContext) -> np.ndarray:
+def row_losses(d: np.ndarray, ctx: LambdaContext) -> np.ndarray:
     """Directional-cosine semantic term plus weighted background term, one
     per row of the image changes d (N, x_dim)."""
     target_dir = ctx.b_t - ctx.b_s
@@ -113,13 +113,6 @@ def _loss_grad(d: np.ndarray, ctx: LambdaContext) -> np.ndarray:
     return g
 
 
-def surrogate_losses(lams: np.ndarray, ctx: LambdaContext) -> np.ndarray:
-    """One loss per row of lams (N, L), from one chain of N images."""
-    e_star = np.stack([soft_mix(ctx.e_s, ctx.e_t, lam) for lam in lams])
-    i_star = ctx.bundle.generate(e_star, np.tile(ctx.x_T, (len(lams), 1)))
-    return _losses(i_star - ctx.i_s, ctx)
-
-
 def surrogate_loss(lam: np.ndarray, ctx: LambdaContext):
     """The loss of one lam (L,), from one taped chain, and its gradient.
 
@@ -133,27 +126,7 @@ def surrogate_loss(lam: np.ndarray, ctx: LambdaContext):
     def grad() -> np.ndarray:
         demb = vjp(_loss_grad(d, ctx))
         return np.sum(demb * (ctx.e_s - ctx.e_t), axis=1)
-    return float(_losses(d[None], ctx)[0]), grad
-
-
-def _theta_losses(thetas: np.ndarray, ctx: LambdaContext) -> np.ndarray:
-    return surrogate_losses(sigmoid(thetas), ctx)
-
-
-def fd_gradient(theta: np.ndarray, ctx: LambdaContext, h: float,
-                loss_fn=None) -> np.ndarray:
-    """Central finite differences on theta, all 2L perturbations at once.
-
-    loss_fn maps a stack of thetas (N, L) to their N losses; the default
-    generates the 2L perturbed images in one chain.
-    """
-    if h <= 0.0:
-        raise ValueError("fd step must be positive")
-    f = loss_fn if loss_fn is not None else _theta_losses
-    n = theta.shape[0]
-    steps = h * np.eye(n)
-    losses = f(np.concatenate([theta + steps, theta - steps]), ctx)
-    return (losses[:n] - losses[n:]) / (2.0 * h)
+    return float(row_losses(d[None], ctx)[0]), grad
 
 
 def init_theta(length: int, diff: set) -> np.ndarray:

@@ -328,9 +328,3 @@ def encode_backward(params, cfg: EncoderConfig, tape, dout,
         tape["ids"].ravel(), dx.reshape(-1, d), params["tok_emb"].shape[0])
     dx.sum(axis=0, out=grads["pos_emb"])
     return grads
-
-
-def encode(params, cfg: EncoderConfig, tokens: TokenSeq) -> np.ndarray:
-    """The (L, D) embedding of one token sequence."""
-    ids = np.asarray([tokens.ids], dtype=np.int64)
-    return encode_batch(params, cfg, ids)[0]

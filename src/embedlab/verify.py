@@ -5,9 +5,15 @@ Every check re-derives its expected value through an independent route
 compares against the library code. All randomness is seeded, so two runs
 produce identical results byte for byte. Checks that need a trained model
 are out of scope here; they live in the acceptance test suite.
+
+The reference implementations that only checks and tests call live here
+too, beside the checks that use them: PCA, the single DDIM inversion step,
+a one-step noise prediction and finite-difference lambda gradients. No
+command runs them, so the library modules hold only what commands run.
 """
 
 import zlib
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,8 +24,8 @@ from . import linalg as la
 from . import semantics as sm
 from . import text_encoder as te
 from . import toyworld as tw
-from .optimizer import (OptConfig, fd_gradient, make_context, sigmoid,
-                        surrogate_loss)
+from .optimizer import (LambdaContext, OptConfig, make_context, row_losses,
+                        sigmoid, surrogate_loss)
 from .pipeline import ModelBundle
 from .rng import Rng
 
@@ -100,9 +106,33 @@ def check_gram_power_iteration(rng: Rng) -> CheckResult:
                    f"rel_err={err:.3e} vec_err={vec_err:.3e}")
 
 
+@dataclass(frozen=True)
+class PcaResult:
+    components: np.ndarray  # principal directions as columns
+    variances: np.ndarray   # descending; all ~0 flags a degenerate input
+
+
+def pca(a, centered: bool) -> PcaResult:
+    """PCA via SVD. Uncentered mode works on a directly (Gram-matrix view)."""
+    a = la.as_matrix(a)
+    if centered:
+        if a.shape[0] < 2:
+            raise ValueError("centered PCA needs at least 2 rows")
+        x = a - a.mean(axis=0, keepdims=True)
+        denom = a.shape[0] - 1
+    else:
+        x = a
+        denom = 1
+    f = la.svd(x)
+    n = a.shape[1]
+    variances = np.zeros(n)
+    variances[: f.sigma.shape[0]] = f.sigma**2 / denom
+    return PcaResult(components=f.vt.T.copy(), variances=variances)
+
+
 def check_pca_covariance(rng: Rng) -> CheckResult:
     a = _rand_matrix(rng, 8, 3)
-    res = la.pca(a, centered=True)
+    res = pca(a, centered=True)
     x = a - a.mean(axis=0)
     cov = x.T @ x / (a.shape[0] - 1)
     # eigendecompose the explicitly formed covariance, not through la.svd
@@ -180,6 +210,9 @@ def check_schedule_product(rng: Rng) -> CheckResult:
 
 
 def check_chain_composition_mc(rng: Rng) -> CheckResult:
+    """Forward noising composed step by step against the marginal tables
+    that training reads: q(x_t | x_0) has mean sqrt_ab[t] x_0 and variance
+    sqrt_1mab[t]^2."""
     sched = df.make_schedule(100, 1e-3, 0.2)
     n = 20_000
     x0 = 0.8
@@ -190,12 +223,13 @@ def check_chain_composition_mc(rng: Rng) -> CheckResult:
         for t in range(1, t_target + 1):
             a = sched.alphas[t - 1]
             x = np.sqrt(a) * x + np.sqrt(1.0 - a) * rng.normal(n)
-        m = df.marginal_params(sched, np.array([x0]), t_target)
-        se_mean = np.sqrt(m.variance / n)
-        mean_dev = abs(float(x.mean()) - float(m.mean[0]))
+        mean = sched.sqrt_ab[t_target] * x0
+        var = sched.sqrt_1mab[t_target] ** 2
+        se_mean = np.sqrt(var / n)
+        mean_dev = abs(float(x.mean()) - mean)
         # variance of the sample variance for a Gaussian: 2 sigma^4 / (n-1)
-        se_var = np.sqrt(2.0 * m.variance**2 / (n - 1))
-        var_dev = abs(float(x.var()) - m.variance)
+        se_var = np.sqrt(2.0 * var**2 / (n - 1))
+        var_dev = abs(float(x.var()) - var)
         ok = ok and mean_dev < 3.0 * se_mean and var_dev < 3.0 * se_var
         details.append(f"t={t_target}:dm={mean_dev:.4f},dv={var_dev:.4f}")
     return _result("diffusion.chain_composition_mc", ok, " ".join(details))
@@ -292,6 +326,17 @@ def check_zero_denoiser_trajectory(rng: Rng) -> CheckResult:
                    f"max_err={err:.3e}")
 
 
+def ddim_invert_step(sched: df.Schedule, x_prev, eps_hat,
+                     t: int) -> np.ndarray:
+    """Algebraic inverse of ddim_step for the same eps_hat."""
+    eps_hat = np.asarray(eps_hat)
+    x = np.asarray(x_prev) - sched.sqrt_1mab[t - 1] * eps_hat
+    x /= sched.sqrt_ab[t - 1]
+    x *= sched.sqrt_ab[t]
+    x += sched.sqrt_1mab[t] * eps_hat
+    return x
+
+
 def check_picard_inversion(rng: Rng) -> CheckResult:
     """ddim_invert's windowed Picard sweeps against two oracles.
 
@@ -306,14 +351,14 @@ def check_picard_inversion(rng: Rng) -> CheckResult:
     traj = df.ddim_invert(sched, lambda x, t: table[t], x0)
     x, err = x0, 0.0
     for t in range(1, sched.T + 1):
-        x = df.ddim_invert_step(sched, x, table[t], t)
+        x = ddim_invert_step(sched, x, table[t], t)
         err = max(err, float(np.max(np.abs(traj[:, t] - x))))
     bundle = ModelBundle.untrained(Rng(99))
     predict = bundle.predictor(bundle.embed("a photo of cross dim"))
     traj = df.ddim_invert(sched, predict, np.clip(0.3 * rng.normal((2, 64)),
                                                   tw.CLAMP_LO, tw.CLAMP_HI))
     residual = max(float(np.max(np.abs(
-        df.ddim_invert_step(sched, traj[:, t - 1], predict(traj[:, t], t), t)
+        ddim_invert_step(sched, traj[:, t - 1], predict(traj[:, t], t), t)
         - traj[:, t]))) for t in range(1, sched.T + 1))
     ok = err < 1e-12 and residual < 4 * df.FP_TOL
     return _result("diffusion.picard_inversion", ok,
@@ -329,8 +374,8 @@ def check_encoder_causal_prefix(rng: Rng) -> CheckResult:
         params = te.init_encoder_params(cfg, vocab.size, rng.split(trial))
         t1 = te.tokenize(vocab, "a photo of hbar dim", cfg.max_len)
         t2 = te.tokenize(vocab, "a photo of vbar dim", cfg.max_len)
-        e1 = te.encode(params, cfg, t1)
-        e2 = te.encode(params, cfg, t2)
+        e1 = te.encode_batch(params, cfg, [t1.ids])[0]
+        e2 = te.encode_batch(params, cfg, [t2.ids])[0]
         # first differing token is position 4; prefix rows must match exactly
         if not np.array_equal(e1[:4], e2[:4]):
             return _result("encoder.causal_prefix", False,
@@ -347,8 +392,8 @@ def check_encoder_pad_witness(rng: Rng) -> CheckResult:
     params = te.init_encoder_params(cfg, vocab.size, rng)
     t1 = te.tokenize(vocab, "a photo of hbar dim", cfg.max_len)
     t2 = te.tokenize(vocab, "a photo of vbar dim", cfg.max_len)
-    e1 = te.encode(params, cfg, t1)
-    e2 = te.encode(params, cfg, t2)
+    e1 = te.encode_batch(params, cfg, [t1.ids])[0]
+    e2 = te.encode_batch(params, cfg, [t2.ids])[0]
     sem = t1.semantic_len
     dist = np.linalg.norm(e1[sem:] - e2[sem:], axis=1)
     return _result("encoder.pad_information_witness", float(dist.max()) > 1e-6,
@@ -360,7 +405,8 @@ def check_encoder_bos_constancy(rng: Rng) -> CheckResult:
     cfg = te.EncoderConfig()
     params = te.init_encoder_params(cfg, vocab.size, rng)
     prompts = ["a photo of hbar dim", "a photo of cross bright", "diag dim"]
-    rows = [te.encode(params, cfg, te.tokenize(vocab, p, cfg.max_len))[0]
+    rows = [te.encode_batch(params, cfg,
+                            [te.tokenize(vocab, p, cfg.max_len).ids])[0, 0]
             for p in prompts]
     ok = all(np.array_equal(rows[0], r) for r in rows[1:])
     return _result("encoder.bos_row_constancy", ok,
@@ -369,6 +415,15 @@ def check_encoder_bos_constancy(rng: Rng) -> CheckResult:
 
 
 # ------------------------------------------------------------- denoiser
+
+def predict_eps(params, cfg: dn.DenoiserConfig, x_t, t: int,
+                emb, mask: dn.AttnMask | None = None) -> np.ndarray:
+    """Noise prediction as the sampler makes it; emb as for condition()."""
+    return dn.attend(params, cfg, np.asarray(x_t, dtype=np.float64),
+                     dn.time_features(t, cfg.t_feat) @ params["w_t"],
+                     dn.condition(params, cfg, emb),
+                     None if mask is None else ~mask.allowed)
+
 
 def check_denoiser_forward_oracle(rng: Rng) -> CheckResult:
     """One row against a straight-line scalar re-implementation, then a
@@ -400,13 +455,13 @@ def check_denoiser_forward_oracle(rng: Rng) -> CheckResult:
     x = rng.normal(6)
     emb = rng.normal((4, 3))
     allowed = np.array([True, True, False, True])
-    got = dn.predict_eps(params, cfg, x, t, emb, dn.AttnMask(allowed))
+    got = predict_eps(params, cfg, x, t, emb, dn.AttnMask(allowed))
     err = float(np.max(np.abs(got - ref(x, emb, allowed))))
     xs = rng.normal((4, 6))
     embs = rng.normal((2, 4, 3))
     rows = np.array([[True, True, False, True], [True, True, True, True],
                      [False, True, True, False], [True, False, True, True]])
-    got = dn.predict_eps(params, cfg, xs, t, embs, dn.AttnMask(rows))
+    got = predict_eps(params, cfg, xs, t, embs, dn.AttnMask(rows))
     for i in range(4):
         err = max(err, float(np.max(np.abs(got[i] - ref(xs[i], embs[i // 2],
                                                           rows[i])))))
@@ -498,6 +553,32 @@ def check_background_block_norm(rng: Rng) -> CheckResult:
 
 
 # ------------------------------------------------------------ optimizer
+
+def surrogate_losses(lams: np.ndarray,
+                     ctx: LambdaContext) -> np.ndarray:
+    """One loss per row of lams (N, L), from one chain of N images."""
+    e_star = np.stack([eo.soft_mix(ctx.e_s, ctx.e_t, lam) for lam in lams])
+    i_star = ctx.bundle.generate(e_star, np.tile(ctx.x_T, (len(lams), 1)))
+    return row_losses(i_star - ctx.i_s, ctx)
+
+
+def fd_gradient(theta: np.ndarray, ctx: LambdaContext, h: float,
+                loss_fn=None) -> np.ndarray:
+    """Central finite differences on theta, all 2L perturbations at once.
+
+    loss_fn maps a stack of thetas (N, L) and ctx to their N losses; the
+    default is the surrogate loss at sigmoid(theta), whose 2L perturbed
+    images make one chain.
+    """
+    if h <= 0.0:
+        raise ValueError("fd step must be positive")
+    n = theta.shape[0]
+    steps = h * np.eye(n)
+    thetas = np.concatenate([theta + steps, theta - steps])
+    losses = (surrogate_losses(sigmoid(thetas), ctx) if loss_fn is None
+              else loss_fn(thetas, ctx))
+    return (losses[:n] - losses[n:]) / (2.0 * h)
+
 
 def check_fd_quadratic(rng: Rng) -> CheckResult:
     a = rng.normal((5, 5))

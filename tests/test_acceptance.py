@@ -59,7 +59,7 @@ def test_criterion_2_svd_suite():
         worst = max(worst, float(np.max(np.abs(f.vt @ f.vt.T - np.eye(n)))))
         if np.any(np.diff(f.sigma) > 1e-12):
             descending = False
-        res = la.pca(a, centered=False)
+        res = vf.pca(a, centered=False)
         k = min(m, n)
         for j in range(k):
             if f.sigma[j] < 1e-9:
@@ -100,8 +100,8 @@ def test_criterion_3_encoder_mask_suite():
             tt = te.tokenize(vocab, t, cfg.max_len)
             first = next(i for i in range(cfg.max_len)
                          if ts.ids[i] != tt.ids[i])
-            es = te.encode(params, cfg, ts)
-            et = te.encode(params, cfg, tt)
+            es = te.encode_batch(params, cfg, [ts.ids])[0]
+            et = te.encode_batch(params, cfg, [tt.ids])[0]
             if not np.array_equal(es[:first], et[:first]):
                 causal_ok = False
     # padding-information witness: PAD keys are never masked, so the PAD
@@ -109,8 +109,8 @@ def test_criterion_3_encoder_mask_suite():
     params = te.init_encoder_params(cfg, vocab.size, Rng(299))
     ts = te.tokenize(vocab, "a photo of hbar dim", cfg.max_len)
     tt = te.tokenize(vocab, "a photo of vbar dim", cfg.max_len)
-    es = te.encode(params, cfg, ts)
-    et = te.encode(params, cfg, tt)
+    es = te.encode_batch(params, cfg, [ts.ids])[0]
+    et = te.encode_batch(params, cfg, [tt.ids])[0]
     pad_gap = float(np.max(np.abs(es[ts.semantic_len:]
                                   - et[tt.semantic_len:])))
     # BOS-row constancy: under the causal mask row 0 sees only BOS

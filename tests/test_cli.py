@@ -80,6 +80,28 @@ def test_no_command_reads_a_config_file(tmp_path, capsys):
         assert not os.path.exists(out)
 
 
+def test_flag_prefix_is_a_usage_error(tmp_path, capsys):
+    """Flags parse only when spelled in full: --ste is not --steps."""
+    out = tmp_path / "t"
+    capsys.readouterr()
+    assert cli.main(["train", "--ste", "5", "--batch", "3",
+                     "--out", str(out)]) == 1
+    assert "--ste" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_importing_the_cli_leaves_verify_unloaded():
+    """verify is imported by its command only, so the checks add nothing to
+    every other command's start-up."""
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep
+               + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, embedlab.cli; "
+         "print('embedlab.verify' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120, check=True)
+    assert proc.stdout == "False\n", proc.stderr
+
+
 def _manifest(argv):
     """The bytes of the manifest in argv's --out directory, or None."""
     path = os.path.join(argv[argv.index("--out") + 1], "manifest.txt")

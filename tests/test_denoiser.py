@@ -32,10 +32,10 @@ def test_masking_equals_row_slicing():
     x = rng.normal(6)
     emb = rng.normal((4, 3))
     allowed = np.array([True, False, True, False])
-    masked = dn.predict_eps(params, SMALL_CFG, x, 5, emb, dn.AttnMask(allowed))
+    masked = vf.predict_eps(params, SMALL_CFG, x, 5, emb, dn.AttnMask(allowed))
     cfg2 = dn.DenoiserConfig(x_dim=6, d_h=5, d_a=4, t_feat=4,
                              emb_dim=3, max_len=2)
-    sliced = dn.predict_eps(params, cfg2, x, 5, emb[allowed],
+    sliced = vf.predict_eps(params, cfg2, x, 5, emb[allowed],
                             dn.AttnMask(np.array([True, True])))
     assert np.max(np.abs(masked - sliced)) < 1e-12
 
@@ -48,9 +48,9 @@ def test_masking_a_zero_row_differs_from_including_it():
     x = rng.normal(6)
     emb = rng.normal((4, 3))
     emb[2] = 0.0
-    all_true = dn.predict_eps(params, SMALL_CFG, x, 5, emb,
+    all_true = vf.predict_eps(params, SMALL_CFG, x, 5, emb,
                               dn.AttnMask(np.array([True] * 4)))
-    excluded = dn.predict_eps(params, SMALL_CFG, x, 5, emb,
+    excluded = vf.predict_eps(params, SMALL_CFG, x, 5, emb,
                               dn.AttnMask(np.array([True, True, False, True])))
     assert np.max(np.abs(all_true - excluded)) > 1e-9
 
@@ -61,8 +61,8 @@ def test_permuting_equal_rows_leaves_output_unchanged():
     x = rng.normal(6)
     emb = rng.normal((4, 3))
     emb[3] = emb[1]
-    base = dn.predict_eps(params, SMALL_CFG, x, 2, emb)
-    perm = dn.predict_eps(params, SMALL_CFG, x, 2, emb[[0, 3, 2, 1]])
+    base = vf.predict_eps(params, SMALL_CFG, x, 2, emb)
+    perm = vf.predict_eps(params, SMALL_CFG, x, 2, emb[[0, 3, 2, 1]])
     assert np.max(np.abs(base - perm)) < 1e-12
 
 
@@ -129,10 +129,10 @@ def test_row_scale_scales_value_contribution_linearly():
     params = dn.init_denoiser_params(SMALL_CFG, rng)
     x = rng.normal(6)
     emb = rng.normal((4, 3))
-    base = dn.predict_eps(params, SMALL_CFG, x, 3, emb)
+    base = vf.predict_eps(params, SMALL_CFG, x, 3, emb)
     scaled = emb.copy()
     scaled[1] *= 2.5
-    out = dn.predict_eps(params, SMALL_CFG, x, 3, scaled)
+    out = vf.predict_eps(params, SMALL_CFG, x, 3, scaled)
     # the context change equals (2.5 - 1) * w_1 * (emb_1 @ wv) pushed through
     # the (here inactive-ReLU-free) tail only if no ReLU flips; instead just
     # assert attention weights are identical by reconstructing them
@@ -321,7 +321,7 @@ def test_all_masked_rejected():
     rng = Rng(32)
     params = dn.init_denoiser_params(SMALL_CFG, rng)
     with pytest.raises(ValueError):
-        dn.predict_eps(params, SMALL_CFG, rng.normal(6), 1, rng.normal((4, 3)),
+        vf.predict_eps(params, SMALL_CFG, rng.normal(6), 1, rng.normal((4, 3)),
                        dn.AttnMask(np.zeros(4, dtype=bool)))
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from embedlab import cli
 from embedlab import linalg as la
+from embedlab import verify as vf
 from embedlab.rng import Rng
 
 
@@ -54,7 +55,7 @@ def test_completed_basis_is_orthonormal():
 
 def test_pca_uncentered_equals_right_singular_vectors():
     a = Rng(6).normal((7, 4))
-    res = la.pca(a, centered=False)
+    res = vf.pca(a, centered=False)
     f = la.svd(a)
     assert np.array_equal(res.components, f.vt.T)
     assert np.max(np.abs(res.variances[:4] - f.sigma**2)) < 1e-10
@@ -62,7 +63,7 @@ def test_pca_uncentered_equals_right_singular_vectors():
 
 def test_pca_centered_needs_two_rows():
     with pytest.raises(ValueError):
-        la.pca(np.ones((1, 3)), centered=True)
+        vf.pca(np.ones((1, 3)), centered=True)
 
 
 def _svd_inputs(bundle):

@@ -3,6 +3,7 @@ import pytest
 
 from embedlab import cli
 from embedlab import optimizer as op
+from embedlab import verify as vf
 from embedlab.rng import Rng
 
 
@@ -15,7 +16,7 @@ def test_sigmoid_and_init_theta():
 
 def test_fd_gradient_rejects_bad_h():
     with pytest.raises(ValueError):
-        op.fd_gradient(np.zeros(3), None, 0.0)
+        vf.fd_gradient(np.zeros(3), None, 0.0)
 
 
 def test_opt_config_validation():
@@ -84,9 +85,9 @@ def test_reverse_gradient_matches_finite_differences():
         lam = op.sigmoid(theta)
         loss, grad = op.surrogate_loss(lam, ctx)
         g = grad() * lam * (1.0 - lam)
-        g_fd = op.fd_gradient(theta, ctx, 1e-5)
+        g_fd = vf.fd_gradient(theta, ctx, 1e-5)
         assert np.linalg.norm(g - g_fd) < 1e-7 * np.linalg.norm(g_fd)
-        assert loss == op.surrogate_losses(lam[None], ctx)[0]
+        assert loss == vf.surrogate_losses(lam[None], ctx)[0]
 
 
 def test_gradient_is_zero_where_the_image_does_not_change():
@@ -133,7 +134,7 @@ def test_surrogate_loss_recomputation_oracle():
         tm[i] -= h
         per_coord[i] = (op.surrogate_loss(op.sigmoid(tp), ctx)[0]
                         - op.surrogate_loss(op.sigmoid(tm), ctx)[0]) / (2.0 * h)
-    assert np.max(np.abs(op.fd_gradient(theta, ctx, h) - per_coord)) < 1e-12
+    assert np.max(np.abs(vf.fd_gradient(theta, ctx, h) - per_coord)) < 1e-12
 
 
 def test_trajectory_csv_roundtrip(tmp_path, ckpt, untrained_bundle):
