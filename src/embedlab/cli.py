@@ -185,7 +185,7 @@ def cmd_sample(cfg: dict) -> int:
     emb = bundle.embed(cfg["prompt"])
     out = prepare_out_dir(cfg, "sample")
     seeds = range(cfg["seed"], cfg["seed"] + cfg["n"])
-    rng = [Rng(s).split(1) for s in seeds] if cfg["mode"] == "ddpm" else None
+    rng = Rng(seeds).split(1) if cfg["mode"] == "ddpm" else None
     imgs = bundle.generate(emb, seed_noise(seeds), mode=cfg["mode"], rng=rng)
     k, score = oracle_classify(bundle.world, imgs)
     style = oracle_style(bundle.world, imgs, k)

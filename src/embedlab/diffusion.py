@@ -1,4 +1,4 @@
-"""DDPM marginals, posteriors and reverse steps; DDIM sampling and inversion.
+"""Noise schedules and their tables; DDPM and DDIM sampling; DDIM inversion.
 
 Conventions: steps are 1-based (t = 1..T) with arrays stored 0-based and
 the boundary value alpha_bar_0 := 1, which makes the step-1 posterior
@@ -8,8 +8,6 @@ variance exactly zero. The last reverse step returns the posterior mean.
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .rng import Rng
 
 # ddim_invert's Picard sweeps (see there): the stop, the cap on sweeps per
 # step beyond the first, and the most steps one sweep solves together
@@ -26,33 +24,40 @@ MAX_T = 10_000
 class Schedule:
     alphas: np.ndarray         # alpha_t, index t-1
     alpha_bars: np.ndarray     # running products
-    posterior_var: np.ndarray  # beta-tilde_t
-    spec: tuple | None = None  # make_schedule's (T, beta_start, beta_end)
+    spec: tuple                # make_schedule's (T, beta_start, beta_end)
     # sqrt(alpha_bar_t), sqrt(1 - alpha_bar_t) and their ratio
     # sqrt(1 - alpha_bar_t) / sqrt(alpha_bar_t), index t = 0..T
     sqrt_ab: np.ndarray = field(init=False, repr=False)
     sqrt_1mab: np.ndarray = field(init=False, repr=False)
     noise_ratio: np.ndarray = field(init=False, repr=False)
+    # the posterior q(x_{t-1} | x_t, x_0) = N(post_x0 x_0 + post_xt x_t,
+    # post_sd^2), index t-1 (Ho et al., arXiv 2006.11239, eqs. 6-7);
+    # post_sd[0] = 0
+    post_x0: np.ndarray = field(init=False, repr=False)
+    post_xt: np.ndarray = field(init=False, repr=False)
+    post_sd: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         ab = np.concatenate([[1.0], self.alpha_bars])
-        object.__setattr__(self, "sqrt_ab", np.sqrt(ab))
+        sqrt_ab = np.sqrt(ab)
+        object.__setattr__(self, "sqrt_ab", sqrt_ab)
         object.__setattr__(self, "sqrt_1mab", np.sqrt(1.0 - ab))
-        object.__setattr__(self, "noise_ratio", self.sqrt_1mab / self.sqrt_ab)
+        object.__setattr__(self, "noise_ratio", self.sqrt_1mab / sqrt_ab)
+        a, ab_prev, one_m_ab = self.alphas, ab[:-1], 1.0 - ab[1:]
+        # nan where alpha_bar_t rounds to 1: the posterior is undefined
+        # there, and only DDPM reads these tables. The order of operations
+        # fixes the DDPM output bits
+        with np.errstate(invalid="ignore", divide="ignore"):
+            object.__setattr__(self, "post_x0",
+                               sqrt_ab[:-1] * (1.0 - a) / one_m_ab)
+            object.__setattr__(self, "post_xt",
+                               np.sqrt(a) * (1.0 - ab_prev) / one_m_ab)
+            object.__setattr__(self, "post_sd", np.sqrt(
+                (1.0 - ab_prev) / one_m_ab * (1.0 - a)))
 
     @property
     def T(self) -> int:
         return self.alphas.shape[0]
-
-    def alpha_bar(self, t: int) -> float:
-        """alpha_bar_t with the alpha_bar_0 = 1 convention."""
-        return 1.0 if t == 0 else float(self.alpha_bars[t - 1])
-
-
-@dataclass(frozen=True)
-class GaussianParams:
-    mean: np.ndarray
-    variance: float
 
 
 def make_schedule(T: int, beta_start: float, beta_end: float) -> Schedule:
@@ -65,37 +70,14 @@ def make_schedule(T: int, beta_start: float, beta_end: float) -> Schedule:
     T = int(T)
     if not (0.0 < beta_start <= beta_end < 1.0):
         raise ValueError(f"bad beta range ({beta_start}, {beta_end})")
-    betas = np.linspace(beta_start, beta_end, T)
-    alphas = 1.0 - betas
-    alpha_bars = np.cumprod(alphas)
-    prev = np.concatenate([[1.0], alpha_bars[:-1]])
-    with np.errstate(invalid="ignore", divide="ignore"):
-        post = np.where(
-            alpha_bars < 1.0,
-            (1.0 - prev) / (1.0 - alpha_bars) * (1.0 - alphas),
-            0.0,
-        )
-    return Schedule(alphas=alphas, alpha_bars=alpha_bars, posterior_var=post,
+    alphas = 1.0 - np.linspace(beta_start, beta_end, T)
+    return Schedule(alphas=alphas, alpha_bars=np.cumprod(alphas),
                     spec=(T, beta_start, beta_end))
 
 
 def _check_t(sched: Schedule, t: int) -> None:
     if not 1 <= t <= sched.T:
         raise ValueError(f"step {t} outside 1..{sched.T}")
-
-
-def posterior_params(sched: Schedule, x_t, x0, t: int) -> GaussianParams:
-    """q(x_{t-1} | x_t, x_0)."""
-    _check_t(sched, t)
-    ab_t = sched.alpha_bar(t)
-    ab_prev = sched.alpha_bar(t - 1)
-    a_t = sched.alphas[t - 1]
-    if ab_t >= 1.0:
-        raise ZeroDivisionError("posterior undefined: alpha_bar_t == 1")
-    c0 = np.sqrt(ab_prev) * (1.0 - a_t) / (1.0 - ab_t)
-    ct = np.sqrt(a_t) * (1.0 - ab_prev) / (1.0 - ab_t)
-    mean = c0 * np.asarray(x0) + ct * np.asarray(x_t)
-    return GaussianParams(mean=mean, variance=float(sched.posterior_var[t - 1]))
 
 
 def eps_to_x0(sched: Schedule, x_t, eps_hat, t: int,
@@ -122,20 +104,16 @@ def eps_to_x0(sched: Schedule, x_t, eps_hat, t: int,
 
 def ddpm_reverse_step(sched: Schedule, x_t, eps_hat, t: int, rng,
                       clip_x0: tuple | None = None) -> np.ndarray:
-    """Stochastic ancestral step; deterministic (mean) at t=1.
+    """Stochastic ancestral step; deterministic (the posterior mean) at t=1.
 
-    rng is one Rng, or a list of one Rng per row of x_t.
+    rng draws each row's noise: an Rng with one key per row of x_t (one key
+    for a single row (x_dim,)).
     """
     x0_hat = eps_to_x0(sched, x_t, eps_hat, t, clip_x0)
-    post = posterior_params(sched, x_t, x0_hat, t)
-    if t == 1 or post.variance == 0.0:
-        return post.mean
-    if isinstance(rng, Rng):
-        noise = rng.normal(post.mean.shape)
-    else:
-        noise = np.stack([r.normal(row.shape)
-                          for r, row in zip(rng, post.mean, strict=True)])
-    return post.mean + np.sqrt(post.variance) * noise
+    mean = sched.post_x0[t - 1] * x0_hat + sched.post_xt[t - 1] * x_t
+    if t == 1:
+        return mean
+    return mean + sched.post_sd[t - 1] * rng.normal(mean.shape[-1])
 
 
 def ddim_step(sched: Schedule, x_t, eps_hat, t: int,
@@ -212,17 +190,19 @@ def sample(sched: Schedule, predict_eps, x_T: np.ndarray,
     conditioning embedding and attention mask are closed over by the caller.
     Its result is used before the next call, so it may reuse one array,
     and x_t is the chain's own array: predict_eps must not keep it.
-    DDPM mode needs rng: one Rng per row, so a row draws what it would draw
-    alone. clip_x0, when given, clamps the intermediate x0 estimate to that
-    range at every step (the usual clip-denoised stabilization; without it
-    an imperfect predictor's errors compound geometrically along the chain).
+    DDPM mode needs rng, an Rng with one key per row of x_T (Rng(seeds) for
+    B rows, one key for a single row (x_dim,)), so a row draws what its
+    seed draws alone. clip_x0, when given, clamps the intermediate x0
+    estimate to that range at every step (the usual clip-denoised
+    stabilization; without it an imperfect predictor's errors compound
+    geometrically along the chain).
     keep, a bool array (T, *x_T.shape) for clamped DDIM only, receives at
     row T - t step t's clamp mask (see ddim_step), for ddim_step_vjp.
     """
     if mode not in ("ddim", "ddpm"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "ddpm" and rng is None:
-        raise ValueError("ddpm mode needs an rng")
+    if mode == "ddpm" and (rng is None or rng.shape != np.shape(x_T)[:-1]):
+        raise ValueError("ddpm mode needs an rng with one key per row of x_T")
     if keep is not None and (mode != "ddim" or clip_x0 is None):
         raise ValueError("clamp masks are recorded by clamped DDIM only")
     # a copy of x_T that DDIM advances in place; the caller owns the result

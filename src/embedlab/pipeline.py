@@ -9,7 +9,7 @@ from . import denoiser as dn
 from . import text_encoder as te
 from .diffusion import (Schedule, ddim_invert, ddim_step_vjp, make_schedule,
                         sample)
-from .rng import Rng, split_normals
+from .rng import Rng
 from .toyworld import CLAMP_HI, CLAMP_LO, IMAGE_DIM, WorldSpec, default_world
 
 
@@ -128,8 +128,9 @@ class ModelBundle:
         """Generate from one noise (x_dim,) or, in one chain, B noises (B, x_dim).
 
         emb and mask as for predictor(): a stack of G embeddings conditions
-        G equal blocks of rows. DDPM takes one Rng per row (one Rng for a
-        single noise). x0 estimates are clamped to clip_x0.
+        G equal blocks of rows. DDPM takes an Rng with one key per row
+        (Rng(seeds); one key for a single noise). x0 estimates are clamped
+        to clip_x0.
         """
         x0 = sample(self.sched, self.predictor(emb, mask), x_T,
                     mode=mode, rng=rng, clip_x0=clip_x0)
@@ -211,6 +212,4 @@ def seed_noise(seeds) -> np.ndarray:
     IMAGE_DIM), drawn in one pass, each row bitwise the draw of its seed
     alone.
     """
-    if np.ndim(seeds) == 0:
-        return split_normals([seeds], 0, IMAGE_DIM)[0]
-    return split_normals(seeds, 0, IMAGE_DIM)
+    return Rng(seeds).split(0).normal(IMAGE_DIM)

@@ -6,12 +6,13 @@ fixed seed reproduces the exact same byte sequence on every run.
 The mixing function is SplitMix64; Gaussians come from Box-Muller.
 
 The draws are batch-native: the kernels below work on uint64 arrays of
-keys, so the generators of many seeds draw in one pass (split_normals)
-with the same bits as one Rng per seed. They work on any array of words
-too, so the words of several calls can come from one raw() pass and be
-converted together (uniforms, randints, box_muller) with the same bits
-as the calls.
+keys, so Rng(seeds) draws for many seeds in one pass with the same bits
+as one Rng per seed. They work on any array of words too, so the words
+of several calls can come from one raw() pass and be converted together
+(uniforms, randints, box_muller) with the same bits as the calls.
 """
+
+import math
 
 import numpy as np
 
@@ -77,56 +78,65 @@ def box_muller(u: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate([r * np.cos(a), r * np.sin(a)], axis=-1)[..., :n]
 
 
-def split_normals(seeds, stream: int, n: int) -> np.ndarray:
-    """Rng(seed).split(stream).normal(n) for every seed, bitwise, as one
-    (len(seeds), n) array: one SplitMix64 pass over every row's words and
-    one Box-Muller pass."""
-    # masked to 64 bits, as Rng masks a seed
-    keys = np.array([int(s) & _MASK for s in seeds], dtype=np.uint64)
-    with np.errstate(over="ignore"):   # the stream's scalar key terms
-        keys = _keys(_child_seeds(_keys(keys, 0), stream), stream)
-    return box_muller(uniforms(_words(keys, 0, 2 * ((n + 1) // 2))), n)
+def _dims(size) -> tuple:
+    """A draw's size as a shape: () for None, (size,) for an int."""
+    if size is None:
+        return ()
+    return (size,) if np.isscalar(size) else tuple(size)
+
+
+def _count(size) -> int:
+    return math.prod(_dims(size))
 
 
 class Rng:
-    """Deterministic counter-based generator with stream splitting."""
+    """Deterministic counter-based generator with stream splitting.
 
-    def __init__(self, seed: int, stream: int = 0):
+    Rng(seed) has one key. Rng(seeds), for a sequence of seeds, has one key
+    per seed: each draw then has a leading axis of len(seeds) (the shape
+    attribute), and row i is bitwise the draw of Rng(seeds[i]). Seeds are
+    masked to 64 bits.
+    """
+
+    def __init__(self, seed, stream: int = 0):
+        if np.ndim(seed) == 0:
+            seed = np.uint64(int(seed) & _MASK)
+        else:
+            # one seed at a time: an array made from Python ints of 2**63
+            # and up goes through float64
+            seed = np.array([int(s) & _MASK for s in seed], dtype=np.uint64)
         with np.errstate(over="ignore"):   # uint64 scalars warn as they wrap
-            self._key = _keys(np.uint64(int(seed) & _MASK), stream)
+            self._key = _keys(seed, stream)
+        self.shape = np.shape(self._key)
         self._counter = 0
 
     def split(self, stream: int) -> "Rng":
         """Derive an independent child stream; does not advance this one."""
         with np.errstate(over="ignore"):
-            return Rng(int(_child_seeds(self._key, stream)), stream)
+            return Rng(_child_seeds(self._key, stream), stream)
 
     def raw(self, n: int) -> np.ndarray:
-        """Next n raw uint64 words."""
+        """Next n raw uint64 words per key."""
         words = _words(self._key, self._counter, n)
         self._counter += n
         return words
 
+    def _shaped(self, v: np.ndarray, size, scalar):
+        """A draw's values (*shape, n) as (*shape, *size); for size None and
+        one key, a Python scalar."""
+        v = v.reshape(self.shape + _dims(size))
+        return scalar(v) if size is None and not self.shape else v
+
     def uniform(self, size=None):
         """Uniform floats in (0, 1)."""
-        n = 1 if size is None else int(np.prod(size))
-        u = uniforms(self.raw(n))
-        if size is None:
-            return float(u[0])
-        return u.reshape(size)
+        return self._shaped(uniforms(self.raw(_count(size))), size, float)
 
     def normal(self, size=None):
         """Standard normal deviates via Box-Muller."""
-        n = 1 if size is None else int(np.prod(size))
+        n = _count(size)
         z = box_muller(uniforms(self.raw(2 * ((n + 1) // 2))), n)
-        if size is None:
-            return float(z[0])
-        return z.reshape(size)
+        return self._shaped(z, size, float)
 
     def randint(self, n: int, size=None):
         """Integers uniform on [0, n)."""
-        k = 1 if size is None else int(np.prod(size))
-        v = randints(self.raw(k), n)
-        if size is None:
-            return int(v[0])
-        return v.reshape(size)
+        return self._shaped(randints(self.raw(_count(size)), n), size, int)

@@ -7,9 +7,10 @@ produce identical results byte for byte. Checks that need a trained model
 are out of scope here; they live in the acceptance test suite.
 
 The reference implementations that only checks and tests call live here
-too, beside the checks that use them: PCA, the single DDIM inversion step,
-a one-step noise prediction and finite-difference lambda gradients. No
-command runs them, so the library modules hold only what commands run.
+too, beside the checks that use them: PCA, alpha_bar_t, the single DDIM
+inversion step, a one-step noise prediction and finite-difference lambda
+gradients. No command runs them, so the library modules hold only what
+commands run.
 """
 
 import zlib
@@ -41,10 +42,6 @@ def _result(name, passed, detail):
     return CheckResult(name, bool(passed), detail)
 
 
-def _rand_matrix(rng: Rng, m: int, n: int) -> np.ndarray:
-    return rng.normal((m, n))
-
-
 # --------------------------------------------------------------- linalg
 
 def _char_poly_3x3_roots(g: np.ndarray) -> np.ndarray:
@@ -61,7 +58,7 @@ def _char_poly_3x3_roots(g: np.ndarray) -> np.ndarray:
 
 
 def check_svd_cubic_gram(rng: Rng) -> CheckResult:
-    a = _rand_matrix(rng, 5, 3)
+    a = rng.normal((5, 3))
     f = la.svd(a)
     recon = float(np.linalg.norm(f.reconstruct() - a) / np.linalg.norm(a))
     eigs = _char_poly_3x3_roots(a.T @ a)
@@ -77,7 +74,7 @@ def check_svd_properties(rng: Rng) -> CheckResult:
     for _ in range(20):
         m = rng.randint(7) + 2
         n = rng.randint(7) + 2
-        a = _rand_matrix(rng, m, n)
+        a = rng.normal((m, n))
         f = la.svd(a)
         worst = max(worst, float(np.max(np.abs(f.reconstruct() - a))))
         worst = max(worst, float(np.max(np.abs(f.u.T @ f.u - np.eye(m)))))
@@ -88,7 +85,7 @@ def check_svd_properties(rng: Rng) -> CheckResult:
 
 
 def check_gram_power_iteration(rng: Rng) -> CheckResult:
-    a = _rand_matrix(rng, 6, 4)
+    a = rng.normal((6, 4))
     g = a.T @ a
     v = np.ones(4) / 2.0
     lam = 0.0
@@ -131,7 +128,7 @@ def pca(a, centered: bool) -> PcaResult:
 
 
 def check_pca_covariance(rng: Rng) -> CheckResult:
-    a = _rand_matrix(rng, 8, 3)
+    a = rng.normal((8, 3))
     res = pca(a, centered=True)
     x = a - a.mean(axis=0)
     cov = x.T @ x / (a.shape[0] - 1)
@@ -197,15 +194,20 @@ def check_world_style_mc(rng: Rng) -> CheckResult:
 
 # ------------------------------------------------------------ diffusion
 
+def alpha_bar(sched: df.Schedule, t: int) -> float:
+    """alpha_bar_t with the alpha_bar_0 = 1 convention."""
+    return 1.0 if t == 0 else float(sched.alpha_bars[t - 1])
+
+
 def check_schedule_product(rng: Rng) -> CheckResult:
     sched = df.make_schedule(100, 1e-4, 0.02)
     prod = 1.0
     betas = np.linspace(1e-4, 0.02, 100)
     for b in betas:
         prod *= 1.0 - b
-    err = abs(sched.alpha_bar(100) - prod)
-    ok = (err < 1e-12 and sched.alpha_bar(0) == 1.0
-          and sched.posterior_var[0] == 0.0)
+    err = abs(alpha_bar(sched, 100) - prod)
+    ok = (err < 1e-12 and alpha_bar(sched, 0) == 1.0
+          and sched.post_sd[0] == 0.0)
     return _result("diffusion.schedule_product_oracle", ok, f"err={err:.3e}")
 
 
@@ -236,33 +238,33 @@ def check_chain_composition_mc(rng: Rng) -> CheckResult:
 
 
 def check_posterior_bayes(rng: Rng) -> CheckResult:
-    # fixed scalar case first
-    sched2 = df.Schedule(
-        alphas=np.array([0.95, 0.9]),
-        alpha_bars=np.array([0.95, 0.855]),
-        posterior_var=np.array([0.0, (1 - 0.95) / (1 - 0.855) * (1 - 0.9)]),
-    )
-    p = df.posterior_params(sched2, np.array([0.5]), np.array([1.0]), 2)
+    """The schedule's posterior tables against the Bayes product of the
+    forward step and the marginal, at a fixed scalar case and 100 random
+    steps."""
+    def table_err(sched, t, x_t, x0, mean_o, var_o):
+        mean = sched.post_x0[t - 1] * x0 + sched.post_xt[t - 1] * x_t
+        return max(abs(mean - mean_o), abs(sched.post_sd[t - 1] ** 2 - var_o))
+
+    # fixed scalar case first: alphas 0.95 and 0.9, alpha_bars 0.95 and 0.855
+    sched2 = df.make_schedule(2, 0.05, 0.1)
     # Bayes product of N(x2; sqrt(a2) x1, 1-a2) and N(x1; sqrt(ab1) x0, 1-ab1)
     prec = 0.9 / (1 - 0.9) + 1.0 / (1 - 0.95)
     var_o = 1.0 / prec
     mean_o = var_o * (np.sqrt(0.9) * 0.5 / (1 - 0.9)
                       + np.sqrt(0.95) * 1.0 / (1 - 0.95))
-    worst = max(abs(float(p.mean[0]) - mean_o), abs(p.variance - var_o))
+    worst = table_err(sched2, 2, 0.5, 1.0, mean_o, var_o)
     sched = df.make_schedule(100, 1e-3, 0.2)
     for _ in range(100):
         t = rng.randint(99) + 2
         x0 = rng.normal()
         x_t = rng.normal()
-        p = df.posterior_params(sched, np.array([x_t]), np.array([x0]), t)
         a_t = sched.alphas[t - 1]
-        ab_prev = sched.alpha_bar(t - 1)
+        ab_prev = alpha_bar(sched, t - 1)
         prec = a_t / (1.0 - a_t) + 1.0 / (1.0 - ab_prev)
         var_o = 1.0 / prec
         mean_o = var_o * (np.sqrt(a_t) * x_t / (1.0 - a_t)
                           + np.sqrt(ab_prev) * x0 / (1.0 - ab_prev))
-        worst = max(worst, abs(float(p.mean[0]) - mean_o),
-                    abs(p.variance - var_o))
+        worst = max(worst, table_err(sched, t, x_t, x0, mean_o, var_o))
     return _result("diffusion.posterior_bayes_oracle", worst < 1e-12,
                    f"max_err={worst:.3e}")
 
@@ -274,7 +276,7 @@ def check_eps_x0_roundtrip(rng: Rng) -> CheckResult:
         t = rng.randint(100) + 1
         x0 = rng.normal(4)
         eps = rng.normal(4)
-        ab = sched.alpha_bar(t)
+        ab = alpha_bar(sched, t)
         x_t = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
         back = df.eps_to_x0(sched, x_t, eps, t)
         worst = max(worst, float(np.max(np.abs(back - x0))))
@@ -287,15 +289,16 @@ def check_reverse_step_stats(rng: Rng) -> CheckResult:
     t = 60
     x0 = rng.normal(4)
     eps = rng.normal(4)
-    ab = sched.alpha_bar(t)
+    ab = alpha_bar(sched, t)
     x_t = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
-    post = df.posterior_params(sched, x_t, x0, t)
+    mean = sched.post_x0[t - 1] * x0 + sched.post_xt[t - 1] * x_t
+    var = sched.post_sd[t - 1] ** 2
     n = 10_000
     draws = np.stack([df.ddpm_reverse_step(sched, x_t, eps, t, rng)
                       for _ in range(n)])
-    mean_dev = float(np.max(np.abs(draws.mean(axis=0) - post.mean)))
-    mean_bound = 3.0 * np.sqrt(post.variance / n)
-    var_rel = abs(float(np.mean(draws.var(axis=0))) - post.variance) / post.variance
+    mean_dev = float(np.max(np.abs(draws.mean(axis=0) - mean)))
+    mean_bound = 3.0 * np.sqrt(var / n)
+    var_rel = abs(float(np.mean(draws.var(axis=0))) - var) / var
     ok = mean_dev < mean_bound and var_rel < 0.05
     return _result("diffusion.reverse_step_stats", ok,
                    f"mean_dev={mean_dev:.5f} var_rel_err={var_rel:.4f}")
@@ -320,7 +323,7 @@ def check_zero_denoiser_trajectory(rng: Rng) -> CheckResult:
     # step-by-step oracle: with eps_hat = 0, x_{t-1} = sqrt(ab_{t-1}/ab_t) x_t
     x = x_T.copy()
     for t in range(sched.T, 0, -1):
-        x = np.sqrt(sched.alpha_bar(t - 1) / sched.alpha_bar(t)) * x
+        x = np.sqrt(alpha_bar(sched, t - 1) / alpha_bar(sched, t)) * x
     err = float(np.max(np.abs(got - x)))
     return _result("diffusion.zero_predictor_trajectory", err < 1e-10,
                    f"max_err={err:.3e}")

@@ -150,6 +150,23 @@ def test_sample_rerun_rewrites_outputs(tmp_path, ckpt):
             assert a.read() == b.read(), name
 
 
+def test_sample_ddpm_rows_match_single_seed_runs(tmp_path, ckpt):
+    """A DDPM run over several seeds writes, for each seed, the image that a
+    one-image run at that seed writes: every row draws its own seed's
+    noise."""
+    base = ["sample", "--ckpt", ckpt, "--mode", "ddpm"]
+    many = str(tmp_path / "many")
+    assert cli.main(base + ["--out", many, "--seed", "-2", "--n", "3"]) == 0
+    for seed in (-2, -1, 0):
+        one = str(tmp_path / f"one{seed}")
+        assert cli.main(base + ["--out", one, "--seed", str(seed),
+                                "--n", "1"]) == 0
+        name = f"gen_{seed}.pgm"
+        with open(os.path.join(many, name), "rb") as a, \
+                open(os.path.join(one, name), "rb") as b:
+            assert a.read() == b.read(), name
+
+
 def test_sample_rejects_truncated_checkpoint(tmp_path):
     bad = tmp_path / "short.ckpt"
     bad.write_bytes(b"EMB1\x01\x00")

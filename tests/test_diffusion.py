@@ -26,9 +26,12 @@ def test_schedule_rejects_bad_params():
 
 
 def test_posterior_step_one_is_deterministic(sched):
-    p = df.posterior_params(sched, np.array([0.3]), np.array([0.5]), 1)
-    assert p.variance == 0.0
-    assert abs(p.mean[0] - 0.5) < 1e-12  # mean collapses onto x0
+    """At t=1 the posterior variance is zero and its mean collapses onto
+    x0, so the step returns the x0 estimate without drawing."""
+    x_t, eps = np.array([0.3, -0.2]), np.array([0.1, 0.4])
+    assert sched.post_sd[0] == 0.0
+    got = df.ddpm_reverse_step(sched, x_t, eps, 1, rng=None)
+    assert np.max(np.abs(got - df.eps_to_x0(sched, x_t, eps, 1))) < 1e-12
 
 
 def test_ddim_step_invert_roundtrip(sched):
@@ -43,14 +46,15 @@ def test_ddim_step_invert_roundtrip(sched):
 
 
 def test_table_steps_equal_closed_forms(sched):
-    """The step functions read sqrt(alpha_bar) from tables and work in
-    place; they stay bitwise equal to the closed forms at every t."""
+    """The step functions read sqrt(alpha_bar) and the posterior from
+    tables and work in place; they stay bitwise equal to the closed forms
+    at every t."""
     rng = Rng(29)
     x_t = rng.normal((3, 4))
     eps = rng.normal((3, 4))
     clip = (-0.5, 0.5)
     for t in range(1, sched.T + 1):
-        ab, ab_prev = sched.alpha_bar(t), sched.alpha_bar(t - 1)
+        ab, ab_prev = vf.alpha_bar(sched, t), vf.alpha_bar(sched, t - 1)
         x0 = (x_t - np.sqrt(1.0 - ab) * eps) / np.sqrt(ab)
         assert np.array_equal(df.eps_to_x0(sched, x_t, eps, t), x0)
         for c in (None, clip):
@@ -60,6 +64,14 @@ def test_table_steps_equal_closed_forms(sched):
         back = (x_t - np.sqrt(1.0 - ab_prev) * eps) / np.sqrt(ab_prev)
         want = np.sqrt(ab) * back + np.sqrt(1.0 - ab) * eps
         assert np.array_equal(vf.ddim_invert_step(sched, x_t, eps, t), want)
+        a_t = sched.alphas[t - 1]
+        mean = (np.sqrt(ab_prev) * (1.0 - a_t) / (1.0 - ab) * x0
+                + np.sqrt(a_t) * (1.0 - ab_prev) / (1.0 - ab) * x_t)
+        var = (1.0 - ab_prev) / (1.0 - ab) * (1.0 - a_t)
+        if t > 1:
+            mean = mean + np.sqrt(var) * Rng([t, -t, 7]).normal(4)
+        got = df.ddpm_reverse_step(sched, x_t, eps, t, Rng([t, -t, 7]))
+        assert np.array_equal(got, mean)
 
 
 def test_l1_objective_rejects_shape_mismatch():
@@ -72,12 +84,18 @@ def test_sample_mode_validation(sched):
         df.sample(sched, lambda x, t: x, np.ones(4), mode="euler")
     with pytest.raises(ValueError):
         df.sample(sched, lambda x, t: x, np.ones(4), mode="ddpm", rng=None)
+    # a generator needs one key per row: one key would give every row the
+    # same noise
+    for rng in (Rng(3), Rng([3, 4, 5])):
+        with pytest.raises(ValueError, match="one key per row"):
+            df.sample(sched, lambda x, t: x, np.ones((2, 4)), mode="ddpm",
+                      rng=rng)
 
 
 def test_step_index_validation(sched):
     for t in (0, 101):
         with pytest.raises(ValueError, match=f"step {t} outside 1..100"):
-            df.posterior_params(sched, np.ones(2), np.ones(2), t)
+            df.ddpm_reverse_step(sched, np.ones(2), np.ones(2), t, None)
         with pytest.raises(ValueError, match=f"step {t} outside 1..100"):
             df.eps_to_x0(sched, np.ones(2), np.ones(2), t)
 

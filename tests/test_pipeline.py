@@ -57,7 +57,7 @@ def test_generate_deterministic(untrained_bundle):
 def test_generate_batch_matches_single_closely(untrained_bundle):
     """Each row of a batched chain matches its own batch-1 run.
 
-    Covers clipped DDIM, unclipped regeneration, DDPM with one rng per
+    Covers clipped DDIM, unclipped regeneration, DDPM with one key per
     seed, per-row masks and per-row embeddings; rows agree to BLAS
     reassociation level.
     """
@@ -76,7 +76,7 @@ def test_generate_batch_matches_single_closely(untrained_bundle):
         (b.regenerate(emb, x_T),
          lambda i: b.regenerate(emb, x_T[i])),
         (b.generate(emb, x_T, mode="ddpm",
-                    rng=[Rng(s).split(1) for s in seeds]),
+                    rng=Rng(seeds).split(1)),
          lambda i: b.generate(emb, x_T[i], mode="ddpm",
                               rng=Rng(seeds[i]).split(1))),
         (b.generate(emb, x_T, mask=dn.AttnMask(allowed)),

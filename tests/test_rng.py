@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 
-from embedlab.rng import Rng, split_normals
+from embedlab.rng import Rng
 
 
 def test_same_seed_same_sequence():
@@ -91,13 +91,25 @@ def test_draws_match_golden_digest():
                                     "ed4678efd5b973724b39b0f3a71386bd")
 
 
-def test_split_normals_match_one_rng_per_seed():
+def test_many_seed_rng_matches_one_rng_per_seed():
+    """Rng(seeds) draws, row by row, bitwise what Rng(seed) draws alone:
+    every kind of draw, in sequence, and after a split; seeds are masked to
+    64 bits."""
     seeds = [0, 1, 5, 1999, -1, -7, 2**63, 2**63 + 5, 2**64 - 1, 2**64 + 3]
+    many = Rng(seeds)
+    ones = [Rng(seed) for seed in seeds]
+    assert many.shape == (len(seeds),)
+    draws = [lambda r: r.raw(5), lambda r: r.uniform(), lambda r: r.uniform(7),
+             lambda r: r.normal((2, 3)), lambda r: r.normal(),
+             lambda r: r.randint(13, 4), lambda r: r.randint(5)]
+    for draw in draws:
+        rows = draw(many)
+        assert rows.shape[0] == len(seeds)
+        for row, one in zip(rows, ones):
+            assert np.array_equal(row, draw(one))
     for stream, n in ((0, 64), (2, 7), (1, 1)):
-        rows = split_normals(seeds, stream, n)
+        rows = many.split(stream).normal(n)
         assert rows.shape == (len(seeds), n)
         for row, seed in zip(rows, seeds):
             assert np.array_equal(row, Rng(seed).split(stream).normal(n))
-    # seeds are masked to 64 bits, as Rng masks them
-    assert np.array_equal(split_normals([-1], 0, 4),
-                          split_normals([2**64 - 1], 0, 4))
+    assert np.array_equal(Rng([-1]).normal(4), Rng([2**64 - 1]).normal(4))

@@ -46,6 +46,13 @@ BATTERY = [
     ("gen-data", ["gen-data", "--n", "12"]),
     ("sample-ddim", ["sample", "--ckpt", CKPT, "--n", "4"]),
     ("sample-ddpm", ["sample", "--ckpt", CKPT, "--n", "3", "--mode", "ddpm"]),
+    # seeds that are negative or cross 2**63 and 2**64, masked to 64 bits
+    ("sample-ddpm-neg", ["sample", "--ckpt", CKPT, "--n", "3", "--mode", "ddpm",
+                         "--seed", "-2"]),
+    ("sample-ddpm-2p63", ["sample", "--ckpt", CKPT, "--n", "3", "--mode",
+                          "ddpm", "--seed", str(2**63 - 1)]),
+    ("sample-ddim-2p64", ["sample", "--ckpt", CKPT, "--n", "2",
+                          "--seed", str(2**64 - 1)]),
     ("mask-sweep", ["mask-sweep", "--ckpt", CKPT, "--seeds", "4"]),
     ("edit-swap", edit("--recipe", "swap", *SWAP)),
     ("edit-soft_swap", edit("--recipe", "soft_swap", "--weight", "0.25", *SWAP)),
